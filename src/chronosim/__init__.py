@@ -39,8 +39,7 @@ from .optimizer import (
     OptimizationResult,
     brute_force_reference,
     export_miqcp,
-    greedy_heuristic,
-    solve_exact,
+    solve,
 )
 from .sim import (
     ComparisonReport,
@@ -83,13 +82,12 @@ __all__ = [
     "export_miqcp",
     "gcd_of_periods",
     "generate_task_set",
-    "greedy_heuristic",
     "is_harmonic_chain",
     "period_factor_sweep",
     "required_ticks",
     "run",
     "single_timer_mapping",
-    "solve_exact",
+    "solve",
     "tick",
     "tick_baseline",
     "tick_chronos",

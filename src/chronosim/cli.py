@@ -1,9 +1,10 @@
 """Command-line front end: generate, optimize, simulate, sweep, report.
 
 Exit codes: 0 success, 2 bad input, 3 inconsistent configuration, 4 internal
-error.  ``optimize`` additionally exits 5 when the solution came from the
-heuristic rather than the exact solver.  Scenario files plus a seed fully
-determine every output byte.
+error.  ``optimize`` additionally exits 5 when the mapping is not proven
+optimal: the partition search ran out of its node budget and the greedy
+fallback produced the mapping.  Scenario files plus a seed fully determine
+every output byte.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import fields as dataclass_fields
+from fractions import Fraction
 from importlib import resources
 
 from . import model, optimizer, sim
@@ -107,13 +108,18 @@ def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
     ))
 
 
-def _solve_mapping(task_set: model.TaskSet, timers: int,
-                   exact_bound: int) -> optimizer.OptimizationResult:
-    problem = optimizer.OptimizationProblem.from_task_set(task_set, timers)
+def _sweep_row(row: dict) -> sim.SweepRow:
+    """The columns of one sweep CSV row that the summary reads."""
     try:
-        return optimizer.solve_exact(problem, exact_bound=exact_bound)
-    except UsageError:
-        return optimizer.greedy_heuristic(problem)
+        ratio = row["overhead_ratio"]
+        return sim.SweepRow(
+            factor=int(row["factor"]),
+            strategy=row["strategy"],
+            overhead_ratio=Fraction(ratio) if ratio else None,
+            schedulable_class=row["schedulable_class"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed sweep row: {row!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +140,10 @@ def cmd_generate(args) -> int:
 
 def cmd_optimize(args) -> int:
     task_set = model.task_set_from_json(model.load_json(args.task_set))
-    result = _solve_mapping(task_set, args.timers, args.exact_bound)
+    problem = optimizer.OptimizationProblem.from_task_set(task_set, args.timers)
+    result = optimizer.solve(problem)
     model.dump_json(result.to_json(), args.out)
     if args.export_lp:
-        problem = optimizer.OptimizationProblem.from_task_set(task_set, args.timers)
         optimizer.export_miqcp(problem, args.export_lp)
         print(f"solver model -> {args.export_lp}")
     rate = result.objective
@@ -193,7 +199,8 @@ def cmd_sweep(args) -> int:
     if fixed_period is not None:
         mapping = model.single_timer_mapping(task_set, period=int(fixed_period))
     else:
-        mapping = _solve_mapping(task_set, timers, args.exact_bound).mapping
+        problem = optimizer.OptimizationProblem.from_task_set(task_set, timers)
+        mapping = optimizer.solve(problem).mapping
     strategies = None
     if "strategies" in scenario:
         strategies = [Strategy.from_label(s) for s in scenario["strategies"]]
@@ -231,27 +238,12 @@ def cmd_report(args) -> int:
     """Recompute the overhead-reduction summary from an existing sweep CSV."""
     try:
         with open(args.sweep, "r", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            table = sim.SweepTable([_sweep_row(row) for row in csv.DictReader(fh)])
     except OSError as exc:
         raise UsageError(f"cannot read {args.sweep}: {exc}") from exc
-    per_strategy: dict[str, list[tuple[float, str]]] = {}
-    for row in rows:
-        strategy = row.get("strategy", "")
-        ratio = row.get("overhead_ratio", "")
-        if not strategy or strategy == Strategy.BASELINE.value or not ratio:
-            continue
-        per_strategy.setdefault(strategy, []).append(
-            (float(ratio), row.get("schedulable_class", "")))
-    if not per_strategy:
+    if not table.summary():
         raise UsageError(f"{args.sweep} contains no strategy rows")
-    print(f"{'strategy':<18} {'peak reduction':>15} {'mean reduction':>15}")
-    for strategy, entries in per_strategy.items():
-        peak = max(r for r, _ in entries)
-        eligible = [r for r, c in entries if c != "not-schedulable"]
-        mean = (math.exp(sum(math.log(r) for r in eligible) / len(eligible))
-                if eligible else None)
-        mean_text = f"{mean:.2f}x" if mean is not None else "-"
-        print(f"{strategy:<18} {peak:.2f}x".ljust(34) + f" {mean_text:>15}")
+    print(table.format_summary())
     return EXIT_OK
 
 
@@ -278,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timers", type=int, required=True, help="timer budget m")
     p.add_argument("--out", required=True, help="mapping JSON output path")
     p.add_argument("--export-lp", default=None, help="also write the solver model")
-    p.add_argument("--exact-bound", type=int, default=optimizer.DEFAULT_EXACT_BOUND,
-                   help="max distinct periods for the exact solver")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run one strategy over a task set")
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=PRESETS, help="shipped scenario preset")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--timers", type=int, default=None, help="timer budget fallback")
-    p.add_argument("--exact-bound", type=int, default=optimizer.DEFAULT_EXACT_BOUND)
     p.add_argument("--out", required=True, help="sweep CSV output path")
     p.set_defaults(func=cmd_sweep)
 

@@ -323,14 +323,15 @@ def rational_from_json(obj: dict) -> Rational:
 
 
 def task_set_to_json(task_set: TaskSet) -> dict:
-    """Interchange format for all CLI subcommands; integers only."""
-    tasks = []
-    for t in task_set.tasks:
-        entry = {"id": t.id, "period": t.period, "wcet": t.wcet, "deadline": t.deadline}
-        if t.releases_limit is not None:
-            entry["releases"] = t.releases_limit
-        tasks.append(entry)
-    return {"tasks": tasks}
+    """Interchange format for all CLI subcommands; integers only.
+
+    ``"releases": null`` marks a task that never retires.
+    """
+    return {"tasks": [
+        {"id": t.id, "period": t.period, "wcet": t.wcet, "deadline": t.deadline,
+         "releases": t.releases_limit}
+        for t in task_set.tasks
+    ]}
 
 
 def task_set_from_json(obj: dict) -> TaskSet:
@@ -341,14 +342,15 @@ def task_set_from_json(obj: dict) -> TaskSet:
     tasks = []
     for entry in raw:
         try:
+            releases = entry.get("releases", 5)
             tasks.append(Task(
                 id=int(entry["id"]),
                 wcet=int(entry["wcet"]),
                 period=int(entry["period"]),
                 deadline=int(entry.get("deadline", entry["period"])),
-                releases_limit=int(entry.get("releases", 5)),
+                releases_limit=None if releases is None else int(releases),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed task entry: {entry!r}") from exc
     return TaskSet(tuple(tasks))
 

@@ -6,13 +6,15 @@ expected interrupt rate (sum of 1/GCD over groups).  Ties are broken by fewer
 timers used, then by the lexicographically smallest assignment vector (groups
 numbered in order of their first period, periods in ascending order).
 
-The exact solver searches partitions with a memoized subset DP over
+The solver searches partitions with a memoized subset DP over
 (remaining-set, timers-left) rather than the raw mixed-integer model: setting
 a timer period below the group GCD can never win because 1/P is minimized by
 the largest common divisor, and absorbing every remaining multiple of a
 group's GCD into that group never increases the objective, the timer count,
 or the lexicographic rank of the assignment.  Both dominance lemmas are
-validated against the brute-force enumerator in the test suite.  The literal
+validated against the brute-force enumerator in the test suite.  The search
+runs under a node budget; a result is reported as exact exactly when the
+search completed, and as heuristic when the budget ran out.  The literal
 mixed-integer model is still available through :func:`export_miqcp` for
 external validation.
 """
@@ -24,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .model import Mapping, Task, TaskSet, TimerConfig, rational_to_json
+from .model import (
+    Mapping, Task, TaskSet, TimerConfig, mapping_to_json, rational_to_json,
+)
 
-DEFAULT_EXACT_BOUND = 20
 BRUTE_FORCE_BOUND = 10
 DEFAULT_NODE_BUDGET = 20_000
 
@@ -79,18 +82,13 @@ class OptimizationResult:
     divisor_witnesses: dict[int, int]    # task id -> period // timer period
 
     def to_json(self) -> dict:
-        obj = {
-            "timers": [
-                {"id": tc.id, "period": tc.period,
-                 "tasks": list(self.mapping.tasks_of(tc.id))}
-                for tc in self.mapping.timers
-            ],
+        return {
+            **mapping_to_json(self.mapping),
             "objective": rational_to_json(self.objective),
             "timers_used": self.timers_used,
             "method": self.method,
             "stats": {"nodes": self.stats.nodes, "subsets": self.stats.subsets},
         }
-        return obj
 
 
 class _BudgetExceeded(Exception):
@@ -100,8 +98,7 @@ class _BudgetExceeded(Exception):
 class _PartitionSearch:
     """Memoized DP over (remaining period bitmask, timers left)."""
 
-    def __init__(self, periods: tuple[int, ...], m: int,
-                 node_budget: int | None = None):
+    def __init__(self, periods: tuple[int, ...], m: int, node_budget: int):
         self.periods = periods
         self.n = len(periods)
         self.m = m
@@ -166,7 +163,7 @@ class _PartitionSearch:
         if key in self._memo:
             return self._memo[key]
         self.stats.nodes += 1
-        if self.node_budget is not None and self.stats.nodes > self.node_budget:
+        if self.stats.nodes > self.node_budget:
             raise _BudgetExceeded
         best: tuple[Fraction, int] | None = None
         for sub in self._candidates(mask):
@@ -272,20 +269,26 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
     )
 
 
-def solve_exact(problem: OptimizationProblem,
-                exact_bound: int = DEFAULT_EXACT_BOUND) -> OptimizationResult:
-    """Optimal partition of the distinct periods into at most ``m`` groups."""
-    n = len(problem.periods)
-    if n > exact_bound:
-        raise UsageError(
-            f"{n} distinct periods exceed the exact-solve bound ({exact_bound}); "
-            "use greedy_heuristic instead"
-        )
-    search = _PartitionSearch(problem.periods, problem.m)
-    full = (1 << n) - 1
-    value = search.best(full, problem.m)
-    assert value is not None  # one group always covers everything
-    group_masks = search.reconstruct(full, problem.m)
+def solve(problem: OptimizationProblem,
+          node_budget: int = DEFAULT_NODE_BUDGET) -> OptimizationResult:
+    """Minimal-rate partition of the distinct periods into at most ``m`` groups.
+
+    Runs the divisor-closed partition search under ``node_budget``.  When the
+    search completes, the result is the proven optimum and its method is
+    ``"exact"``.  When the budget runs out (``stats.nodes`` then exceeds it),
+    greedy extraction of the densest divisor-closed group takes over; that
+    result is never worse than the trivial single-group mapping, and its
+    method is ``"heuristic"``.
+    """
+    full = (1 << len(problem.periods)) - 1
+    search = _PartitionSearch(problem.periods, problem.m, node_budget)
+    try:
+        group_masks = search.reconstruct(full, problem.m)
+    except _BudgetExceeded:
+        candidate = _build_result(problem, _greedy_extract(search), search.stats,
+                                  "heuristic")
+        single = _build_result(problem, [full], search.stats, "heuristic")
+        return min(candidate, single, key=lambda r: (r.objective, r.timers_used))
     return _build_result(problem, group_masks, search.stats, "exact")
 
 
@@ -294,7 +297,7 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
 
     Enumerates restricted growth strings in lexicographic order; keeping the
     first strict improvement therefore realizes the same tie-break as
-    :func:`solve_exact` (fewer timers, then smallest assignment vector).
+    :func:`solve` (fewer timers, then smallest assignment vector).
     """
     n = len(problem.periods)
     if n > BRUTE_FORCE_BOUND:
@@ -341,66 +344,25 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
     return _build_result(problem, group_masks, stats, "brute-force")
 
 
-def greedy_heuristic(problem: OptimizationProblem,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> OptimizationResult:
-    """Scalability fallback for instances beyond the exact-solve bound.
-
-    Runs the same divisor-closed partition search under a node budget, so it
-    returns the true optimum whenever the search fits the budget.  When the
-    budget runs out it falls back to greedy extraction of the densest
-    divisor-closed group (largest GCD per covered period), and the result is
-    never worse than the trivial single-group mapping.
-    """
-    n = len(problem.periods)
-    full = (1 << n) - 1
-    search = _PartitionSearch(problem.periods, problem.m, node_budget=node_budget)
-    try:
-        value = search.best(full, problem.m)
-        assert value is not None
-        group_masks = search.reconstruct(full, problem.m)
-        return _build_result(problem, group_masks, search.stats, "heuristic")
-    except _BudgetExceeded:
-        pass
-
-    stats = search.stats
-    group_masks = _greedy_extract(problem, stats)
-    candidate = _build_result(problem, group_masks, stats, "heuristic")
-    single = _build_result(problem, [full], stats, "heuristic")
-    if (candidate.objective, candidate.timers_used) <= (single.objective, single.timers_used):
-        return candidate
-    return single
-
-
-def _greedy_extract(problem: OptimizationProblem, stats: SolverStats) -> list[int]:
+def _greedy_extract(search: _PartitionSearch) -> list[int]:
     """Repeatedly take the divisor-closed group with the best rate per period."""
-    periods = problem.periods
-    n = len(periods)
-    divisor_masks: dict[int, int] = {}
-    for p in periods:
-        for d in _divisors(p):
-            divisor_masks.setdefault(d, 0)
-    for d in divisor_masks:
-        divisor_masks[d] = sum(1 << i for i, p in enumerate(periods) if p % d == 0)
-
-    remaining = (1 << n) - 1
+    remaining = (1 << search.n) - 1
     groups: list[int] = []
     while remaining:
-        timers_left = problem.m - len(groups)
-        if timers_left <= 1:
+        if search.m - len(groups) <= 1:
             groups.append(remaining)
             break
         best_mask = None
         best_key: tuple | None = None
         seen: set[int] = set()
-        for d, mask in divisor_masks.items():
+        for mask in search._divisor_masks.values():
             sub = mask & remaining
             if not sub or sub in seen:
                 continue
             seen.add(sub)
-            stats.subsets += 1
+            search.stats.subsets += 1
             size = sub.bit_count()
-            g = math.gcd(*(periods[i] for i in range(n) if sub >> i & 1))
-            key = (Fraction(1, g * size), -size, sub)
+            key = (Fraction(1, search._gcd_of_mask(sub) * size), -size, sub)
             if best_key is None or key < best_key:
                 best_key, best_mask = key, sub
         assert best_mask is not None

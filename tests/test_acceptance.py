@@ -26,8 +26,7 @@ from chronosim.model import (
 from chronosim.optimizer import (
     OptimizationProblem,
     brute_force_reference,
-    greedy_heuristic,
-    solve_exact,
+    solve,
 )
 from chronosim.sim import SimConfig, period_factor_sweep, run
 
@@ -64,11 +63,7 @@ def preset_sweep(workload, harmonic, strategies, timers=4, factors=range(1, 16))
                           n_tasks=100, rng_seed=42, workload=workload,
                           harmonic=harmonic)
     ts = generate_task_set(spec)
-    problem = OptimizationProblem.from_task_set(ts, timers)
-    try:
-        mapping = solve_exact(problem).mapping
-    except Exception:
-        mapping = greedy_heuristic(problem).mapping
+    mapping = solve(OptimizationProblem.from_task_set(ts, timers)).mapping
     unbounded = TaskSet(tuple(
         Task(t.id, t.wcet, t.period, t.deadline, None) for t in ts.tasks))
     base = SimConfig(task_set=unbounded, strategy=Strategy.BASELINE,
@@ -103,7 +98,7 @@ def test_criterion_1_figure_reproduction():
 
 def test_criterion_2_coprime_counterexample():
     with criterion(2, "coprime triple collapses to one unit timer, 1 < 31/30"):
-        result = solve_exact(OptimizationProblem(periods=(2, 3, 5), m=3))
+        result = solve(OptimizationProblem(periods=(2, 3, 5), m=3))
         assert result.timers_used == 1
         assert result.mapping.used_timers()[0].period == 1
         assert result.objective == Fraction(1, 1)
@@ -121,8 +116,9 @@ def test_criterion_3_optimizer_optimality():
             periods = tuple(rng.sample(range(1, 31), n))
             m = rng.randint(1, 4)
             problem = OptimizationProblem(periods=periods, m=m)
-            exact = solve_exact(problem)
+            exact = solve(problem)
             brute = brute_force_reference(problem)
+            assert exact.method == "exact", problem
             assert exact.objective == brute.objective, problem
         assert time.monotonic() - started < 60.0
 
@@ -149,7 +145,7 @@ def test_criterion_4_release_correctness_oracle():
         for _ in range(100):
             ts, horizon = _release_instance(rng)
             m = rng.randint(1, 3)
-            mapping = solve_exact(OptimizationProblem.from_task_set(ts, m)).mapping
+            mapping = solve(OptimizationProblem.from_task_set(ts, m)).mapping
             expected = oracle_trace(ts, horizon)
             assert sorted({t for t, _ in expected}) == required_ticks(ts, horizon)
             for strategy in (Strategy.BASELINE, Strategy.CHRONOS,
@@ -180,7 +176,7 @@ def test_criterion_5_rate_formula_exactness():
         for _ in range(60):
             ts, horizon = _release_instance(rng)
             m = rng.randint(1, 4)
-            mapping = solve_exact(OptimizationProblem.from_task_set(ts, m)).mapping
+            mapping = solve(OptimizationProblem.from_task_set(ts, m)).mapping
             metrics = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                                     mapping=mapping, horizon=horizon))
             by_floor = sum(horizon // tc.period for tc in mapping.used_timers())
@@ -312,8 +308,8 @@ def test_criterion_8_scaling_invariance():
             n = rng.randint(1, 8)
             periods = tuple(rng.sample(range(1, 31), n))
             m = rng.randint(1, 4)
-            result = solve_exact(OptimizationProblem(periods=periods, m=m))
-            doubled = solve_exact(OptimizationProblem(
+            result = solve(OptimizationProblem(periods=periods, m=m))
+            doubled = solve(OptimizationProblem(
                 periods=tuple(p * 2 for p in periods), m=m))
             assert doubled.objective == result.objective / 2
             assert doubled.groups == tuple(

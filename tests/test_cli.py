@@ -1,9 +1,13 @@
 """End-to-end command-line workflows and the exit-code contract."""
 
+import json
+from importlib import resources
+
 import pytest
 
-from chronosim.cli import main
+from chronosim.cli import PRESETS, main
 from chronosim.model import dump_json, load_json, task_set_from_json
+from chronosim.optimizer import DEFAULT_NODE_BUDGET
 
 
 @pytest.fixture
@@ -88,18 +92,38 @@ class TestOptimize:
         assert len(used) == 1 and used[0]["period"] == 1
 
     def test_heuristic_solve_exit_five(self, tmp_path):
-        periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
+        # Divisor-rich periods: the partition search exhausts its node budget.
+        periods = [p for p in range(60, 351)
+                   if sum(1 for d in range(1, p + 1) if p % d == 0) >= 12][:48]
+        assert len(periods) == 48
         tasks = tmp_path / "tasks.json"
         dump_json({"tasks": [
             {"id": i + 1, "period": p, "wcet": 0}
             for i, p in enumerate(periods)
         ]}, str(tasks))
         out = tmp_path / "mapping.json"
-        assert main(["optimize", str(tasks), "--timers", "4",
+        assert main(["optimize", str(tasks), "--timers", "10",
                      "--out", str(out)]) == 5
         obj = load_json(str(out))
         assert obj["method"] == "heuristic"
-        assert sorted(t["period"] for t in obj["timers"] if t["tasks"]) == [3, 5, 7, 11]
+        assert obj["stats"]["nodes"] > DEFAULT_NODE_BUDGET
+        used = [t for t in obj["timers"] if t["tasks"]]
+        assert 1 <= len(used) <= 10
+        period_of = {i + 1: p for i, p in enumerate(periods)}
+        assigned = sorted(task for t in used for task in t["tasks"])
+        assert assigned == sorted(period_of)
+        assert all(period_of[task] % t["period"] == 0
+                   for t in used for task in t["tasks"])
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_preset_optimizes_exactly(self, tmp_path, preset):
+        scenario = json.loads(resources.files("chronosim").joinpath(
+            "presets", f"{preset}.json").read_text(encoding="utf-8"))
+        tasks, out = tmp_path / "tasks.json", tmp_path / "mapping.json"
+        assert main(["generate", "--preset", preset, "--out", str(tasks)]) == 0
+        assert main(["optimize", str(tasks), "--timers", str(scenario["timers"]),
+                     "--out", str(out)]) == 0
+        assert load_json(str(out))["method"] == "exact"
 
     def test_single_timer_budget_uses_gcd(self, tmp_path):
         tasks = tmp_path / "tasks.json"
@@ -226,12 +250,14 @@ class TestSweepAndReport:
 
     def test_report_recomputes_summary(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "sweep.csv"
-        main(["sweep", scenario_file, "--out", str(out)])
-        capsys.readouterr()
+        assert main(["sweep", scenario_file, "--out", str(out)]) == 0
+        sweep_stdout = capsys.readouterr().out
+        summary = sweep_stdout.split("\n", 1)[1]  # after the "sweep table ->" line
         assert main(["report", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "chronos-const" in stdout
         assert "peak reduction" in stdout
+        assert stdout == summary
 
     def test_preset_harmonic_single_runs(self, tmp_path):
         out = tmp_path / "hs.csv"

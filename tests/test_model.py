@@ -1,5 +1,6 @@
 """Domain types, number-theoretic utilities, and the task-set generator."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,13 @@ class TestSerialization:
         assert obj == {"tasks": [
             {"id": 1, "period": 6, "wcet": 1, "deadline": 6, "releases": 5}
         ]}
+
+    def test_steady_state_task_set_round_trip(self):
+        ts = make_task_set([6, 10], wcet=1, releases=None)
+        obj = task_set_to_json(ts)
+        assert all(entry["releases"] is None for entry in obj["tasks"])
+        assert task_set_from_json(obj) == ts
+        assert task_set_from_json(json.loads(json.dumps(obj))) == ts
 
     def test_missing_releases_defaults_to_five(self):
         ts = task_set_from_json({"tasks": [

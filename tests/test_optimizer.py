@@ -1,4 +1,4 @@
-"""Exact solver vs brute force, heuristic guarantees, and the model export."""
+"""Budgeted solver vs brute force, fallback guarantees, and the model export."""
 
 import math
 import random
@@ -12,8 +12,7 @@ from chronosim.optimizer import (
     OptimizationProblem,
     brute_force_reference,
     export_miqcp,
-    greedy_heuristic,
-    solve_exact,
+    solve,
 )
 
 
@@ -30,7 +29,7 @@ def result_shape(result):
 
 class TestSolveExact:
     def test_coprime_triple_collapses_to_single_unit_timer(self):
-        result = solve_exact(OptimizationProblem(periods=(2, 3, 5), m=3))
+        result = solve(OptimizationProblem(periods=(2, 3, 5), m=3))
         assert result.timers_used == 1
         assert result.mapping.used_timers()[0].period == 1
         assert result.objective == Fraction(1)
@@ -38,7 +37,7 @@ class TestSolveExact:
         assert Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5) > result.objective
 
     def test_two_coprime_periods_get_their_own_timers(self):
-        result = solve_exact(OptimizationProblem(periods=(2, 5), m=2))
+        result = solve(OptimizationProblem(periods=(2, 5), m=2))
         assert result.objective == Fraction(7, 10)
         assert result.groups == ((2,), (5,))
         assert [tc.period for tc in result.mapping.used_timers()] == [2, 5]
@@ -51,14 +50,9 @@ class TestSolveExact:
         assert expected == Fraction(886, 1155)
         reference = brute_force_reference(problem)
         assert reference.objective == Fraction(886, 1155)
-        result = solve_exact(problem)
+        result = solve(problem)
         assert result.objective == Fraction(886, 1155)
         assert sorted(tc.period for tc in result.mapping.used_timers()) == [3, 5, 7, 11]
-
-    def test_bound_exceeded_suggests_heuristic(self):
-        problem = OptimizationProblem(periods=tuple(range(1, 25)), m=2)
-        with pytest.raises(UsageError, match="heuristic"):
-            solve_exact(problem)
 
     def test_empty_period_set_rejected(self):
         with pytest.raises(UsageError):
@@ -69,7 +63,7 @@ class TestSolveExact:
             Task.implicit(1, 0, 6), Task.implicit(2, 0, 10),
             Task.implicit(3, 0, 6),  # duplicate period rides the same timer
         ))
-        result = solve_exact(OptimizationProblem.from_task_set(ts, 2))
+        result = solve(OptimizationProblem.from_task_set(ts, 2))
         assignment = result.mapping.assignment
         assert assignment[1] == assignment[3]
         assert set(assignment) == {1, 2, 3}
@@ -77,7 +71,7 @@ class TestSolveExact:
 
     def test_divisor_witnesses_mirror_period_ratio(self):
         ts = TaskSet((Task.implicit(1, 0, 6), Task.implicit(2, 0, 12)))
-        result = solve_exact(OptimizationProblem.from_task_set(ts, 1))
+        result = solve(OptimizationProblem.from_task_set(ts, 1))
         for task in ts.tasks:
             timer = result.mapping.timer_by_id(result.mapping.assignment[task.id])
             assert result.divisor_witnesses[task.id] * timer.period == task.period
@@ -110,7 +104,7 @@ class TestExactMatchesBruteForce:
         rng = random.Random(2024)
         for _ in range(250):
             problem = random_problem(rng)
-            exact = solve_exact(problem)
+            exact = solve(problem)
             brute = brute_force_reference(problem)
             assert exact.objective == brute.objective, problem
             # The divisor-closed pruning must preserve the full tie-break.
@@ -120,7 +114,7 @@ class TestExactMatchesBruteForce:
         rng = random.Random(7)
         for _ in range(100):
             problem = random_problem(rng)
-            result = solve_exact(problem)
+            result = solve(problem)
             for timer, group in zip(result.mapping.used_timers(), result.groups):
                 assert timer.period == math.gcd(*group)
                 assert all(p % timer.period == 0 for p in group)
@@ -131,7 +125,7 @@ class TestExactMatchesBruteForce:
         rng = random.Random(13)
         for _ in range(60):
             problem = random_problem(rng, max_n=6)
-            result = solve_exact(problem)
+            result = solve(problem)
             for timer, group in zip(result.mapping.used_timers(), result.groups):
                 divisors = [
                     d for d in range(1, timer.period + 1)
@@ -148,7 +142,7 @@ class TestExactMatchesBruteForce:
             previous = None
             for m in range(1, 6):
                 problem = OptimizationProblem(periods=base.periods, m=m)
-                objective = solve_exact(problem).objective
+                objective = solve(problem).objective
                 if previous is not None:
                     assert objective <= previous
                 previous = objective
@@ -157,11 +151,11 @@ class TestExactMatchesBruteForce:
         rng = random.Random(31)
         for _ in range(60):
             problem = random_problem(rng)
-            result = solve_exact(problem)
+            result = solve(problem)
             for factor in (2, 3):
                 scaled = OptimizationProblem(
                     periods=tuple(p * factor for p in problem.periods), m=problem.m)
-                scaled_result = solve_exact(scaled)
+                scaled_result = solve(scaled)
                 assert scaled_result.objective * factor == result.objective
                 assert scaled_result.groups == tuple(
                     tuple(p * factor for p in group) for group in result.groups)
@@ -170,45 +164,63 @@ class TestExactMatchesBruteForce:
         rng = random.Random(17)
         for _ in range(60):
             problem = random_problem(rng)
-            result = solve_exact(problem)
+            result = solve(problem)
             assert expected_interrupt_rate(result.mapping) == result.objective
 
 
 class TestGreedyHeuristic:
+    """The fallback taken when the search runs out of its node budget."""
+
     def test_coprime_triple_falls_back_to_single_group(self):
-        result = greedy_heuristic(OptimizationProblem(periods=(2, 3, 5), m=3))
+        # Greedy extraction gives 1/5 + 1/3 + 1/2 > 1; the guard keeps gcd 1.
+        result = solve(OptimizationProblem(periods=(2, 3, 5), m=3), node_budget=1)
+        assert result.method == "heuristic"
         assert result.objective == Fraction(1)
         assert result.timers_used == 1
 
     def test_two_coprime_periods_match_exact(self):
-        result = greedy_heuristic(OptimizationProblem(periods=(2, 5), m=2))
+        result = solve(OptimizationProblem(periods=(2, 5), m=2), node_budget=2)
+        assert result.method == "exact"
+        assert result.stats.nodes <= 2
         assert result.objective == Fraction(7, 10)
 
     def test_never_worse_than_single_group(self):
-        result = greedy_heuristic(OptimizationProblem(periods=(6, 10, 15), m=3))
+        result = solve(OptimizationProblem(periods=(6, 10, 15), m=3), node_budget=1)
+        assert result.method == "heuristic"
         assert result.objective <= Fraction(1)  # gcd of all three is 1
 
     def test_matches_exact_wherever_exact_runs(self):
         rng = random.Random(99)
         for _ in range(200):
             problem = random_problem(rng)
-            exact = solve_exact(problem)
-            heuristic = greedy_heuristic(problem)
-            assert heuristic.objective >= exact.objective
-            assert heuristic.objective == exact.objective, problem
+            exact = solve(problem)
+            assert exact.method == "exact"
+            for budget in (1, 4):
+                budgeted = solve(problem, node_budget=budget)
+                assert budgeted.objective >= exact.objective, problem
+                if budgeted.method == "exact":
+                    assert budgeted.stats.nodes <= budget
+                    assert result_shape(budgeted) == result_shape(exact), problem
+                else:
+                    assert budgeted.stats.nodes > budget
+                    assert budgeted.objective <= Fraction(
+                        1, math.gcd(*problem.periods)), problem
 
-    def test_scales_beyond_exact_bound(self):
+    def test_completes_beyond_twenty_periods(self):
         # All multiples of four bases; optimum is one timer per base.
         periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
         assert len(periods) > 20
-        result = greedy_heuristic(OptimizationProblem(periods=tuple(periods), m=4))
+        result = solve(OptimizationProblem(periods=tuple(periods), m=4))
+        assert result.method == "exact"
         assert result.objective == Fraction(886, 1155)
         assert sorted(tc.period for tc in result.mapping.used_timers()) == [3, 5, 7, 11]
 
     def test_budget_exhaustion_falls_back_to_extraction(self):
         periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
-        result = greedy_heuristic(
+        result = solve(
             OptimizationProblem(periods=tuple(periods), m=4), node_budget=1)
+        assert result.method == "heuristic"
+        assert result.stats.nodes > 1
         # Still valid and never worse than the single-group mapping.
         assert result.objective <= Fraction(1, math.gcd(*periods))
         assert result.timers_used <= 4

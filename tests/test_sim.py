@@ -16,7 +16,7 @@ from chronosim.model import (
     expected_interrupt_rate,
     single_timer_mapping,
 )
-from chronosim.optimizer import OptimizationProblem, solve_exact
+from chronosim.optimizer import OptimizationProblem, solve
 from chronosim.sim import (
     SimConfig,
     classify,
@@ -88,7 +88,7 @@ class TestFigureScenario:
 class TestReleaseCorrectness:
     def test_zero_wcet_trace_matches_oracle_for_every_strategy(self):
         ts = make_task_set([2, 3, 8])
-        mapping = solve_exact(OptimizationProblem.from_task_set(ts, 2)).mapping
+        mapping = solve(OptimizationProblem.from_task_set(ts, 2)).mapping
         horizon = ts.hyperperiod()
         for strategy in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST):
             metrics = run(SimConfig(
@@ -175,7 +175,7 @@ class TestInterruptCountExactness:
             periods = rng.sample(range(1, 13), n)
             ts = make_task_set(periods)
             m = rng.randint(1, 3)
-            mapping = solve_exact(OptimizationProblem.from_task_set(ts, m)).mapping
+            mapping = solve(OptimizationProblem.from_task_set(ts, m)).mapping
             horizon = ts.hyperperiod()
             metrics = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                                     mapping=mapping, horizon=horizon))
@@ -349,7 +349,7 @@ class TestCompare:
 class TestPeriodFactorSweep:
     def base_config(self):
         ts = make_task_set([3, 5, 7, 11, 6, 10, 14, 22], releases=None)
-        mapping = solve_exact(OptimizationProblem.from_task_set(ts, 4)).mapping
+        mapping = solve(OptimizationProblem.from_task_set(ts, 4)).mapping
         return SimConfig(task_set=ts, strategy=Strategy.BASELINE, mapping=mapping,
                          horizon=5 * 22, collect_trace=False)
 
@@ -385,7 +385,7 @@ class TestPeriodFactorSweep:
 
     def test_overflow_becomes_row_error(self):
         ts = make_task_set([2 ** 31 - 1, 2 ** 19 - 1], releases=None)
-        mapping = solve_exact(OptimizationProblem.from_task_set(ts, 1)).mapping
+        mapping = solve(OptimizationProblem.from_task_set(ts, 1)).mapping
         base = SimConfig(task_set=ts, strategy=Strategy.BASELINE, mapping=mapping,
                          horizon=10, collect_trace=False)
         table = period_factor_sweep(base, [2 ** 14])
@@ -393,7 +393,7 @@ class TestPeriodFactorSweep:
 
     def test_monotone_schedulability_reported(self):
         ts = make_task_set([3, 5, 7, 11, 6, 10, 14, 22], wcet=2, releases=None)
-        mapping = solve_exact(OptimizationProblem.from_task_set(ts, 4)).mapping
+        mapping = solve(OptimizationProblem.from_task_set(ts, 4)).mapping
         base = SimConfig(task_set=ts, strategy=Strategy.BASELINE, mapping=mapping,
                          horizon=5 * 22, collect_trace=False)
         table = period_factor_sweep(base, range(1, 10))
