@@ -194,7 +194,9 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     task_set = _scenario_task_set(scenario, args.seed)
-    timers = int(scenario.get("timers", args.timers or 4))
+    timers = args.timers if args.timers is not None else int(scenario.get("timers", 4))
+    if timers < 1:
+        raise UsageError(f"timer budget must be >= 1, got {timers}")
     fixed_period = scenario.get("fixed_timer_period")
     if fixed_period is not None:
         mapping = model.single_timer_mapping(task_set, period=int(fixed_period))
@@ -292,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="?", help="scenario JSON file")
     p.add_argument("--preset", choices=PRESETS, help="shipped scenario preset")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    p.add_argument("--timers", type=int, default=None, help="timer budget fallback")
+    p.add_argument("--timers", type=int, default=None,
+                   help="timer budget m; overrides the scenario's 'timers' (default 4)")
     p.add_argument("--out", required=True, help="sweep CSV output path")
     p.set_defaults(func=cmd_sweep)
 

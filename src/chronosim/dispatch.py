@@ -17,13 +17,14 @@ Every primitive the routines execute is charged to an operation ledger:
 one ``interrupt`` entry/exit per interrupt, one ``tick_increment`` per
 counter update, one ``comparison`` per examined guard/list entry/slot,
 ``list_remove``/``list_append``/``slot_write``/``ready_insert`` per
-structural update, and one ``sorted_insert_step`` per entry traversed while
-inserting into a sorted list.  Costs are abstract counts; weights are applied
-at reporting time.
+structural update, and one ``sorted_insert_step`` per entry a sorted-list
+insert passes, which equals the insert position.  Costs are abstract counts;
+weights are applied at reporting time.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 
@@ -134,6 +135,8 @@ class DispatcherState:
     Single-threaded by contract; the simulator owns it exclusively.  The
     ready list is kept ordered by (period, task id), so its content does not
     depend on the order in which timers released tasks at the same instant.
+    Both sorted inserts (ready list, sorted delayed lists) find their
+    position by binary search; the modelled cost charges the position.
     """
 
     def __init__(self, task_set: TaskSet, mapping: Mapping, strategy: Strategy,
@@ -156,6 +159,7 @@ class DispatcherState:
         self.interrupt_ledger = OpCostLedger()
         self.delay_ledger = OpCostLedger()
         self.ready: list[int] = []
+        self._ready_key = {t.id: (t.period, t.id) for t in task_set.tasks}
         self.skip_events: list[tuple[int, int, int]] = []  # (tick, timer, task)
         self.tasks: dict[int, _TaskRuntime] = {}
         self.timers: dict[int, _TimerRuntime] = {}
@@ -183,14 +187,9 @@ class DispatcherState:
     # -- ready list ------------------------------------------------------
 
     def _insert_ready(self, task_id: int, charge: bool = True) -> None:
-        key = (self.tasks[task_id].period, task_id)
-        lo = 0
-        while lo < len(self.ready):
-            other = self.ready[lo]
-            if (self.tasks[other].period, other) > key:
-                break
-            lo += 1
-        self.ready.insert(lo, task_id)
+        key = self._ready_key
+        pos = bisect.bisect_right(self.ready, key[task_id], key=key.__getitem__)
+        self.ready.insert(pos, task_id)
         if charge:
             self.interrupt_ledger.charge("ready_insert")
 
@@ -358,7 +357,9 @@ def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
 
     The next release is the smallest multiple of the period strictly greater
     than ``now``: a job completing exactly at one of its own release times has
-    already consumed that release.
+    already consumed that release.  The sorted-list strategies insert after
+    every entry due no later than the new one and charge one
+    ``sorted_insert_step`` per such entry, i.e. the insert position.
     """
     entry = state.tasks[task_id]
     if entry.delayed:
@@ -374,15 +375,10 @@ def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
         ts.slots[entry.slot] = task_id
         led.charge("slot_write")
     else:
-        pos = 0
-        steps = 0
-        for other in ts.queue:
-            if state.tasks[other].next_release <= entry.next_release:
-                pos += 1
-                steps += 1
-            else:
-                break
-        led.charge("sorted_insert_step", steps)
+        tasks = state.tasks
+        pos = bisect.bisect_right(ts.queue, entry.next_release,
+                                  key=lambda t: tasks[t].next_release)
+        led.charge("sorted_insert_step", pos)
         ts.queue.insert(pos, task_id)
     entry.delayed = True
     led.charge("comparison")  # refresh the cached earliest release

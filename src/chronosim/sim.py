@@ -7,7 +7,8 @@ expiries abandon late jobs, and a preemptive fixed-priority scheduler
 periods) picks the next job.  Jobs released at the same instant enter the
 ready list in a canonical order (period, then task id), so release traces and
 miss sets depend only on the configuration, never on per-strategy list
-layouts.
+layouts.  A job with no work completes at its release instant without
+occupying the CPU.
 
 Overhead accounting: every primitive executed by the interrupt and delay
 routines is charged to ledgers (see :mod:`.dispatch`).  With
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, TextIO
@@ -218,6 +220,8 @@ def run(config: SimConfig) -> SimMetrics:
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)
     weights = config.weights
+    interrupt_counts = state.interrupt_ledger.counts
+    counter_weights = tuple(weights.weight_of(c) for c in interrupt_counts)
     tasks = {t.id: t for t in task_set.tasks}
     used_timers = sorted(mapping.used_timers(), key=lambda tc: tc.id)
     timer_stats = {tc.id: TimerStats(id=tc.id, period=tc.period) for tc in used_timers}
@@ -232,9 +236,12 @@ def run(config: SimConfig) -> SimMetrics:
     jobs: dict[int, _Job] = {}
     retired: set[int] = set()
     ready: list[tuple[int, int, int, int, int]] = []  # (period, time, kind, task, job index)
+    deadlines: list[tuple[int, int, int]] = []  # (deadline, task, job index)
+    zero_length: list[int] = []  # released jobs with no work, in ready order
     running: int | None = None
     running_since = 0
 
+    charged_cost = 0  # interrupt-ledger total already added to pending_cost
     pending_cost = 0
     busy_time = 0
     idle_time = 0
@@ -274,17 +281,25 @@ def run(config: SimConfig) -> SimMetrics:
             delay_task(state, tid, now)
             trace(now, "delay", None, tid)
 
-    def prune_ready() -> None:
-        while ready:
-            _, _, _, tid, jidx = ready[0]
+    def prune(heap: list) -> None:
+        """Pop entries of jobs that have completed or been abandoned.
+
+        Entries end in (task, job index); the job index identifies the job.
+        """
+        while heap:
+            tid, jidx = heap[0][-2:]
             job = jobs.get(tid)
             if job is None or job.index != jidx:
-                heapq.heappop(ready)
+                heapq.heappop(heap)
             else:
                 break
 
-    def admit_releases(now: int, seq_kind: int) -> None:
-        """Move dispatcher releases into the ready structure canonically."""
+    def admit_releases(now: int) -> None:
+        """Move dispatcher releases into the ready structure canonically.
+
+        ``take_ready`` yields (period, task id) order, which is the ready-heap
+        order of jobs released at one instant; zero-length jobs keep it.
+        """
         for tid in state.take_ready():
             job = _Job(
                 task_id=tid,
@@ -294,7 +309,11 @@ def run(config: SimConfig) -> SimMetrics:
                 index=now // tasks[tid].period,
             )
             jobs[tid] = job
-            heapq.heappush(ready, (tasks[tid].period, now, seq_kind, tid, job.index))
+            if job.remaining == 0:
+                zero_length.append(tid)
+            else:
+                heapq.heappush(ready, (tasks[tid].period, now, 1, tid, job.index))
+                heapq.heappush(deadlines, (job.deadline, tid, job.index))
             if now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
                 if release_trace is not None and len(release_trace) < limit:
@@ -303,16 +322,11 @@ def run(config: SimConfig) -> SimMetrics:
 
     def drain_and_schedule(now: int) -> None:
         nonlocal running, running_since
-        # Zero-length jobs complete without occupying the CPU.
-        prune_ready()
-        while ready and jobs[ready[0][3]].remaining == 0:
-            tid = heapq.heappop(ready)[3]
+        # Zero-length jobs complete at release without occupying the CPU.
+        for tid in zero_length:
             complete_job(tid, now)
-            prune_ready()
-        if running is not None and jobs[running].remaining == 0:
-            complete_job(running, now)
-            running = None
-        prune_ready()
+        zero_length.clear()
+        prune(ready)
         if not ready:
             return
         top_period = ready[0][0]
@@ -351,7 +365,7 @@ def run(config: SimConfig) -> SimMetrics:
         idle_time += rest
 
     # The synchronous start: every task is ready with its k=0 job.
-    admit_releases(0, 1)
+    admit_releases(0)
     drain_and_schedule(0)
     t = 0
 
@@ -364,9 +378,10 @@ def run(config: SimConfig) -> SimMetrics:
         if running is not None:
             backlog = pending_cost // scale if as_time else 0
             candidates.append(t + backlog + jobs[running].remaining)
-        if jobs:
-            candidates.append(min(job.deadline for job in jobs.values()))
-        prune_ready()
+        prune(deadlines)
+        if deadlines:
+            candidates.append(deadlines[0][0])
+        prune(ready)
         if (config.time_slice and running is not None and ready
                 and ready[0][0] == tasks[running].period):
             candidates.append(max(running_since + 1, t + 1))
@@ -386,10 +401,15 @@ def run(config: SimConfig) -> SimMetrics:
         for tc in used_timers:
             if next_fire[tc.id] != t:
                 continue
-            before = state.interrupt_ledger.total(weights)
             skips_before = len(state.skip_events)
             released = tick(state, tc.id)
-            pending_cost += state.interrupt_ledger.total(weights) - before
+            if as_time:
+                # Only interrupts charge the interrupt ledger, so the growth
+                # of its total since the last interrupt is this tick's cost.
+                total = sum(map(operator.mul, interrupt_counts.values(),
+                                counter_weights))
+                pending_cost += total - charged_cost
+                charged_cost = total
             stats = timer_stats[tc.id]
             stats.interrupts += 1
             if released:
@@ -400,17 +420,22 @@ def run(config: SimConfig) -> SimMetrics:
             for _, timer_id, tid in state.skip_events[skips_before:]:
                 trace(t, "skip", timer_id, tid)
             next_fire[tc.id] += tc.period
-        admit_releases(t, 1)
+        admit_releases(t)
 
         if running is not None and jobs[running].remaining == 0:
             complete_job(running, t)
             running = None
-        for tid in sorted(jobs):
+        # Live jobs whose deadline is due are abandoned in ascending task id.
+        late: list[int] = []
+        while deadlines and deadlines[0][0] <= t:
+            _, tid, jidx = heapq.heappop(deadlines)
             job = jobs.get(tid)
-            if job is not None and job.deadline <= t and job.remaining > 0:
-                if tid == running:
-                    running = None
-                abandon_job(tid, t)
+            if job is not None and job.index == jidx:
+                late.append(tid)
+        for tid in sorted(late):
+            if tid == running:
+                running = None
+            abandon_job(tid, t)
         drain_and_schedule(t)
 
     total_time = t

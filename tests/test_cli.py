@@ -267,5 +267,26 @@ class TestSweepAndReport:
         strategies = {line.split(",")[1] for line in lines[1:]}
         assert strategies == {"baseline", "chronos-const", "chronos-harmonic"}
 
+    def test_timers_flag_overrides_the_scenario(self, tmp_path):
+        scenario = json.loads(resources.files("chronosim").joinpath(
+            "presets", "low.json").read_text(encoding="utf-8"))
+        scenario["timers"] = 2
+        two = tmp_path / "low_two_timers.json"
+        dump_json(scenario, str(two))
+        flag, edited = tmp_path / "flag.csv", tmp_path / "edited.csv"
+        default = tmp_path / "default.csv"
+        assert main(["sweep", "--preset", "low", "--timers", "2",
+                     "--out", str(flag)]) == 0
+        assert main(["sweep", str(two), "--out", str(edited)]) == 0
+        assert main(["sweep", "--preset", "low", "--out", str(default)]) == 0
+        assert read(flag) == read(edited)
+        assert read(flag) != read(default)
+
+    def test_zero_timers_is_input_error(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "low", "--timers", "0",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "timer budget" in capsys.readouterr().err
+
     def test_report_on_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 2

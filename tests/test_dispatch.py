@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronosim.dispatch import (
     TIME_MAX,
     DispatcherState,
     Strategy,
     delay_task,
+    tick,
     tick_baseline,
     tick_chronos,
     tick_chronos_const,
@@ -288,3 +291,39 @@ class TestSortedOrderProperty:
             queue = state.timers[1].queue
             keys = [state.tasks[t].next_release for t in queue]
             assert keys == sorted(keys)
+
+
+class TestInsertContracts:
+    """Exact charges and positions of both sorted inserts, ties included."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.BASELINE, Strategy.CHRONOS])
+    @settings(max_examples=150, deadline=None)
+    @given(periods=st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]),
+                            min_size=1, max_size=8),
+           ops=st.lists(st.integers(min_value=0, max_value=8), max_size=80))
+    def test_delay_charges_its_position_and_ready_list_is_ordered(
+            self, strategy, periods, ops):
+        # Op 0 ticks the unit-period timer; op k > 0 delays a ready task.
+        state = build_state(periods, 1, strategy)
+        queue = state.timers[1].queue
+        ready = list(range(1, len(periods) + 1))
+        for op in ops:
+            if op == 0 or not ready:
+                before = state.interrupt_ledger.snapshot()
+                released = tick(state, 1)
+                taken = state.take_ready()
+                assert taken == sorted(released, key=lambda t: (periods[t - 1], t))
+                assert counter_delta(state.interrupt_ledger, before).get(
+                    "ready_insert", 0) == len(released)
+                ready.extend(taken)
+                continue
+            tid = ready.pop(op % len(ready))
+            old_queue = list(queue)
+            before = state.delay_ledger.snapshot()
+            delay_task(state, tid, state.timers[1].tick)
+            due = state.tasks[tid].next_release
+            no_later = sum(1 for t in old_queue
+                           if state.tasks[t].next_release <= due)
+            assert counter_delta(state.delay_ledger, before).get(
+                "sorted_insert_step", 0) == no_later
+            assert queue == old_queue[:no_later] + [tid] + old_queue[no_later:]

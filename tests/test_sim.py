@@ -1,11 +1,14 @@
 """Simulator behavior: release correctness, counting, costs, sweeps."""
 
 import io
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from chronosim import cli
 from chronosim.dispatch import Strategy
 from chronosim.errors import ConfigError, UsageError
 from chronosim.model import (
@@ -19,6 +22,7 @@ from chronosim.model import (
 from chronosim.optimizer import OptimizationProblem, solve
 from chronosim.sim import (
     SimConfig,
+    applicable_strategies,
     classify,
     compare,
     period_factor_sweep,
@@ -211,6 +215,21 @@ class TestDeadlines:
         # release at t is lost while the late job occupies the task
         assert [t for t, _ in metrics.miss_events] == [4, 12]
         assert [t for t, _ in metrics.release_trace] == [8, 16]
+
+    def test_zero_length_job_completes_at_release_behind_busier_tasks(self):
+        # Task 3 has no work and a deadline of 1, but tasks 1 and 2 have
+        # shorter or equal periods and keep the CPU busy past that deadline.
+        ts = TaskSet((
+            Task(id=1, wcet=2, period=2, deadline=2, releases_limit=2),
+            Task(id=2, wcet=1, period=4, deadline=4, releases_limit=2),
+            Task(id=3, wcet=0, period=4, deadline=1, releases_limit=2),
+        ))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                horizon=8, check_invariants=True))
+        task3 = [(t, kind) for t, kind, _, tid in metrics.events if tid == 3]
+        assert [t for t, kind in task3 if kind == "complete"] == [0, 4, 8]
+        assert [t for t, kind in task3 if kind == "retire"] == [8]
+        assert metrics.miss_events == []
 
 
 class TestSimValidation:
@@ -453,3 +472,55 @@ class TestSerialization:
                         mapping=mapping, horizon=10)
         a, b = run(cfg), run(cfg)
         assert a == b
+
+
+class TestPresetInvariants:
+    """Every shipped preset under checked dispatcher invariants.
+
+    Each preset runs as ``chronosim sweep`` builds it, at its first and last
+    period factor, under every strategy that applies to its mapping.
+    """
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_interrupt_counts_and_ledger_identities(self, preset):
+        scenario = json.loads(resources.files("chronosim").joinpath(
+            "presets", f"{preset}.json").read_text(encoding="utf-8"))
+        task_set = cli._scenario_task_set(scenario, None)
+        if "fixed_timer_period" in scenario:
+            mapping = single_timer_mapping(
+                task_set, period=scenario["fixed_timer_period"])
+        else:
+            mapping = solve(OptimizationProblem.from_task_set(
+                task_set, scenario["timers"])).mapping
+        horizon = cli._scenario_horizon(scenario, task_set)
+        task_set = cli._strip_release_limits(task_set)
+        factors = cli._factors(scenario)
+        for factor in (factors[0], factors[-1]):
+            ts_scaled = task_set.scaled(factor)
+            map_scaled = mapping.scaled(factor)
+            for strategy in applicable_strategies(ts_scaled, map_scaled):
+                baseline = strategy is Strategy.BASELINE
+                timers = (single_timer_mapping(ts_scaled, period=factor) if baseline
+                          else map_scaled)
+                m = run(SimConfig(
+                    task_set=ts_scaled, strategy=strategy,
+                    mapping=None if baseline else map_scaled,
+                    horizon=horizon * factor, period_factor=factor,
+                    overhead_as_time=scenario["overhead_as_time"],
+                    time_scale=scenario["time_scale"],
+                    collect_trace=False, check_invariants=True))
+                label = (preset, factor, strategy.value)
+                assert m.total_interrupts == sum(
+                    horizon * factor // tc.period
+                    for tc in timers.used_timers()), label
+                # Steady state never retires a task: every completed or
+                # abandoned job is delayed once.
+                delays = m.jobs_completed + m.deadline_misses
+                assert m.delay_counters["comparison"] == delays, label
+                removed = m.interrupt_counters["list_remove"]
+                if strategy is Strategy.CHRONOS_CONST:
+                    assert m.delay_counters["list_append"] == delays, label
+                elif strategy is Strategy.CHRONOS_HARMONIC:
+                    assert m.delay_counters["slot_write"] == delays, label
+                    removed = m.interrupt_counters["slot_write"]
+                assert m.interrupt_counters["ready_insert"] == removed, label
