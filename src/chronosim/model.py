@@ -311,15 +311,26 @@ def generate_task_set(spec: GenerationSpec) -> TaskSet:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _json_int(value: object) -> int:
+    """A JSON integer as is; floats, strings and booleans are not coerced.
+
+    The exact type test also rejects ``True`` and ``False``, whose type is
+    ``bool``, a subclass of ``int``.
+    """
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def rational_to_json(value: Rational) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
 def rational_from_json(obj: dict) -> Rational:
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed rational: {obj!r}") from exc
+        return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed rational: {obj!r} ({exc})") from exc
 
 
 def task_set_to_json(task_set: TaskSet) -> dict:
@@ -344,14 +355,14 @@ def task_set_from_json(obj: dict) -> TaskSet:
         try:
             releases = entry.get("releases", 5)
             tasks.append(Task(
-                id=int(entry["id"]),
-                wcet=int(entry["wcet"]),
-                period=int(entry["period"]),
-                deadline=int(entry.get("deadline", entry["period"])),
-                releases_limit=None if releases is None else int(releases),
+                id=_json_int(entry["id"]),
+                wcet=_json_int(entry["wcet"]),
+                period=_json_int(entry["period"]),
+                deadline=_json_int(entry.get("deadline", entry["period"])),
+                releases_limit=None if releases is None else _json_int(releases),
             ))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed task entry: {entry!r}") from exc
+            raise UsageError(f"malformed task entry: {entry!r} ({exc})") from exc
     return TaskSet(tuple(tasks))
 
 
@@ -373,15 +384,16 @@ def mapping_from_json(obj: dict) -> Mapping:
     assignment: dict[int, int] = {}
     for entry in raw:
         try:
-            tc = TimerConfig(id=int(entry["id"]), period=int(entry["period"]))
+            tc = TimerConfig(id=_json_int(entry["id"]),
+                             period=_json_int(entry["period"]))
             timers.append(tc)
             for task_id in entry.get("tasks", []):
-                task_id = int(task_id)
+                task_id = _json_int(task_id)
                 if task_id in assignment:
                     raise UsageError(f"task {task_id} assigned to multiple timers")
                 assignment[task_id] = tc.id
         except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed timer entry: {entry!r}") from exc
+            raise UsageError(f"malformed timer entry: {entry!r} ({exc})") from exc
     return Mapping(timers=tuple(timers), assignment=assignment)
 
 

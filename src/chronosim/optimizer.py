@@ -13,6 +13,9 @@ the largest common divisor, and absorbing every remaining multiple of a
 group's GCD into that group never increases the objective, the timer count,
 or the lexicographic rank of the assignment.  Both dominance lemmas are
 validated against the brute-force enumerator in the test suite.  The search
+compares integer rates scaled by lcm(periods) in place of rational sums of
+1/GCD; every group GCD divides that lcm, so the comparison is still exact,
+and the rational objective is built once from the chosen groups.  The search
 runs under a node budget; a result is reported as exact exactly when the
 search completed, and as heuristic when the budget ran out.  The literal
 mixed-integer model is still available through :func:`export_miqcp` for
@@ -96,7 +99,14 @@ class _BudgetExceeded(Exception):
 
 
 class _PartitionSearch:
-    """Memoized DP over (remaining period bitmask, timers left)."""
+    """Memoized DP over (remaining period bitmask, timers left).
+
+    Rates are exact integers scaled by L = lcm(periods): a group with GCD g
+    adds L // g, which is exact because g divides every member and so
+    divides L.  Scaling by L > 0 keeps order and equality, so the
+    ``(rate, timers)`` tuples compare exactly as the rational objective and
+    its tie-break would.
+    """
 
     def __init__(self, periods: tuple[int, ...], m: int, node_budget: int):
         self.periods = periods
@@ -104,14 +114,14 @@ class _PartitionSearch:
         self.m = m
         self.node_budget = node_budget
         self.stats = SolverStats()
-        self._memo: dict[tuple[int, int], tuple[Fraction, int] | None] = {}
+        self._scale = math.lcm(*periods)
+        self._memo: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._gcds: dict[int, int] = {}
+        self._rates: dict[int, int] = {}   # group GCD -> L // GCD
         # For every divisor of any period, the bitmask of periods it divides.
         self._divisor_masks: dict[int, int] = {}
-        self._divisors_of: list[tuple[int, ...]] = []
-        for i, p in enumerate(periods):
-            divs = _divisors(p)
-            self._divisors_of.append(divs)
+        divisors_of = [_divisors(p) for p in periods]
+        for divs in divisors_of:
             for d in divs:
                 if d not in self._divisor_masks:
                     self._divisor_masks[d] = 0
@@ -121,6 +131,13 @@ class _PartitionSearch:
                 if p % d == 0:
                     mask |= 1 << i
             self._divisor_masks[d] = mask
+        # Per period, the masks of its divisors in ascending divisor order.
+        # Every divisor-closed group containing the lowest remaining period is
+        # one of these masks cut down to the remaining set; the order fixes
+        # the search's node and subset counts and where the budget runs out.
+        self._masks_of = [
+            tuple(self._divisor_masks[d] for d in divs) for divs in divisors_of
+        ]
 
     def _gcd_of_mask(self, mask: int) -> int:
         cached = self._gcds.get(mask)
@@ -135,27 +152,18 @@ class _PartitionSearch:
         self._gcds[mask] = g
         return g
 
-    def _candidates(self, mask: int) -> list[int]:
-        """Divisor-closed groups containing the lowest remaining period.
+    def _rate_of_mask(self, mask: int) -> int:
+        """L // gcd(group): the group's interrupt rate scaled by L."""
+        g = self._gcd_of_mask(mask)
+        rate = self._rates.get(g)
+        if rate is None:
+            rate = self._rates[g] = self._scale // g
+        return rate
 
-        Every such group equals all remaining multiples of some divisor of
-        the lowest period; distinct divisors yielding the same group are
-        deduplicated.
-        """
-        low = (mask & -mask).bit_length() - 1
-        seen: set[int] = set()
-        out: list[int] = []
-        for d in self._divisors_of[low]:
-            sub = self._divisor_masks[d] & mask
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-        return out
-
-    def best(self, mask: int, timers_left: int) -> tuple[Fraction, int] | None:
-        """Minimal (objective, timers used) for covering ``mask``; None if infeasible."""
+    def best(self, mask: int, timers_left: int) -> tuple[int, int] | None:
+        """Minimal (scaled rate, timers used) for covering ``mask``; None if infeasible."""
         if mask == 0:
-            return (Fraction(0), 0)
+            return (0, 0)
         timers_left = min(timers_left, mask.bit_count())
         if timers_left == 0:
             return None
@@ -165,13 +173,18 @@ class _PartitionSearch:
         self.stats.nodes += 1
         if self.stats.nodes > self.node_budget:
             raise _BudgetExceeded
-        best: tuple[Fraction, int] | None = None
-        for sub in self._candidates(mask):
+        best: tuple[int, int] | None = None
+        seen: set[int] = set()
+        for divisor_mask in self._masks_of[(mask & -mask).bit_length() - 1]:
+            sub = divisor_mask & mask
+            if sub in seen:
+                continue   # distinct divisors yielding the same group
+            seen.add(sub)
             self.stats.subsets += 1
             rest = self.best(mask ^ sub, timers_left - 1)
             if rest is None:
                 continue
-            value = (Fraction(1, self._gcd_of_mask(sub)) + rest[0], 1 + rest[1])
+            value = (self._rate_of_mask(sub) + rest[0], 1 + rest[1])
             if best is None or value < best:
                 best = value
         self._memo[key] = best
@@ -182,6 +195,8 @@ class _PartitionSearch:
 
         Among candidate groups achieving the optimum, the winner is the one
         containing the earliest period at which the memberships differ.
+        Every state visited here was memoized by :meth:`best`, so no node is
+        added, and a group that two divisors both yield ties with itself.
         """
         groups: list[int] = []
         while mask:
@@ -190,11 +205,12 @@ class _PartitionSearch:
             assert target is not None
             chosen = None
             chosen_key = -1
-            for sub in self._candidates(mask):
+            for divisor_mask in self._masks_of[(mask & -mask).bit_length() - 1]:
+                sub = divisor_mask & mask
                 rest = self.best(mask ^ sub, timers_left - 1)
                 if rest is None:
                     continue
-                value = (Fraction(1, self._gcd_of_mask(sub)) + rest[0], 1 + rest[1])
+                value = (self._rate_of_mask(sub) + rest[0], 1 + rest[1])
                 if value != target:
                     continue
                 key = self._membership_key(sub)

@@ -231,6 +231,55 @@ class TestSimulate:
         assert rc == 2
 
 
+BAD_INTEGERS = [1.9, 6.0, "6", True]
+
+
+class TestStrictIntegers:
+    """Task-set and mapping files hold JSON integers; nothing else is coerced."""
+
+    def write_tasks(self, tmp_path, field=None, value=None):
+        entry = {"id": 1, "period": 6, "wcet": 0, "deadline": 6, "releases": 5}
+        if field is not None:
+            entry[field] = value
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [entry]}, str(tasks))
+        return str(tasks)
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    @pytest.mark.parametrize("field", ["id", "period", "wcet", "deadline", "releases"])
+    def test_bad_task_field_exit_two(self, tmp_path, capsys, field, value):
+        tasks = self.write_tasks(tmp_path, field, value)
+        assert main(["optimize", tasks, "--timers", "1",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert main(["simulate", tasks, "--strategy", "baseline",
+                     "--horizon", "6", "--out", str(tmp_path / "s.json")]) == 2
+        assert "expected a JSON integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS)
+    @pytest.mark.parametrize("field", ["id", "period", "tasks"])
+    def test_bad_mapping_field_exit_two(self, tmp_path, capsys, field, value):
+        timer = {"id": 1, "period": 6, "tasks": [1]}
+        timer[field] = [value] if field == "tasks" else value
+        mapping = tmp_path / "mapping.json"
+        dump_json({"timers": [timer]}, str(mapping))
+        assert main(["simulate", self.write_tasks(tmp_path), "--mapping",
+                     str(mapping), "--strategy", "chronos", "--horizon", "6",
+                     "--out", str(tmp_path / "s.json")]) == 2
+        assert "expected a JSON integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("releases", [None, "missing"])
+    def test_null_or_missing_releases_still_accepted(self, tmp_path, releases):
+        tasks = tmp_path / "tasks.json"
+        entry = {"id": 1, "period": 6, "wcet": 0}
+        if releases != "missing":
+            entry["releases"] = releases
+        dump_json({"tasks": [entry]}, str(tasks))
+        assert main(["optimize", str(tasks), "--timers", "1",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert main(["simulate", str(tasks), "--strategy", "baseline",
+                     "--horizon", "6", "--out", str(tmp_path / "s.json")]) == 0
+
+
 class TestSweepAndReport:
     def test_sweep_writes_csv_and_summary(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "sweep.csv"

@@ -345,3 +345,18 @@ class TestSerialization:
         value = Fraction(886, 1155)
         assert rational_to_json(value) == {"num": 886, "den": 1155}
         assert rational_from_json({"num": 886, "den": 1155}) == value
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(UsageError):
+            rational_from_json({"num": 1, "den": 0})
+
+    @pytest.mark.parametrize("bad", [1.9, 6.0, "6", True])
+    def test_non_integer_json_numbers_rejected(self, bad):
+        with pytest.raises(UsageError):
+            rational_from_json({"num": bad, "den": 7})
+        with pytest.raises(UsageError):
+            rational_from_json({"num": 1, "den": bad})
+        with pytest.raises(UsageError):
+            task_set_from_json({"tasks": [{"id": 1, "period": bad, "wcet": 0}]})
+        with pytest.raises(UsageError):
+            mapping_from_json({"timers": [{"id": bad, "period": 2, "tasks": [1]}]})

@@ -9,6 +9,7 @@ import pytest
 from chronosim.errors import UsageError
 from chronosim.model import Task, TaskSet, expected_interrupt_rate
 from chronosim.optimizer import (
+    DEFAULT_NODE_BUDGET,
     OptimizationProblem,
     brute_force_reference,
     export_miqcp,
@@ -224,6 +225,72 @@ class TestGreedyHeuristic:
         # Still valid and never worse than the single-group mapping.
         assert result.objective <= Fraction(1, math.gcd(*periods))
         assert result.timers_used <= 4
+
+
+class TestHugeLcm:
+    # The twelve largest primes below 2**16: three hubs, nine spokes.
+    HUBS = (65521, 65519, 65497)
+    SPOKES = (65479, 65449, 65447, 65437, 65423, 65419, 65413, 65407, 65393)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_hub_spoke_products_match_brute_force(self, m):
+        # Three periods per hub, each hub times its own spoke, so a hub's
+        # periods share a GCD near 2**16 and lcm(periods) has 192 bits.  The
+        # period hub0 * hub1 fits either of two hub groups at equal rate, so
+        # the tie-break rests on exact equality of the scaled sums.
+        periods = tuple(hub * spoke for k, hub in enumerate(self.HUBS)
+                        for spoke in self.SPOKES[3 * k:3 * k + 3])
+        periods += (self.HUBS[0] * self.HUBS[1],)
+        assert math.lcm(*periods).bit_length() == 192
+        problem = OptimizationProblem(periods=periods, m=m)
+        result = solve(problem)
+        brute = brute_force_reference(problem)
+        assert result.method == "exact"
+        assert result_shape(result) == result_shape(brute)
+        objective = result.to_json()["objective"]
+        assert math.gcd(objective["num"], objective["den"]) == 1
+        assert Fraction(objective["num"], objective["den"]) == brute.objective
+        if m == 3:
+            assert sorted(math.gcd(*group) for group in result.groups) == sorted(
+                self.HUBS)
+
+
+class TestSearchWorkPins:
+    """The search's work, node for node, on one exact and one budgeted run.
+
+    Node and subset counts depend on the order in which candidate groups are
+    tried, and the budgeted result depends on where the budget runs out, so a
+    change to the search's arithmetic must leave all of them as they are.
+    """
+
+    def test_four_base_forty_periods(self):
+        periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
+        result = solve(OptimizationProblem(periods=tuple(periods), m=4))
+        assert result.method == "exact"
+        assert (result.stats.nodes, result.stats.subsets) == (4, 7)
+        assert result.objective == Fraction(886, 1155)
+        assert result.groups == (
+            (3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 42, 45, 63, 66, 99),
+            (5, 10, 20, 25, 35, 40, 50, 55, 70, 110),
+            (7, 14, 28, 49, 56, 77),
+            (11, 22, 44, 88),
+        )
+
+    def test_budget_exhausted_divisor_rich_periods(self):
+        periods = [p for p in range(60, 351)
+                   if sum(1 for d in range(1, p + 1) if p % d == 0) >= 12][:48]
+        result = solve(OptimizationProblem(periods=tuple(periods), m=10))
+        assert result.method == "heuristic"
+        assert (result.stats.nodes, result.stats.subsets) == (
+            DEFAULT_NODE_BUDGET + 1, 138426)
+        assert result.objective == Fraction(8494007149, 15579194400)
+        assert result.groups == (
+            (350,), (348,), (342,), (340,), (84, 168, 252, 336), (330,),
+            (108, 216, 324), (160, 320), (315,),
+            (60, 72, 90, 96, 120, 126, 132, 140, 144, 150, 156, 180, 192, 198,
+             200, 204, 210, 220, 224, 228, 234, 240, 260, 264, 270, 276, 280,
+             288, 294, 300, 306, 308, 312),
+        )
 
 
 class TestExportMiqcp:
