@@ -42,19 +42,36 @@ def _load_scenario(args) -> dict:
     raise UsageError("a scenario file or --preset is required")
 
 
+def _json_bool(value: object) -> bool:
+    """A JSON boolean as is; numbers and strings are not coerced."""
+    if type(value) is not bool:
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
+def _setting(scenario: dict, key: str, default, parse=model._json_int):
+    """A top-level scenario number, or a flag with ``parse=_json_bool``;
+    anything else is malformed input (exit 2), never coerced."""
+    try:
+        return parse(scenario.get(key, default))
+    except TypeError as exc:
+        raise UsageError(f"malformed scenario entry {key!r}: {exc}") from exc
+
+
 def _generation_spec(scenario: dict, seed_override: int | None) -> model.GenerationSpec:
     gen = scenario.get("generation")
     if gen is None:
         raise UsageError("scenario has no 'generation' section")
     try:
         return model.GenerationSpec(
-            base_periods=tuple(int(b) for b in gen["base_periods"]),
-            factor_range=tuple(int(r) for r in gen["factor_range"]),
-            n_tasks=int(gen["n_tasks"]),
-            period_factor=int(gen.get("period_factor", 1)),
-            rng_seed=int(gen["seed"] if seed_override is None else seed_override),
-            workload=int(gen.get("workload", 1)),
-            harmonic=bool(gen.get("harmonic", False)),
+            base_periods=tuple(model._json_int(b) for b in gen["base_periods"]),
+            factor_range=tuple(model._json_int(r) for r in gen["factor_range"]),
+            n_tasks=model._json_int(gen["n_tasks"]),
+            period_factor=model._json_int(gen.get("period_factor", 1)),
+            rng_seed=(model._json_int(gen["seed"]) if seed_override is None
+                      else seed_override),
+            workload=model._json_int(gen.get("workload", 1)),
+            harmonic=_json_bool(gen.get("harmonic", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed generation section: {exc}") from exc
@@ -68,20 +85,30 @@ def _scenario_task_set(scenario: dict, seed_override: int | None) -> model.TaskS
 
 def _weights(scenario: dict) -> CostWeights:
     overrides = scenario.get("weights", {})
+    if not isinstance(overrides, dict):
+        raise UsageError(
+            f"malformed cost weights: expected a JSON object, got {overrides!r}")
     known = {f.name for f in dataclass_fields(CostWeights)}
     unknown = set(overrides) - known
     if unknown:
         raise UsageError(f"unknown cost weights: {sorted(unknown)}")
-    return CostWeights(**{k: int(v) for k, v in overrides.items()})
+    try:
+        return CostWeights(**{k: model._json_int(v) for k, v in overrides.items()})
+    except TypeError as exc:
+        raise UsageError(f"malformed cost weights: {exc}") from exc
 
 
 def _factors(scenario: dict) -> list[int]:
     raw = scenario.get("factors", [1, 15])
-    if isinstance(raw, list) and len(raw) == 2 and raw[0] <= raw[1]:
-        return list(range(int(raw[0]), int(raw[1]) + 1))
-    if isinstance(raw, list):
-        return [int(p) for p in raw]
-    raise UsageError(f"malformed factors entry: {raw!r}")
+    if not isinstance(raw, list):
+        raise UsageError(f"malformed factors entry: {raw!r}")
+    try:
+        factors = [model._json_int(p) for p in raw]
+    except TypeError as exc:
+        raise UsageError(f"malformed factors entry: {raw!r} ({exc})") from exc
+    if len(factors) == 2 and factors[0] <= factors[1]:
+        return list(range(factors[0], factors[1] + 1))
+    return factors
 
 
 def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
@@ -89,13 +116,12 @@ def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
     raw = scenario.get("horizon")
     if raw is None:
         return None
-    if isinstance(raw, dict):
-        try:
-            multiple = int(raw["max_period_multiple"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed horizon entry: {raw!r}") from exc
-        return multiple * max(task_set.periods())
-    return int(raw)
+    try:
+        if isinstance(raw, dict):
+            return model._json_int(raw["max_period_multiple"]) * max(task_set.periods())
+        return model._json_int(raw)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed horizon entry: {raw!r} ({exc})") from exc
 
 
 def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
@@ -194,12 +220,12 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     task_set = _scenario_task_set(scenario, args.seed)
-    timers = args.timers if args.timers is not None else int(scenario.get("timers", 4))
+    timers = args.timers if args.timers is not None else _setting(scenario, "timers", 4)
     if timers < 1:
         raise UsageError(f"timer budget must be >= 1, got {timers}")
-    fixed_period = scenario.get("fixed_timer_period")
-    if fixed_period is not None:
-        mapping = model.single_timer_mapping(task_set, period=int(fixed_period))
+    if scenario.get("fixed_timer_period") is not None:
+        mapping = model.single_timer_mapping(
+            task_set, period=_setting(scenario, "fixed_timer_period", None))
     else:
         problem = optimizer.OptimizationProblem.from_task_set(task_set, timers)
         mapping = optimizer.solve(problem).mapping
@@ -207,7 +233,7 @@ def cmd_sweep(args) -> int:
     if "strategies" in scenario:
         strategies = [Strategy.from_label(s) for s in scenario["strategies"]]
     horizon = _scenario_horizon(scenario, task_set)
-    if scenario.get("steady_state"):
+    if _setting(scenario, "steady_state", False, _json_bool):
         if horizon is None:
             raise UsageError("steady_state scenarios need a fixed horizon")
         task_set = _strip_release_limits(task_set)
@@ -217,8 +243,8 @@ def cmd_sweep(args) -> int:
         mapping=mapping,
         weights=_weights(scenario),
         horizon=horizon,
-        overhead_as_time=bool(scenario.get("overhead_as_time", False)),
-        time_scale=int(scenario.get("time_scale", 100)),
+        overhead_as_time=_setting(scenario, "overhead_as_time", False, _json_bool),
+        time_scale=_setting(scenario, "time_scale", 100),
         collect_trace=False,
     )
     table = sim.period_factor_sweep(base, _factors(scenario), strategies)

@@ -20,6 +20,15 @@ counter update, one ``comparison`` per examined guard/list entry/slot,
 structural update, and one ``sorted_insert_step`` per entry a sorted-list
 insert passes, which equals the insert position.  Costs are abstract counts;
 weights are applied at reporting time.
+
+The routines add to the ledger's ``counts`` in place, with no method call per
+primitive.  Each sorted delayed list keeps a parallel list of its entries'
+next releases (plain integers).  A delay bisects that key list with no key
+function and inserts into both lists at the same position; the sorted-list
+interrupt finds its due prefix with one bisection of the keys and removes it
+from both lists.  Checked mode verifies that the two lists agree.  Released
+tasks are appended to the ready list, which ``take_ready`` hands over in
+(period, task id) order.
 """
 
 from __future__ import annotations
@@ -124,6 +133,7 @@ class _TimerRuntime:
     tick: int = 0
     next_release: int = TIME_MAX
     queue: list[int] = field(default_factory=list)          # sorted or append order
+    keys: list[int] = field(default_factory=list)           # sorted: next releases
     slot_owners: tuple[int, ...] = ()                       # harmonic, by period rank
     slot_periods: tuple[int, ...] = ()
     slots: list[int | None] = field(default_factory=list)   # None = task is released
@@ -133,15 +143,17 @@ class DispatcherState:
     """Per-timer tick counters and delayed-task containers plus the ready list.
 
     Single-threaded by contract; the simulator owns it exclusively.  The
-    ready list is kept ordered by (period, task id), so its content does not
-    depend on the order in which timers released tasks at the same instant.
-    Both sorted inserts (ready list, sorted delayed lists) find their
-    position by binary search; the modelled cost charges the position.
+    ready list collects released tasks; ``take_ready`` hands them over in
+    (period, task id) order, so what the simulator sees does not depend on
+    the order in which timers released tasks at the same instant.  A sorted
+    delayed-list insert finds its position by binary search; the modelled
+    cost charges the position.
+    The mapping must already be validated against the task set
+    (:meth:`Mapping.validate`); :func:`.sim.run` does that once per run.
     """
 
     def __init__(self, task_set: TaskSet, mapping: Mapping, strategy: Strategy,
                  check_invariants: bool = False):
-        mapping.validate(task_set)
         if strategy is Strategy.BASELINE:
             # Period 1 at base scale; period-factor sweeps scale it uniformly.
             if len(mapping.used_timers()) != 1:
@@ -158,7 +170,9 @@ class DispatcherState:
         self.check_invariants = check_invariants
         self.interrupt_ledger = OpCostLedger()
         self.delay_ledger = OpCostLedger()
-        self.ready: list[int] = []
+        # All tasks start ready at time 0 (the synchronous release); the
+        # initial population is not charged to any ledger.
+        self.ready: list[int] = [t.id for t in task_set.tasks]
         self._ready_key = {t.id: (t.period, t.id) for t in task_set.tasks}
         self.skip_events: list[tuple[int, int, int]] = []  # (tick, timer, task)
         self.tasks: dict[int, _TaskRuntime] = {}
@@ -179,31 +193,24 @@ class DispatcherState:
                 ts.slots = [None] * len(ordered)
                 for rank, tid in enumerate(ordered):
                     self.tasks[tid].slot = rank
-        # All tasks start ready at time 0 (the synchronous release); the
-        # initial population is not charged to any ledger.
-        for task in task_set.tasks:
-            self._insert_ready(task.id, charge=False)
 
     # -- ready list ------------------------------------------------------
 
-    def _insert_ready(self, task_id: int, charge: bool = True) -> None:
-        key = self._ready_key
-        pos = bisect.bisect_right(self.ready, key[task_id], key=key.__getitem__)
-        self.ready.insert(pos, task_id)
-        if charge:
-            self.interrupt_ledger.charge("ready_insert")
-
     def take_ready(self) -> list[int]:
-        """Drain the ready list (used by the simulator once per instant)."""
+        """Drain the ready list in (period, task id) order.
+
+        The simulator calls it once per instant.  Each release was charged one
+        ``ready_insert`` when the interrupt appended it.
+        """
         out = self.ready
         self.ready = []
+        out.sort(key=self._ready_key.__getitem__)
         return out
 
     # -- invariant checking ----------------------------------------------
 
     def _check(self, timer_id: int) -> None:
-        if not self.check_invariants:
-            return
+        """Checked mode only; the routines call it when ``check_invariants``."""
         ts = self.timers[timer_id]
         if ts.tick % ts.period != 0:
             raise InvariantViolation(
@@ -217,6 +224,11 @@ class DispatcherState:
                 if pending != sorted(pending):
                     raise InvariantViolation(
                         f"timer {timer_id}: delayed list is not sorted: {pending}"
+                    )
+                if pending != ts.keys:
+                    raise InvariantViolation(
+                        f"timer {timer_id}: release keys {ts.keys} do not match "
+                        f"the delayed list's next releases {pending}"
                     )
         expected = min(pending) if pending else TIME_MAX
         if ts.next_release != expected:
@@ -242,65 +254,77 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
 def tick_chronos(state: DispatcherState, timer_id: int) -> list[int]:
     """Sorted-list interrupt: pop due heads, stop at the first pending task.
 
+    The due heads are the prefix of release keys no later than the tick, found
+    by one bisection; the charges are those of popping them one by one: one
+    comparison per due head plus one for the first pending head, if any.
     With an empty list the cached next release is parked at the maximum
     sentinel so later interrupts always exit early.
     """
     ts = state.timers[timer_id]
-    led = state.interrupt_ledger
-    led.charge("interrupt")
-    led.charge("tick_increment")
+    counts = state.interrupt_ledger.counts
+    counts["interrupt"] += 1
+    counts["tick_increment"] += 1
+    counts["comparison"] += 1  # early-exit guard
     ts.tick += ts.period
     released: list[int] = []
-    led.charge("comparison")  # early-exit guard
     if ts.tick >= ts.next_release:
-        while True:
-            if not ts.queue:
-                ts.next_release = TIME_MAX
-                break
-            head = state.tasks[ts.queue[0]]
-            led.charge("comparison")
-            if head.next_release > ts.tick:
-                ts.next_release = head.next_release
-                break
-            ts.queue.pop(0)
-            led.charge("list_remove")
-            head.delayed = False
-            state._insert_ready(head.task_id)
-            released.append(head.task_id)
-    state._check(timer_id)
+        keys = ts.keys
+        due = bisect.bisect_right(keys, ts.tick)
+        if due < len(keys):
+            counts["comparison"] += due + 1
+            ts.next_release = keys[due]
+        else:
+            counts["comparison"] += due
+            ts.next_release = TIME_MAX
+        counts["list_remove"] += due
+        counts["ready_insert"] += due
+        released = ts.queue[:due]
+        del ts.queue[:due]
+        del keys[:due]
+        tasks = state.tasks
+        for tid in released:
+            tasks[tid].delayed = False
+        state.ready.extend(released)
+    if state.check_invariants:
+        state._check(timer_id)
     return released
 
 
 def tick_chronos_const(state: DispatcherState, timer_id: int) -> list[int]:
     """Unsorted-list interrupt: when due, inspect every entry exactly once.
 
-    The cached next release is rebuilt while walking; removing an entry keeps
-    the walk position on its successor.
+    The cached next release is rebuilt while walking; released entries leave
+    the list and the rest keep their order.
     """
     ts = state.timers[timer_id]
-    led = state.interrupt_ledger
-    led.charge("interrupt")
-    led.charge("tick_increment")
+    counts = state.interrupt_ledger.counts
+    counts["interrupt"] += 1
+    counts["tick_increment"] += 1
+    counts["comparison"] += 1  # early-exit guard
     ts.tick += ts.period
     released: list[int] = []
-    led.charge("comparison")  # early-exit guard
     if ts.tick >= ts.next_release:
-        ts.next_release = TIME_MAX
-        idx = 0
-        while idx < len(ts.queue):
-            entry = state.tasks[ts.queue[idx]]
-            led.charge("comparison")  # one inspection per entry
-            if entry.next_release > ts.tick:
-                if entry.next_release < ts.next_release:
-                    ts.next_release = entry.next_release
-                idx += 1
+        tick_ = ts.tick
+        tasks = state.tasks
+        pending: list[int] = []
+        earliest = TIME_MAX
+        for tid in ts.queue:
+            entry = tasks[tid]
+            if entry.next_release > tick_:
+                pending.append(tid)
+                if entry.next_release < earliest:
+                    earliest = entry.next_release
             else:
-                ts.queue.pop(idx)  # successor slides into idx
-                led.charge("list_remove")
                 entry.delayed = False
-                state._insert_ready(entry.task_id)
-                released.append(entry.task_id)
-    state._check(timer_id)
+                released.append(tid)
+        counts["comparison"] += len(ts.queue)  # one inspection per entry
+        counts["list_remove"] += len(released)
+        counts["ready_insert"] += len(released)
+        ts.queue[:] = pending
+        state.ready.extend(released)
+        ts.next_release = earliest
+    if state.check_invariants:
+        state._check(timer_id)
     return released
 
 
@@ -313,30 +337,34 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
     interrupt of a properly configured timer.
     """
     ts = state.timers[timer_id]
-    led = state.interrupt_ledger
-    led.charge("interrupt")
-    led.charge("tick_increment")
+    counts = state.interrupt_ledger.counts
+    counts["interrupt"] += 1
+    counts["tick_increment"] += 1
     ts.tick += ts.period
+    tick_ = ts.tick
+    slots = ts.slots
+    tasks = state.tasks
     released: list[int] = []
     for rank, slot_period in enumerate(ts.slot_periods):
-        led.charge("comparison")  # period-divisibility inspection
-        if ts.tick % slot_period != 0:
+        counts["comparison"] += 1  # period-divisibility inspection
+        if tick_ % slot_period != 0:
             break
-        occupant = ts.slots[rank]
+        occupant = slots[rank]
         if occupant is None:
-            state.skip_events.append((ts.tick, timer_id, ts.slot_owners[rank]))
+            state.skip_events.append((tick_, timer_id, ts.slot_owners[rank]))
             continue
-        ts.slots[rank] = None
-        led.charge("slot_write")
-        entry = state.tasks[occupant]
-        entry.delayed = False
-        state._insert_ready(occupant)
+        slots[rank] = None
+        counts["slot_write"] += 1
+        tasks[occupant].delayed = False
         released.append(occupant)
+    counts["ready_insert"] += len(released)
+    state.ready.extend(released)
     # Bookkeeping only (the routine itself never consults the cache): keep
     # the cached next release coherent for the stated state invariant.
-    pending = [state.tasks[t].next_release for t in ts.slots if t is not None]
-    ts.next_release = min(pending) if pending else TIME_MAX
-    state._check(timer_id)
+    ts.next_release = min(
+        (tasks[t].next_release for t in slots if t is not None), default=TIME_MAX)
+    if state.check_invariants:
+        state._check(timer_id)
     return released
 
 
@@ -364,24 +392,26 @@ def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
     entry = state.tasks[task_id]
     if entry.delayed:
         raise InvariantViolation(f"task {task_id} is already delayed")
-    entry.next_release = (now // entry.period + 1) * entry.period
+    next_release = entry.next_release = (now // entry.period + 1) * entry.period
     ts = state.timers[entry.timer_id]
-    led = state.delay_ledger
-    if state.strategy is Strategy.CHRONOS_CONST:
+    counts = state.delay_ledger.counts
+    strategy = state.strategy
+    if strategy is Strategy.CHRONOS_CONST:
         ts.queue.append(task_id)
-        led.charge("list_append")
-    elif state.strategy is Strategy.CHRONOS_HARMONIC:
+        counts["list_append"] += 1
+    elif strategy is Strategy.CHRONOS_HARMONIC:
         assert entry.slot is not None
         ts.slots[entry.slot] = task_id
-        led.charge("slot_write")
+        counts["slot_write"] += 1
     else:
-        tasks = state.tasks
-        pos = bisect.bisect_right(ts.queue, entry.next_release,
-                                  key=lambda t: tasks[t].next_release)
-        led.charge("sorted_insert_step", pos)
+        keys = ts.keys
+        pos = bisect.bisect_right(keys, next_release)
+        counts["sorted_insert_step"] += pos
+        keys.insert(pos, next_release)
         ts.queue.insert(pos, task_id)
     entry.delayed = True
-    led.charge("comparison")  # refresh the cached earliest release
-    if entry.next_release < ts.next_release:
-        ts.next_release = entry.next_release
-    state._check(entry.timer_id)
+    counts["comparison"] += 1  # refresh the cached earliest release
+    if next_release < ts.next_release:
+        ts.next_release = next_release
+    if state.check_invariants:
+        state._check(entry.timer_id)

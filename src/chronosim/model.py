@@ -75,16 +75,18 @@ class TaskSet:
         ids = [t.id for t in self.tasks]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise UsageError(f"task ids must be unique and dense 1..n, got {sorted(ids)}")
+        # Built once; not a field, so equality and repr see only the tasks.
+        object.__setattr__(self, "_by_id", dict(zip(ids, self.tasks)))
 
     @property
     def n(self) -> int:
         return len(self.tasks)
 
     def by_id(self, task_id: int) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise UsageError(f"no task with id {task_id}")
+        try:
+            return self._by_id[task_id]
+        except KeyError:
+            raise UsageError(f"no task with id {task_id}") from None
 
     def periods(self) -> tuple[int, ...]:
         return tuple(t.period for t in self.tasks)
@@ -134,7 +136,9 @@ class Mapping:
     """Assignment of every task to exactly one timer.
 
     The assignment induces a partition of the task set; timers without tasks
-    are carried but excluded from rate computations.
+    are carried but excluded from rate computations.  Lookups by timer id
+    read indexes built once at construction, so ``assignment`` must not be
+    mutated afterwards.
     """
 
     timers: tuple[TimerConfig, ...]
@@ -144,27 +148,31 @@ class Mapping:
         timer_ids = [tc.id for tc in self.timers]
         if len(set(timer_ids)) != len(timer_ids):
             raise UsageError(f"duplicate timer ids: {timer_ids}")
-        known = set(timer_ids)
+        members: dict[int, list[int]] = {j: [] for j in timer_ids}
         for task_id, timer_id in self.assignment.items():
-            if timer_id not in known:
+            if timer_id not in members:
                 raise UsageError(f"task {task_id} assigned to unknown timer {timer_id}")
+            members[timer_id].append(task_id)
+        # Built once; not fields, so equality and repr see only the mapping.
+        object.__setattr__(self, "_timer_by_id", dict(zip(timer_ids, self.timers)))
+        object.__setattr__(self, "_members", {
+            j: tuple(sorted(tasks)) for j, tasks in members.items()})
 
     def timer_by_id(self, timer_id: int) -> TimerConfig:
-        for tc in self.timers:
-            if tc.id == timer_id:
-                return tc
-        raise UsageError(f"no timer with id {timer_id}")
+        try:
+            return self._timer_by_id[timer_id]
+        except KeyError:
+            raise UsageError(f"no timer with id {timer_id}") from None
 
     def tasks_of(self, timer_id: int) -> tuple[int, ...]:
-        return tuple(sorted(t for t, j in self.assignment.items() if j == timer_id))
+        return self._members.get(timer_id, ())
 
     def used_timers(self) -> tuple[TimerConfig, ...]:
-        used = set(self.assignment.values())
-        return tuple(tc for tc in self.timers if tc.id in used)
+        return tuple(tc for tc in self.timers if self._members[tc.id])
 
     def groups(self) -> dict[int, tuple[int, ...]]:
         """Timer id -> assigned task ids, for used timers only."""
-        return {tc.id: self.tasks_of(tc.id) for tc in self.used_timers()}
+        return {tc.id: self._members[tc.id] for tc in self.used_timers()}
 
     def validate(self, task_set: TaskSet) -> None:
         """Check the divisibility and completeness invariants against a task set."""

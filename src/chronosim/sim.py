@@ -17,6 +17,23 @@ time at ``time_scale`` cost units per time unit: whole time units are spent
 on overhead before any job work proceeds, which is what can make dense tick
 configurations unschedulable.  Delay-path cost is accounted but runs in task
 context and does not consume time.
+
+Completion fast path: between general steps, the running job's completion
+instant t_c (now plus the overhead backlog plus its remaining work) is taken
+directly, without building the candidate list, scanning timers or walking the
+deadline pass, as long as nothing else can happen first.  The loop leaves the
+fast path for the general step when any of these holds:
+
+* t_c >= the next interrupt instant (an interrupt at t_c goes first);
+* t_c > the horizon;
+* t_c >= the earliest live deadline;
+* a job of equal period waits and the one-unit slice would end before t_c
+  (a slice boundary at t_c itself has no effect: the job completes first).
+
+Otherwise the fast path spends the backlog as overhead time and the work as
+busy time, completes the job at t_c and starts the head of the ready heap,
+which is exactly what the general step at t_c would do.  Event semantics,
+ledgers and traces are unchanged.
 """
 
 from __future__ import annotations
@@ -186,7 +203,7 @@ def write_trace_csv(metrics: SimMetrics, fh: TextIO) -> None:
                          "" if task is None else task))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     task_id: int
     release: int
@@ -210,6 +227,7 @@ def run(config: SimConfig) -> SimMetrics:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
 
     if config.strategy is Strategy.BASELINE:
+        # Built valid: single_timer_mapping validates its own result.
         mapping = single_timer_mapping(task_set, period=config.period_factor)
     else:
         if config.mapping is None:
@@ -226,8 +244,10 @@ def run(config: SimConfig) -> SimMetrics:
     used_timers = sorted(mapping.used_timers(), key=lambda tc: tc.id)
     timer_stats = {tc.id: TimerStats(id=tc.id, period=tc.period) for tc in used_timers}
     next_fire = {tc.id: tc.period for tc in used_timers}
+    next_tick = min(next_fire.values())  # earliest instant some timer fires
 
     horizon = config.horizon
+    time_slice = config.time_slice
     as_time = config.overhead_as_time
     scale = config.time_scale
     collect = config.collect_trace
@@ -253,33 +273,40 @@ def run(config: SimConfig) -> SimMetrics:
     events: list[tuple[int, str, int | None, int | None]] | None = [] if collect else None
 
     def trace(time_: int, kind: str, timer: int | None, task: int | None) -> None:
-        if events is not None and len(events) < limit:
+        """Record one event; callers test ``collect`` first."""
+        if len(events) < limit:
             events.append((time_, kind, timer, task))
 
     def complete_job(tid: int, now: int) -> None:
         nonlocal jobs_completed
         job = jobs.pop(tid)
         jobs_completed += 1
-        trace(now, "complete", None, tid)
+        if collect:
+            trace(now, "complete", None, tid)
         limit_k = tasks[tid].releases_limit
         if limit_k is not None and job.index >= limit_k:
             retired.add(tid)
-            trace(now, "retire", None, tid)
+            if collect:
+                trace(now, "retire", None, tid)
         else:
             delay_task(state, tid, now)
-            trace(now, "delay", None, tid)
+            if collect:
+                trace(now, "delay", None, tid)
 
     def abandon_job(tid: int, now: int) -> None:
         job = jobs.pop(tid)
         miss_events.append((now, tid))
-        trace(now, "miss", None, tid)
+        if collect:
+            trace(now, "miss", None, tid)
         limit_k = tasks[tid].releases_limit
         if limit_k is not None and job.index >= limit_k:
             retired.add(tid)
-            trace(now, "retire", None, tid)
+            if collect:
+                trace(now, "retire", None, tid)
         else:
             delay_task(state, tid, now)
-            trace(now, "delay", None, tid)
+            if collect:
+                trace(now, "delay", None, tid)
 
     def prune(heap: list) -> None:
         """Pop entries of jobs that have completed or been abandoned.
@@ -287,9 +314,9 @@ def run(config: SimConfig) -> SimMetrics:
         Entries end in (task, job index); the job index identifies the job.
         """
         while heap:
-            tid, jidx = heap[0][-2:]
-            job = jobs.get(tid)
-            if job is None or job.index != jidx:
+            entry = heap[0]
+            job = jobs.get(entry[-2])
+            if job is None or job.index != entry[-1]:
                 heapq.heappop(heap)
             else:
                 break
@@ -300,23 +327,20 @@ def run(config: SimConfig) -> SimMetrics:
         ``take_ready`` yields (period, task id) order, which is the ready-heap
         order of jobs released at one instant; zero-length jobs keep it.
         """
+        if not state.ready:
+            return
         for tid in state.take_ready():
-            job = _Job(
-                task_id=tid,
-                release=now,
-                deadline=now + tasks[tid].deadline,
-                remaining=tasks[tid].wcet,
-                index=now // tasks[tid].period,
-            )
+            task = tasks[tid]
+            job = _Job(tid, now, now + task.deadline, task.wcet, now // task.period)
             jobs[tid] = job
             if job.remaining == 0:
                 zero_length.append(tid)
             else:
-                heapq.heappush(ready, (tasks[tid].period, now, 1, tid, job.index))
+                heapq.heappush(ready, (task.period, now, 1, tid, job.index))
                 heapq.heappush(deadlines, (job.deadline, tid, job.index))
-            if now > 0:
+            if collect and now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
-                if release_trace is not None and len(release_trace) < limit:
+                if len(release_trace) < limit:
                     release_trace.append((now, tid))
                 trace(now, "release", state.tasks[tid].timer_id, tid)
 
@@ -336,10 +360,11 @@ def run(config: SimConfig) -> SimMetrics:
         elif top_period < tasks[running].period:
             job = jobs[running]
             heapq.heappush(ready, (tasks[running].period, now, 0, running, job.index))
-            trace(now, "preempt", None, running)
+            if collect:
+                trace(now, "preempt", None, running)
             running = heapq.heappop(ready)[3]
             running_since = now
-        elif (config.time_slice and top_period == tasks[running].period
+        elif (time_slice and top_period == tasks[running].period
               and now - running_since >= 1):
             job = jobs[running]
             heapq.heappush(ready, (tasks[running].period, now, 2, running, job.index))
@@ -370,11 +395,42 @@ def run(config: SimConfig) -> SimMetrics:
     t = 0
 
     while True:
+        # Completion fast path (module docstring): complete the running job
+        # directly while nothing else can happen at or before its completion.
+        while running is not None:
+            job = jobs[running]
+            backlog = pending_cost // scale if as_time else 0
+            t_c = t + backlog + job.remaining
+            if t_c >= next_tick or (horizon is not None and t_c > horizon):
+                break
+            # Every heap entry, stale or live, is no earlier than the top.
+            if deadlines and deadlines[0][0] <= t_c:
+                prune(deadlines)
+                if deadlines and deadlines[0][0] <= t_c:
+                    break
+            prune(ready)
+            # A slice boundary at t_c itself has no effect: the job completes first.
+            if (time_slice and ready and ready[0][0] == tasks[running].period
+                    and max(running_since + 1, t + 1) < t_c):
+                break
+            if backlog:
+                pending_cost -= backlog * scale
+                overhead_time += backlog
+            busy_time += job.remaining
+            job.remaining = 0
+            t = t_c
+            complete_job(running, t)
+            if ready:
+                running = heapq.heappop(ready)[3]
+                running_since = t
+            else:
+                running = None
+
         if horizon is None and len(retired) == len(tasks) and running is None and not jobs:
             break
         candidates: list[int] = []
-        if next_fire and (horizon is not None or len(retired) < len(tasks)):
-            candidates.append(min(next_fire.values()))
+        if horizon is not None or len(retired) < len(tasks):
+            candidates.append(next_tick)
         if running is not None:
             backlog = pending_cost // scale if as_time else 0
             candidates.append(t + backlog + jobs[running].remaining)
@@ -382,7 +438,7 @@ def run(config: SimConfig) -> SimMetrics:
         if deadlines:
             candidates.append(deadlines[0][0])
         prune(ready)
-        if (config.time_slice and running is not None and ready
+        if (time_slice and running is not None and ready
                 and ready[0][0] == tasks[running].period):
             candidates.append(max(running_since + 1, t + 1))
         if horizon is not None:
@@ -398,28 +454,31 @@ def run(config: SimConfig) -> SimMetrics:
         t = t_next
 
         # Interrupts fire in ascending timer order; each charges its own entry.
-        for tc in used_timers:
-            if next_fire[tc.id] != t:
-                continue
-            skips_before = len(state.skip_events)
-            released = tick(state, tc.id)
-            if as_time:
-                # Only interrupts charge the interrupt ledger, so the growth
-                # of its total since the last interrupt is this tick's cost.
-                total = sum(map(operator.mul, interrupt_counts.values(),
-                                counter_weights))
-                pending_cost += total - charged_cost
-                charged_cost = total
-            stats = timer_stats[tc.id]
-            stats.interrupts += 1
-            if released:
-                stats.required += 1
-            if interrupt_log is not None and len(interrupt_log) < limit:
-                interrupt_log.append((t, tc.id, len(released)))
-            trace(t, "interrupt", tc.id, None)
-            for _, timer_id, tid in state.skip_events[skips_before:]:
-                trace(t, "skip", timer_id, tid)
-            next_fire[tc.id] += tc.period
+        if t == next_tick:
+            for tc in used_timers:
+                if next_fire[tc.id] != t:
+                    continue
+                skips_before = len(state.skip_events)
+                released = tick(state, tc.id)
+                if as_time:
+                    # Only interrupts charge the interrupt ledger, so the growth
+                    # of its total since the last interrupt is this tick's cost.
+                    total = sum(map(operator.mul, interrupt_counts.values(),
+                                    counter_weights))
+                    pending_cost += total - charged_cost
+                    charged_cost = total
+                stats = timer_stats[tc.id]
+                stats.interrupts += 1
+                if released:
+                    stats.required += 1
+                if collect:
+                    if len(interrupt_log) < limit:
+                        interrupt_log.append((t, tc.id, len(released)))
+                    trace(t, "interrupt", tc.id, None)
+                    for _, timer_id, tid in state.skip_events[skips_before:]:
+                        trace(t, "skip", timer_id, tid)
+                next_fire[tc.id] += tc.period
+            next_tick = min(next_fire.values())
         admit_releases(t)
 
         if running is not None and jobs[running].remaining == 0:

@@ -280,6 +280,57 @@ class TestStrictIntegers:
                      "--horizon", "6", "--out", str(tmp_path / "s.json")]) == 0
 
 
+class TestStrictScenario:
+    """Scenario files hold JSON integers and booleans; nothing is coerced."""
+
+    # (path into the scenario, bad value)
+    BAD_ENTRIES = [
+        (("generation", "n_tasks"), 12.7),
+        (("generation", "seed"), "7"),
+        (("generation", "workload"), True),
+        (("generation", "base_periods"), [3, 5.0]),
+        (("generation", "factor_range"), [1, "2"]),
+        (("generation", "period_factor"), 2.0),
+        (("generation", "harmonic"), 0),
+        (("horizon", "max_period_multiple"), 5.9),
+        (("horizon",), 30.0),
+        (("weights", "comparison"), 1.5),
+        (("weights",), ["comparison"]),
+        (("factors",), [1, "3"]),
+        (("factors",), [2.0]),
+        (("timers",), 2.5),
+        (("time_scale",), "100"),
+        (("overhead_as_time",), 1),
+        (("steady_state",), "yes"),
+    ]
+
+    @staticmethod
+    def scenario(tmp_path, path, value):
+        obj = load_json(str(tmp_path / "scenario.json"))
+        target = obj
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        dump_json(obj, str(bad))
+        return str(bad)
+
+    @pytest.mark.parametrize("path,value", BAD_ENTRIES,
+                             ids=[".".join(p) + f"={v!r}" for p, v in BAD_ENTRIES])
+    def test_bad_entry_exit_two(self, tmp_path, capsys, scenario_file, path, value):
+        bad = self.scenario(tmp_path, path, value)
+        assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "expected a JSON" in err
+        if path[0] == "generation":
+            assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_presets_still_load(self, tmp_path, preset):
+        assert main(["generate", "--preset", preset,
+                     "--out", str(tmp_path / "t.json")]) == 0
+
+
 class TestSweepAndReport:
     def test_sweep_writes_csv_and_summary(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "sweep.csv"

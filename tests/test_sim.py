@@ -1,12 +1,17 @@
 """Simulator behavior: release correctness, counting, costs, sweeps."""
 
+import dataclasses
+import hashlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronosim import cli
 from chronosim.dispatch import Strategy
@@ -474,15 +479,188 @@ class TestSerialization:
         assert a == b
 
 
+def tasks_of(*specs):
+    """Tasks 1..n from (wcet, period, deadline, releases limit) tuples."""
+    return TaskSet(tuple(
+        Task(id=i + 1, wcet=w, period=p, deadline=d, releases_limit=r)
+        for i, (w, p, d, r) in enumerate(specs)
+    ))
+
+
+def pinned_case(name):
+    """Small checked runs, one per entry of ``PINNED_RUNS``."""
+    if name == "interrupt_at_completion":
+        # Timer 1 (period 2) fires at 2, the instant task 1's first job ends.
+        ts = tasks_of((2, 4, 4, None), (1, 8, 8, None))
+        mapping = Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 8)),
+                          assignment={1: 1, 2: 2})
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS, mapping=mapping,
+                         horizon=16, check_invariants=True)
+    if name == "deadline_at_completion":
+        # Task 1 ends at its deadline 2; task 2 (wcet 7) misses at 8.
+        ts = tasks_of((2, 8, 2, None), (7, 8, 8, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=8),
+                         horizon=16, check_invariants=True)
+    if name == "slice_before_completion":
+        # Equal periods and wcet 3: the one-unit slice ends before completion.
+        ts = tasks_of((3, 8, 8, None), (3, 8, 8, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS_CONST,
+                         mapping=single_timer_mapping(ts, period=8),
+                         horizon=16, check_invariants=True)
+    if name == "slice_at_completion":
+        # Equal periods and wcet 1: the slice would end where the job does.
+        ts = tasks_of((1, 8, 8, None), (1, 8, 8, None), (2, 8, 8, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=8),
+                         horizon=16, check_invariants=True)
+    if name == "horizon_cuts_job":
+        ts = tasks_of((1, 8, 8, None), (5, 16, 16, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS_HARMONIC,
+                         mapping=single_timer_mapping(ts, period=8),
+                         horizon=19, check_invariants=True)
+    if name == "overhead_backlog":
+        # Interrupt cost 14 at time_scale 4 leaves a backlog of whole units.
+        ts = tasks_of((1, 8, 8, None), (2, 16, 16, None), (1, 32, 32, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=8), horizon=32,
+                         overhead_as_time=True, time_scale=4, check_invariants=True)
+    if name == "zero_length_jobs":
+        ts = tasks_of((0, 4, 4, None), (2, 4, 4, None), (0, 8, 2, None),
+                      (1, 8, 8, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=4),
+                         horizon=16, check_invariants=True)
+    if name == "release_limited":
+        ts = tasks_of((1, 3, 3, 2), (2, 6, 6, 1), (1, 6, 4, 2))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=3),
+                         horizon=None, check_invariants=True)
+    raise KeyError(name)
+
+
+def run_digest(metrics):
+    """SHA-256 over the metrics JSON, both counter dicts and the event trace."""
+    blob = json.dumps({
+        "metrics": metrics.to_json(),
+        "interrupt_counters": metrics.interrupt_counters,
+        "delay_counters": metrics.delay_counters,
+        "events": metrics.events,
+    }, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# name: ((busy, idle, overhead, jobs completed, misses, interrupts,
+#         total cost, events), digest)
+PINNED_RUNS = {
+    "interrupt_at_completion": (
+        (10, 6, 0, 6, 0, 10, 150, 28),
+        "aaf94b0dd364b26e4c13b3763dedd7a982f2d2141ea9238feb2db49fcb3335c2"),
+    "deadline_at_completion": (
+        (10, 6, 0, 2, 1, 2, 40, 11),
+        "1cf00b796e0687665f9fbcd3185319273549eff6c8c3cdb234d90fd160b3c122"),
+    "slice_before_completion": (
+        (12, 4, 0, 4, 0, 2, 48, 14),
+        "82098aba3e58c8f243d606dbe56f84a65006119a248f84a66bc6b8753b35caee"),
+    "slice_at_completion": (
+        (8, 8, 0, 6, 0, 2, 60, 20),
+        "0d4474d47fbfb1eb009b400d2b8930c414a9d7186f2563d59ce9fafbf18bc4bf"),
+    "horizon_cuts_job": (
+        (10, 9, 0, 4, 0, 2, 40, 13),
+        "f8c2c95a593926be7a14c141c2ada679ecb9ba76eb1b95c897217ff82680b8c5"),
+    "overhead_backlog": (
+        (9, 10, 13, 7, 0, 4, 93, 25),
+        "2bdaf245972e6187cf7807090303b166f1132300feec8982f1d3c6911fe86fa1"),
+    "zero_length_jobs": (
+        (10, 6, 0, 14, 0, 4, 133, 44),
+        "24337f5577976768d5c0a5706775e5eb1541d75968f70feaea29d591b686bf74"),
+    "release_limited": (
+        (10, 3, 0, 8, 0, 4, 76, 25),
+        "3f3b89d036b59fba91d0c143133a98ccfaa95b63f9b11d256e725d029ba460bb"),
+}
+
+
+class TestPinnedRuns:
+    """Exact outputs of small hand-built runs.
+
+    Each case puts an event (interrupt, deadline, slice boundary, horizon)
+    at or before a job's completion, or needs special bookkeeping (overhead
+    backlog, zero-length jobs, release limits).  The scheduler loop may get
+    faster; these outputs may not move.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_outputs_match_the_pin(self, name):
+        m = run(pinned_case(name))
+        summary, digest = PINNED_RUNS[name]
+        assert (m.busy_time, m.idle_time, m.overhead_time, m.jobs_completed,
+                m.deadline_misses, m.total_interrupts, m.total_cost,
+                len(m.events)) == summary
+        assert run_digest(m) == digest
+
+
+TRACE_FIELDS = ("release_trace", "interrupt_log", "events")
+
+
+@st.composite
+def sim_configs(draw):
+    """Small runs of every strategy, with and without horizon and overhead."""
+    harmonic = draw(st.booleans())
+    base = draw(st.sampled_from([1, 2, 3]))
+    periods = (st.sampled_from([base, 2 * base, 4 * base, 8 * base]) if harmonic
+               else st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=6))
+    horizon = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=60)))
+    specs = []
+    for _ in range(n):
+        period = draw(periods)
+        releases = (draw(st.integers(min_value=1, max_value=3)) if horizon is None
+                    else draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3))))
+        specs.append((draw(st.integers(min_value=0, max_value=period + 1)), period,
+                      draw(st.integers(min_value=1, max_value=period)), releases))
+    ts = tasks_of(*specs)
+    choices = [Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST]
+    if harmonic:
+        choices.append(Strategy.CHRONOS_HARMONIC)
+    strategy = draw(st.sampled_from(choices))
+    gcd = math.gcd(*ts.periods())
+    timer_period = draw(st.sampled_from([d for d in range(1, gcd + 1) if gcd % d == 0]))
+    return SimConfig(
+        task_set=ts, strategy=strategy,
+        mapping=(None if strategy is Strategy.BASELINE
+                 else single_timer_mapping(ts, period=timer_period)),
+        period_factor=timer_period, horizon=horizon,
+        time_slice=draw(st.booleans()), overhead_as_time=draw(st.booleans()),
+        time_scale=draw(st.sampled_from([1, 4, 100])),
+        trace_limit=draw(st.sampled_from([3, 100_000])))
+
+
+class TestObservationOnly:
+    @settings(max_examples=200, deadline=None)
+    @given(config=sim_configs())
+    def test_trace_and_checks_change_no_other_field(self, config):
+        outcomes = []
+        for collect in (False, True):
+            for check in (False, True):
+                m = run(dataclasses.replace(config, collect_trace=collect,
+                                            check_invariants=check))
+                fields = dataclasses.asdict(m)
+                for name in TRACE_FIELDS:
+                    assert (fields.pop(name) is None) is not collect
+                outcomes.append(fields)
+        assert all(o == outcomes[0] for o in outcomes[1:])
+
+
 class TestPresetInvariants:
     """Every shipped preset under checked dispatcher invariants.
 
-    Each preset runs as ``chronosim sweep`` builds it, at its first and last
-    period factor, under every strategy that applies to its mapping.
+    Each preset runs as ``chronosim sweep`` builds it, under every strategy
+    that applies to its mapping: at its first and last period factor in the
+    default run, and at every factor in between in the ``slow`` variant.
     """
 
-    @pytest.mark.parametrize("preset", cli.PRESETS)
-    def test_interrupt_counts_and_ledger_identities(self, preset):
+    @staticmethod
+    def check_factors(preset, pick):
         scenario = json.loads(resources.files("chronosim").joinpath(
             "presets", f"{preset}.json").read_text(encoding="utf-8"))
         task_set = cli._scenario_task_set(scenario, None)
@@ -494,8 +672,7 @@ class TestPresetInvariants:
                 task_set, scenario["timers"])).mapping
         horizon = cli._scenario_horizon(scenario, task_set)
         task_set = cli._strip_release_limits(task_set)
-        factors = cli._factors(scenario)
-        for factor in (factors[0], factors[-1]):
+        for factor in pick(cli._factors(scenario)):
             ts_scaled = task_set.scaled(factor)
             map_scaled = mapping.scaled(factor)
             for strategy in applicable_strategies(ts_scaled, map_scaled):
@@ -524,3 +701,12 @@ class TestPresetInvariants:
                     assert m.delay_counters["slot_write"] == delays, label
                     removed = m.interrupt_counters["slot_write"]
                 assert m.interrupt_counters["ready_insert"] == removed, label
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_interrupt_counts_and_ledger_identities(self, preset):
+        self.check_factors(preset, lambda factors: (factors[0], factors[-1]))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_every_factor_in_between(self, preset):
+        self.check_factors(preset, lambda factors: factors[1:-1])
