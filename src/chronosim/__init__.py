@@ -14,7 +14,6 @@ from .dispatch import (
     TIME_MAX,
     delay_task,
     tick,
-    tick_baseline,
     tick_chronos,
     tick_chronos_const,
     tick_chronos_harmonic,
@@ -42,11 +41,9 @@ from .optimizer import (
     solve,
 )
 from .sim import (
-    ComparisonReport,
     SimConfig,
     SimMetrics,
     SweepTable,
-    compare,
     period_factor_sweep,
     run,
 )
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChronosimError",
-    "ComparisonReport",
     "ConfigError",
     "CostWeights",
     "DispatcherState",
@@ -76,7 +72,6 @@ __all__ = [
     "TimerConfig",
     "UsageError",
     "brute_force_reference",
-    "compare",
     "delay_task",
     "expected_interrupt_rate",
     "export_miqcp",
@@ -89,7 +84,6 @@ __all__ = [
     "single_timer_mapping",
     "solve",
     "tick",
-    "tick_baseline",
     "tick_chronos",
     "tick_chronos_const",
     "tick_chronos_harmonic",

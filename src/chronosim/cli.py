@@ -200,6 +200,7 @@ def cmd_simulate(args) -> int:
         horizon=args.horizon,
         period_factor=factor,
         overhead_as_time=args.overhead_as_time,
+        collect_trace=args.trace is not None,
     )
     metrics = sim.run(config)
     if args.format == "json":
@@ -210,6 +211,10 @@ def cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             sim.write_trace_csv(metrics, fh)
+        if metrics.events_dropped:
+            print(f"warning: trace {args.trace} stops at {config.trace_limit} "
+                  f"events; {metrics.events_dropped} later event(s) dropped",
+                  file=sys.stderr)
     print(f"{metrics.strategy}: {metrics.total_interrupts} interrupts "
           f"({metrics.not_required_interrupts} not required), "
           f"{metrics.deadline_misses} deadline miss(es), "
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None,
                    help="fixed horizon in time units (default: run to retirement)")
     p.add_argument("--period-factor", type=int, default=1,
-                   help="uniformly scale all periods before running")
+                   help="uniformly scale all periods before running (>= 1)")
     p.add_argument("--overhead-as-time", action="store_true",
                    help="interrupt cost consumes simulated time")
     p.add_argument("--trace", default=None, help="write the event trace CSV here")

@@ -104,11 +104,6 @@ class OpCostLedger:
 
     counts: dict[str, int] = field(default_factory=lambda: {c: 0 for c in COUNTERS})
 
-    def charge(self, counter: str, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"cannot charge a negative count: {n}")
-        self.counts[counter] += n
-
     def total(self, weights: CostWeights) -> int:
         return sum(count * weights.weight_of(name) for name, count in self.counts.items())
 
@@ -366,14 +361,6 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
     if state.check_invariants:
         state._check(timer_id)
     return released
-
-
-def tick_baseline(state: DispatcherState) -> list[int]:
-    """Single-timer interrupt with period 1; same logic as the sorted-list tick."""
-    timers = list(state.timers.values())
-    if len(timers) != 1 or timers[0].period != 1:
-        raise UsageError("tick_baseline requires exactly one timer with period 1")
-    return tick_chronos(state, timers[0].timer_id)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ Otherwise the fast path spends the backlog as overhead time and the work as
 busy time, completes the job at t_c and starts the head of the ready heap,
 which is exactly what the general step at t_c would do.  Event semantics,
 ledgers and traces are unchanged.
+
+Traces: ``events`` is the one event stream.  ``SimMetrics.release_trace`` and
+``SimMetrics.interrupt_log`` are views of it, so they are cut with it at
+``trace_limit`` events; ``events_dropped`` counts the events past the limit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ import csv
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Iterable, TextIO
 
@@ -69,9 +74,9 @@ class SimConfig:
     """One simulation run: task set, mapping, strategy, and accounting knobs.
 
     ``horizon=None`` runs until every task has retired (requires finite
-    release limits).  ``period_factor`` documents the uniform scaling already
-    applied to the task set and mapping; the baseline strategy configures its
-    single timer with that period.
+    release limits).  ``period_factor`` (at least 1) documents the uniform
+    scaling already applied to the task set and mapping; the baseline
+    strategy configures its single timer with that period.
     """
 
     task_set: TaskSet
@@ -119,77 +124,72 @@ class SimMetrics:
     idle_time: int
     overhead_time: int
     expected_rate: Fraction
-    release_trace: list[tuple[int, int]] | None         # (time, task)
-    interrupt_log: list[tuple[int, int, int]] | None    # (time, timer, released)
+    # The event trace and the count of events past ``trace_limit``; both are
+    # None unless the run collected the trace.
     events: list[tuple[int, str, int | None, int | None]] | None
+    events_dropped: int | None
 
     @property
     def schedulable(self) -> bool:
         return self.deadline_misses == 0
 
+    @property
+    def release_trace(self) -> list[tuple[int, int]] | None:
+        """(time, task) of every timer-driven release, from ``events``."""
+        if self.events is None:
+            return None
+        return [(t, task) for t, kind, _, task in self.events if kind == "release"]
+
+    @property
+    def interrupt_log(self) -> list[tuple[int, int, int]] | None:
+        """(time, timer, released) per interrupt, from ``events``: released
+        counts the release events at the same time and timer."""
+        if self.events is None:
+            return None
+        released = Counter((t, timer) for t, kind, timer, _ in self.events
+                           if kind == "release")
+        return [(t, timer, released[t, timer])
+                for t, kind, timer, _ in self.events if kind == "interrupt"]
+
     def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "per_timer": [
-                {"id": s.id, "period": s.period, "interrupts": s.interrupts,
-                 "required": s.required}
-                for s in self.per_timer
-            ],
-            "total_interrupts": self.total_interrupts,
-            "required_interrupts": self.required_interrupts,
-            "not_required_interrupts": self.not_required_interrupts,
-            "interrupt_cost": self.interrupt_cost,
-            "delay_cost": self.delay_cost,
-            "total_cost": self.total_cost,
-            "deadline_misses": self.deadline_misses,
-            "miss_events": [{"time": t, "task": tid} for t, tid in self.miss_events],
-            "harmonic_skips": [
-                {"time": t, "timer": j, "task": tid}
-                for t, j, tid in self.harmonic_skips
-            ],
-            "jobs_completed": self.jobs_completed,
-            "total_time": self.total_time,
-            "busy_time": self.busy_time,
-            "idle_time": self.idle_time,
-            "overhead_time": self.overhead_time,
-            "expected_rate": rational_to_json(self.expected_rate),
-            "schedulable": self.schedulable,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in _NOT_SERIALIZED}
+        out.update(
+            per_timer=[asdict(s) for s in self.per_timer],
+            miss_events=[{"time": t, "task": tid} for t, tid in self.miss_events],
+            harmonic_skips=[{"time": t, "timer": j, "task": tid}
+                            for t, j, tid in self.harmonic_skips],
+            expected_rate=rational_to_json(self.expected_rate),
+            schedulable=self.schedulable,
+        )
+        return out
 
 
-METRICS_CSV_COLUMNS = (
-    "strategy", "total_interrupts", "required_interrupts",
-    "not_required_interrupts", "interrupt_cost", "delay_cost", "total_cost",
-    "deadline_misses", "jobs_completed", "total_time", "busy_time",
-    "idle_time", "overhead_time", "expected_rate", "schedulable",
-)
+# Left out of the metrics JSON and CSV: the ledger counters and the trace.
+_NOT_SERIALIZED = ("interrupt_counters", "delay_counters", "events", "events_dropped")
+
+# The metrics CSV holds the scalar entries of the metrics JSON, in its order.
+METRICS_CSV_COLUMNS = tuple(
+    f.name for f in fields(SimMetrics)
+    if f.name not in _NOT_SERIALIZED + ("per_timer", "miss_events", "harmonic_skips")
+) + ("schedulable",)
 
 
-def metrics_csv_rows(metrics: SimMetrics) -> list[dict[str, object]]:
-    return [{
-        "strategy": metrics.strategy,
-        "total_interrupts": metrics.total_interrupts,
-        "required_interrupts": metrics.required_interrupts,
-        "not_required_interrupts": metrics.not_required_interrupts,
-        "interrupt_cost": metrics.interrupt_cost,
-        "delay_cost": metrics.delay_cost,
-        "total_cost": metrics.total_cost,
-        "deadline_misses": metrics.deadline_misses,
-        "jobs_completed": metrics.jobs_completed,
-        "total_time": metrics.total_time,
-        "busy_time": metrics.busy_time,
-        "idle_time": metrics.idle_time,
-        "overhead_time": metrics.overhead_time,
-        "expected_rate": f"{float(metrics.expected_rate):.12g}",
-        "schedulable": int(metrics.schedulable),
-    }]
+def _csv_value(value: object) -> object:
+    """One CSV cell: None empty, a bool 0/1, a Fraction to 12 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Fraction):
+        return f"{float(value):.12g}"
+    return value
 
 
 def write_metrics_csv(metrics: SimMetrics, fh: TextIO) -> None:
-    writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in metrics_csv_rows(metrics):
-        writer.writerow(row)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(METRICS_CSV_COLUMNS)
+    writer.writerow([_csv_value(getattr(metrics, c)) for c in METRICS_CSV_COLUMNS])
 
 
 def write_trace_csv(metrics: SimMetrics, fh: TextIO) -> None:
@@ -198,9 +198,7 @@ def write_trace_csv(metrics: SimMetrics, fh: TextIO) -> None:
         raise UsageError("run was configured without trace collection")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(("time", "event_kind", "timer", "task"))
-    for time_, kind, timer, task in metrics.events:
-        writer.writerow((time_, kind, "" if timer is None else timer,
-                         "" if task is None else task))
+    writer.writerows([_csv_value(v) for v in event] for event in metrics.events)
 
 
 @dataclass(slots=True)
@@ -225,6 +223,8 @@ def run(config: SimConfig) -> SimMetrics:
         raise ConfigError("unbounded release limits require a fixed horizon")
     if config.time_scale < 1:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
+    if config.period_factor < 1:
+        raise UsageError(f"period_factor must be >= 1, got {config.period_factor}")
 
     if config.strategy is Strategy.BASELINE:
         # Built valid: single_timer_mapping validates its own result.
@@ -268,14 +268,16 @@ def run(config: SimConfig) -> SimMetrics:
     overhead_time = 0
     jobs_completed = 0
     miss_events: list[tuple[int, int]] = []
-    release_trace: list[tuple[int, int]] | None = [] if collect else None
-    interrupt_log: list[tuple[int, int, int]] | None = [] if collect else None
     events: list[tuple[int, str, int | None, int | None]] | None = [] if collect else None
+    events_dropped = 0 if collect else None
 
     def trace(time_: int, kind: str, timer: int | None, task: int | None) -> None:
-        """Record one event; callers test ``collect`` first."""
+        """Record one event, or count it past the limit; callers test ``collect``."""
+        nonlocal events_dropped
         if len(events) < limit:
             events.append((time_, kind, timer, task))
+        else:
+            events_dropped += 1
 
     def complete_job(tid: int, now: int) -> None:
         nonlocal jobs_completed
@@ -340,8 +342,6 @@ def run(config: SimConfig) -> SimMetrics:
                 heapq.heappush(deadlines, (job.deadline, tid, job.index))
             if collect and now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
-                if len(release_trace) < limit:
-                    release_trace.append((now, tid))
                 trace(now, "release", state.tasks[tid].timer_id, tid)
 
     def drain_and_schedule(now: int) -> None:
@@ -472,8 +472,6 @@ def run(config: SimConfig) -> SimMetrics:
                 if released:
                     stats.required += 1
                 if collect:
-                    if len(interrupt_log) < limit:
-                        interrupt_log.append((t, tc.id, len(released)))
                     trace(t, "interrupt", tc.id, None)
                     for _, timer_id, tid in state.skip_events[skips_before:]:
                         trace(t, "skip", timer_id, tid)
@@ -523,14 +521,13 @@ def run(config: SimConfig) -> SimMetrics:
         idle_time=idle_time,
         overhead_time=overhead_time,
         expected_rate=expected_interrupt_rate(mapping),
-        release_trace=release_trace,
-        interrupt_log=interrupt_log,
         events=events,
+        events_dropped=events_dropped,
     )
 
 
 # ---------------------------------------------------------------------------
-# Comparison and sweeps
+# Sweeps
 # ---------------------------------------------------------------------------
 
 def classify(missed_by_strategy: dict[Strategy, bool]) -> str:
@@ -554,71 +551,6 @@ def classify(missed_by_strategy: dict[Strategy, bool]) -> str:
 
 
 @dataclass
-class StrategyOutcome:
-    strategy: str
-    metrics: SimMetrics
-    overhead_ratio: Fraction | None  # reference cost / this strategy's cost
-
-
-@dataclass
-class ComparisonReport:
-    outcomes: list[StrategyOutcome]
-    classification: str
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification,
-            "strategies": [
-                {
-                    "strategy": o.strategy,
-                    "overhead_ratio": (None if o.overhead_ratio is None
-                                       else rational_to_json(o.overhead_ratio)),
-                    "metrics": o.metrics.to_json(),
-                }
-                for o in self.outcomes
-            ],
-        }
-
-
-def compare(configs: list[SimConfig]) -> ComparisonReport:
-    """Run several configurations over one task set and compare overheads.
-
-    The overhead ratio is the baseline's cumulative cost divided by each
-    strategy's cumulative cost; without a baseline entry the first
-    configuration is the reference.
-    """
-    if len(configs) < 2:
-        raise UsageError("compare needs at least two configurations")
-    first = configs[0]
-    for other in configs[1:]:
-        if other.task_set != first.task_set:
-            raise UsageError("compare requires an identical task set everywhere")
-        if other.weights != first.weights:
-            raise UsageError("compare requires identical cost weights everywhere")
-    metrics = [run(c) for c in configs]
-    reference = metrics[0]
-    for cfg, m in zip(configs, metrics):
-        if cfg.strategy is Strategy.BASELINE:
-            reference = m
-            break
-    outcomes = []
-    for m in metrics:
-        ratio = Fraction(reference.total_cost, m.total_cost) if m.total_cost else None
-        outcomes.append(StrategyOutcome(strategy=m.strategy, metrics=m,
-                                        overhead_ratio=ratio))
-    missed = {cfg.strategy: m.deadline_misses > 0 for cfg, m in zip(configs, metrics)}
-    return ComparisonReport(outcomes=outcomes, classification=classify(missed))
-
-
-SWEEP_CSV_COLUMNS = (
-    "factor", "strategy", "normalized_rate", "total_interrupts",
-    "required_interrupts", "not_required_interrupts", "interrupt_cost",
-    "delay_cost", "total_cost", "total_time", "deadline_misses",
-    "overhead_fraction", "overhead_ratio", "schedulable_class", "error",
-)
-
-
-@dataclass
 class SweepRow:
     factor: int
     strategy: str = ""
@@ -635,6 +567,9 @@ class SweepRow:
     overhead_ratio: Fraction | None = None
     schedulable_class: str = ""
     error: str | None = None
+
+
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -706,60 +641,11 @@ class SweepTable:
             and classes[a] == "schedulable" and classes[b] != "schedulable"
         ]
 
-    def to_json(self) -> dict:
-        return {"rows": [
-            {
-                "factor": row.factor,
-                "strategy": row.strategy,
-                "normalized_rate": (None if row.normalized_rate is None
-                                    else rational_to_json(row.normalized_rate)),
-                "total_interrupts": row.total_interrupts,
-                "required_interrupts": row.required_interrupts,
-                "not_required_interrupts": row.not_required_interrupts,
-                "interrupt_cost": row.interrupt_cost,
-                "delay_cost": row.delay_cost,
-                "total_cost": row.total_cost,
-                "total_time": row.total_time,
-                "deadline_misses": row.deadline_misses,
-                "overhead_fraction": (None if row.overhead_fraction is None
-                                      else rational_to_json(row.overhead_fraction)),
-                "overhead_ratio": (None if row.overhead_ratio is None
-                                   else rational_to_json(row.overhead_ratio)),
-                "schedulable_class": row.schedulable_class,
-                "error": row.error,
-            }
-            for row in self.rows
-        ]}
-
     def to_csv(self, fh: TextIO) -> None:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({
-                "factor": row.factor,
-                "strategy": row.strategy,
-                "normalized_rate": _fmt_fraction(row.normalized_rate),
-                "total_interrupts": _fmt_opt(row.total_interrupts),
-                "required_interrupts": _fmt_opt(row.required_interrupts),
-                "not_required_interrupts": _fmt_opt(row.not_required_interrupts),
-                "interrupt_cost": _fmt_opt(row.interrupt_cost),
-                "delay_cost": _fmt_opt(row.delay_cost),
-                "total_cost": _fmt_opt(row.total_cost),
-                "total_time": _fmt_opt(row.total_time),
-                "deadline_misses": _fmt_opt(row.deadline_misses),
-                "overhead_fraction": _fmt_fraction(row.overhead_fraction),
-                "overhead_ratio": _fmt_fraction(row.overhead_ratio),
-                "schedulable_class": row.schedulable_class,
-                "error": row.error or "",
-            })
-
-
-def _fmt_fraction(value: Fraction | None) -> str:
-    return "" if value is None else f"{float(value):.12g}"
-
-
-def _fmt_opt(value: int | None) -> str | int:
-    return "" if value is None else value
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer.writerows([_csv_value(getattr(row, c)) for c in SWEEP_CSV_COLUMNS]
+                         for row in self.rows)
 
 
 def applicable_strategies(task_set: TaskSet, mapping: Mapping) -> list[Strategy]:

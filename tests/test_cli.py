@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and the exit-code contract."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -224,11 +225,94 @@ class TestSimulate:
         assert rc == 3
         assert "non-harmonic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    @pytest.mark.parametrize("strategy", ["baseline", "chronos", "chronos-const",
+                                          "chronos-harmonic"])
+    def test_period_factor_below_one_exit_two(self, tmp_path, capsys,
+                                              strategy, factor):
+        tasks, mapping = self.write_two_five(tmp_path)
+        rc = main(["simulate", tasks, "--mapping", mapping, "--strategy", strategy,
+                   "--period-factor", factor, "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "period_factor must be >= 1" in capsys.readouterr().err
+
+    def test_truncated_trace_warns(self, tmp_path, capsys):
+        # The single baseline timer logs one interrupt per time unit: 100,010
+        # interrupts, plus 10 releases, 12 completions, 10 delays and 2
+        # retirements, all of which come after the first 100,000 events.
+        tasks, _ = self.write_two_five(tmp_path)
+        run = ["simulate", tasks, "--strategy", "baseline", "--horizon", "100010",
+               "--out", str(tmp_path / "m.json")]
+        assert main(run) == 0
+        assert capsys.readouterr().err == ""  # no trace file, nothing cut
+        trace = tmp_path / "trace.csv"
+        assert main(run + ["--trace", str(trace)]) == 0
+        assert len(trace.read_text().splitlines()) == 1 + 100_000
+        assert capsys.readouterr().err == (
+            f"warning: trace {trace} stops at 100000 events; "
+            "44 later event(s) dropped\n")
+
     def test_multi_timer_strategy_without_mapping_is_input_error(self, tmp_path):
         tasks, _ = self.write_two_five(tmp_path)
         rc = main(["simulate", tasks, "--strategy", "chronos",
                    "--horizon", "10", "--out", str(tmp_path / "m.json")])
         assert rc == 2
+
+
+# SHA-256 of each output: the harmonic_single preset sweep, and simulate on
+# the two-task figure set (periods 2 and 5, five releases each) run to
+# retirement under every strategy.
+PINNED_OUTPUTS = {
+    "sweep.stdout":
+        "1fc659c0a490ebc78ac27303db9fc81feb6e9c1b39c69c2fa75f4aaaed7de09f",
+    "sweep.csv":
+        "45a1b726cba0c146f0b14a5de1110e4a9d8825d33ca666069b2bc3047e81ce40",
+    "baseline.json":
+        "fe57963276f3e11bc4da1ec6f9459bd1d2e12c55d2b85a6cc360b5a532eb9287",
+    "baseline.csv":
+        "8bab58a5c499aff757b762de9a188fe69fa03af6e80576115c2f90fce8fca66a",
+    "baseline.trace.csv":
+        "c4eb66e67ef46bd9b7caf7f24d88a11e43c3d241616a17d807a1b68cc390792d",
+    "chronos.json":
+        "f233d03b913a5bc38dfa73c898237aa03d6667b2a35631b65ac0fd7da30fab05",
+    "chronos.csv":
+        "45d8d3c5f8f9050976ba35784e1fe992dabaa8de5ffce6ab1b2c9b9c4035d99b",
+    "chronos.trace.csv":
+        "c9f1e02982fdfd312ad228220cd0c5925f4d92e9ee266a91f0123e07c7d95553",
+    "chronos-const.json":
+        "57a13ce5dcb2cf9af9425e37c53aec73cbbf42ef6c50f35f65c4da76e6fe9c65",
+    "chronos-const.csv":
+        "8ab7caf06ee49228dc6195f9b457fd1f3640ac942083f8bb93d00f7078b17a26",
+    "chronos-const.trace.csv":
+        "c9f1e02982fdfd312ad228220cd0c5925f4d92e9ee266a91f0123e07c7d95553",
+    "chronos-harmonic.json":
+        "f45aae7b14d964e368a98b09859895f2b79e2ae5c5323dd3db6de0d3b465bd3b",
+    "chronos-harmonic.csv":
+        "68e7758f576eb5621a735425b90a7511f22eb7f729c6d3e204db2c8b697f2328",
+    "chronos-harmonic.trace.csv":
+        "ce71e12709efc1dda00ff23ead6618e7a278116a5d88501eeec5e3a4ae96cb48",
+}
+
+
+class TestPinnedOutputs:
+    """Preset and figure-set outputs stay byte-identical."""
+
+    def test_outputs_match_the_pin(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--preset", "harmonic_single",
+                     "--out", "sweep.csv"]) == 0
+        got = {"sweep.stdout": capsys.readouterr().out.encode()}
+        tasks, mapping = TestSimulate().write_two_five(tmp_path)
+        names = ["sweep.csv"]
+        for strategy in ("baseline", "chronos", "chronos-const", "chronos-harmonic"):
+            common = ["simulate", tasks, "--mapping", mapping, "--strategy", strategy]
+            assert main(common + ["--out", f"{strategy}.json",
+                                  "--trace", f"{strategy}.trace.csv"]) == 0
+            assert main(common + ["--format", "csv", "--out", f"{strategy}.csv"]) == 0
+            names += [f"{strategy}.json", f"{strategy}.csv", f"{strategy}.trace.csv"]
+        got.update((name, read(tmp_path / name)) for name in names)
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in got.items()} == PINNED_OUTPUTS
 
 
 BAD_INTEGERS = [1.9, 6.0, "6", True]

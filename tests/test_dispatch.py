@@ -12,12 +12,11 @@ from chronosim.dispatch import (
     Strategy,
     delay_task,
     tick,
-    tick_baseline,
     tick_chronos,
     tick_chronos_const,
     tick_chronos_harmonic,
 )
-from chronosim.errors import ConfigError, InvariantViolation, UsageError
+from chronosim.errors import ConfigError, InvariantViolation
 from chronosim.model import Mapping, Task, TaskSet, TimerConfig
 
 
@@ -182,7 +181,7 @@ class TestTickBaseline:
         delay_task(state, 2, 0)
         releases_by_tick = {}
         for t in range(1, 11):
-            released = tick_baseline(state)
+            released = tick(state, 1)
             releases_by_tick[t] = list(released)
             for tid in released:
                 delay_task(state, tid, t)
@@ -193,24 +192,19 @@ class TestTickBaseline:
     def test_single_task_early_exits_until_due(self):
         state = build_state([4], 1, Strategy.BASELINE)
         delay_task(state, 1, 0)
-        assert [tick_baseline(state) for _ in range(4)] == [[], [], [], [1]]
+        assert [tick(state, 1) for _ in range(4)] == [[], [], [], [1]]
 
     def test_exhausted_list_always_early_exits(self):
         state = build_state([4], 1, Strategy.BASELINE)
         delay_task(state, 1, 0)
         for _ in range(4):
-            tick_baseline(state)
+            tick(state, 1)
         # never re-delayed: every further tick exits on the sentinel
         for _ in range(8):
             before = state.interrupt_ledger.snapshot()
-            assert tick_baseline(state) == []
+            assert tick(state, 1) == []
             assert counter_delta(state.interrupt_ledger, before)["comparison"] == 1
         assert state.timers[1].next_release == TIME_MAX
-
-    def test_requires_unit_period_single_timer(self):
-        state = build_state([4], 2, Strategy.CHRONOS)
-        with pytest.raises(UsageError):
-            tick_baseline(state)
 
 
 class TestDelayTask:

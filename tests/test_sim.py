@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chronosim import cli
 from chronosim.dispatch import Strategy
-from chronosim.errors import ConfigError, UsageError
+from chronosim.errors import ConfigError
 from chronosim.model import (
     Mapping,
     Task,
@@ -29,7 +29,6 @@ from chronosim.sim import (
     SimConfig,
     applicable_strategies,
     classify,
-    compare,
     period_factor_sweep,
     run,
     write_metrics_csv,
@@ -298,34 +297,27 @@ class TestOverheadAsTime:
         assert multi.deadline_misses == 0
 
 
+def compare_at_unit_factor(task_set, mapping, strategies, **settings):
+    """One factor-1 sweep: the rows by strategy name."""
+    base = SimConfig(task_set=task_set, strategy=Strategy.BASELINE,
+                     mapping=mapping, collect_trace=False, **settings)
+    table = period_factor_sweep(base, [1], strategies)
+    return {row.strategy: row for row in table.rows}
+
+
 class TestCompare:
-    def test_identical_configs_have_unit_ratio(self):
-        ts, mapping = two_five_scenario()
-        cfg = SimConfig(task_set=ts, strategy=Strategy.CHRONOS, mapping=mapping,
-                        horizon=10)
-        report = compare([cfg, cfg])
-        assert report.outcomes[0].overhead_ratio == Fraction(1)
-        assert report.outcomes[1].overhead_ratio == Fraction(1)
-        assert report.classification == "schedulable"
+    """Each strategy against the baseline, as ``period_factor_sweep`` runs it."""
 
     def test_baseline_is_the_reference(self):
         ts, mapping = two_five_scenario()
-        multi = SimConfig(task_set=ts, strategy=Strategy.CHRONOS, mapping=mapping,
-                          horizon=10)
-        base = SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=10)
-        report = compare([multi, base])
-        by_name = {o.strategy: o for o in report.outcomes}
-        assert by_name["baseline"].overhead_ratio == Fraction(1)
-        assert by_name["chronos"].overhead_ratio > 1
-
-    def test_mismatched_task_sets_rejected(self):
-        ts1, mapping = two_five_scenario()
-        ts2 = make_task_set([2, 4])
-        with pytest.raises(UsageError):
-            compare([
-                SimConfig(task_set=ts1, strategy=Strategy.BASELINE, horizon=10),
-                SimConfig(task_set=ts2, strategy=Strategy.BASELINE, horizon=10),
-            ])
+        rows = compare_at_unit_factor(ts, mapping,
+                                      [Strategy.CHRONOS, Strategy.BASELINE],
+                                      horizon=10)
+        assert rows["baseline"].overhead_ratio == Fraction(1)
+        assert rows["chronos"].overhead_ratio == Fraction(
+            rows["baseline"].total_cost, rows["chronos"].total_cost)
+        assert rows["chronos"].overhead_ratio > 1
+        assert {r.schedulable_class for r in rows.values()} == {"schedulable"}
 
     def test_harmonic_only_region(self):
         # One fast task plus many heavy same-period tasks: the scan-everything
@@ -336,29 +328,25 @@ class TestCompare:
         ts = TaskSet(tuple(tasks))
         mapping = Mapping(timers=(TimerConfig(1, 2),),
                           assignment={t.id: 1 for t in ts.tasks})
-        configs = [
-            SimConfig(task_set=ts, strategy=s,
-                      mapping=None if s is Strategy.BASELINE else mapping,
-                      horizon=1200, overhead_as_time=True, time_scale=10,
-                      collect_trace=False)
-            for s in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST,
-                      Strategy.CHRONOS_HARMONIC)
-        ]
-        report = compare(configs)
-        assert report.classification == "harmonic"
+        rows = compare_at_unit_factor(
+            ts, mapping, [Strategy.BASELINE, Strategy.CHRONOS,
+                          Strategy.CHRONOS_CONST, Strategy.CHRONOS_HARMONIC],
+            horizon=1200, overhead_as_time=True, time_scale=10)
+        assert {r.schedulable_class for r in rows.values()} == {"harmonic"}
+        assert rows["chronos-harmonic"].deadline_misses == 0
+        assert rows["chronos-harmonic"].overhead_ratio > max(
+            rows[s].overhead_ratio for s in ("chronos", "chronos-const"))
 
     def test_chronos_region(self):
         ts = make_task_set([4, 8], wcet=1, releases=None)
-        mapping = single_timer_mapping(ts, period=4)
-        configs = [
-            SimConfig(task_set=ts, strategy=s,
-                      mapping=None if s is Strategy.BASELINE else mapping,
-                      horizon=800, overhead_as_time=True, time_scale=12,
-                      collect_trace=False)
-            for s in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST)
-        ]
-        report = compare(configs)
-        assert report.classification == "chronos"
+        rows = compare_at_unit_factor(
+            ts, single_timer_mapping(ts, period=4),
+            [Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST],
+            horizon=800, overhead_as_time=True, time_scale=12)
+        assert {r.schedulable_class for r in rows.values()} == {"chronos"}
+        assert rows["baseline"].deadline_misses > 0
+        assert rows["chronos"].overhead_ratio > 1
+        assert rows["chronos-const"].overhead_ratio > 1
 
     def test_classify_labels(self):
         B, C, K, H = (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST,
@@ -368,6 +356,18 @@ class TestCompare:
         assert classify({B: True, C: False, K: False}) == "chronos"
         assert classify({B: True, C: True, K: True, H: False}) == "harmonic"
         assert classify({B: False, C: True}) == "mixed"
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of ``SweepTable.to_csv`` and ``format_summary`` for
+# ``TestPeriodFactorSweep.base_config()`` at factors 1..3.
+SWEEP_PINS = (
+    "699f1a8f1998d112f2dd11df8a11f5f33b677ff033b351c551c66d5d9983ac36",
+    "d264cd0f6d6e910aa0e4fe24a54c7c2777a4348c922d99b2320f4ae2a8482079",
+)
 
 
 class TestPeriodFactorSweep:
@@ -431,13 +431,13 @@ class TestPeriodFactorSweep:
             assert all(c == "schedulable" for c in ordered[first:])
         assert table.monotonicity_violations() == []
 
-    def test_sweep_json_shape(self):
-        table = period_factor_sweep(self.base_config(), [1])
-        obj = table.to_json()
-        assert len(obj["rows"]) == 4
-        baseline_row = next(r for r in obj["rows"] if r["strategy"] == "baseline")
-        assert baseline_row["normalized_rate"] == {"num": 1, "den": 1}
-        assert baseline_row["error"] is None
+    def test_csv_and_summary_bytes_match_the_pin(self):
+        table = period_factor_sweep(self.base_config(), [1, 2, 3])
+        buf = io.StringIO()
+        table.to_csv(buf)
+        assert (sha256_text(buf.getvalue()),
+                sha256_text(table.format_summary())) == SWEEP_PINS
+
 
 
 class TestSerialization:
@@ -470,6 +470,21 @@ class TestSerialization:
         assert obj["total_interrupts"] == 7
         assert obj["expected_rate"] == {"num": 7, "den": 10}
         assert obj["schedulable"] is True
+
+    def test_trace_limit_counts_dropped_events(self):
+        full = run(pinned_case("interrupt_at_completion"))
+        cut = run(dataclasses.replace(pinned_case("interrupt_at_completion"),
+                                      trace_limit=3))
+        assert (len(full.events), full.events_dropped) == (28, 0)
+        assert cut.events == full.events[:3]
+        assert cut.events_dropped == 25
+        # The derived traces are views of the cut stream.
+        assert cut.interrupt_log == [(2, 1, 0)]
+        assert cut.release_trace == []
+        untraced = run(dataclasses.replace(pinned_case("interrupt_at_completion"),
+                                           collect_trace=False))
+        assert untraced.events is untraced.events_dropped is None
+        assert untraced.release_trace is untraced.interrupt_log is None
 
     def test_determinism_across_runs(self):
         ts, mapping = two_five_scenario()
@@ -580,6 +595,34 @@ PINNED_RUNS = {
 }
 
 
+def csv_digest(metrics):
+    """SHA-256 over the metrics CSV followed by the trace CSV."""
+    buf = io.StringIO()
+    write_metrics_csv(metrics, buf)
+    write_trace_csv(metrics, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+PINNED_CSV = {
+    "deadline_at_completion":
+        "af3802b57e0623bfb90150cffbd52c9441d0ca99c9278497e6278aa60b3936ac",
+    "horizon_cuts_job":
+        "a114a776e3d008e308115a814cb000fa732cd15a582016b997d1202d9e5adf72",
+    "interrupt_at_completion":
+        "4b75fba25727550632549ee9748237deaea382955d2cbae994a90f2baf600485",
+    "overhead_backlog":
+        "0e8024183a22856cbb5fa44cc14041dce4501f5005b02acf05cbfa77e3d996a3",
+    "release_limited":
+        "227fe7282fdd3a0d04f2049469ce1258016061cfa0831c4eb5de6c396b9b2528",
+    "slice_at_completion":
+        "2d395a85b1ab898619e7959d34d3b58afd28016cd23e57533ae351ec26c30793",
+    "slice_before_completion":
+        "54e3f25cd76125812b367c07f9b5fd6cf44b75cc6f8a7f0421048d7c39ec4e16",
+    "zero_length_jobs":
+        "aac5afe1d10468a3f73d135b4531ae1f81c780d8e207288899313160cec67bdf",
+}
+
+
 class TestPinnedRuns:
     """Exact outputs of small hand-built runs.
 
@@ -598,8 +641,12 @@ class TestPinnedRuns:
                 len(m.events)) == summary
         assert run_digest(m) == digest
 
+    @pytest.mark.parametrize("name", sorted(PINNED_CSV))
+    def test_csv_bytes_match_the_pin(self, name):
+        assert csv_digest(run(pinned_case(name))) == PINNED_CSV[name]
 
-TRACE_FIELDS = ("release_trace", "interrupt_log", "events")
+
+TRACE_FIELDS = ("events", "events_dropped")
 
 
 @st.composite
