@@ -1,5 +1,6 @@
 """Budgeted solver vs brute force, fallback guarantees, and the model export."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -291,6 +292,43 @@ class TestSearchWorkPins:
              200, 204, 210, 220, 224, 228, 234, 240, 260, 264, 270, 276, 280,
              288, 294, 300, 306, 308, 312),
         )
+
+
+    @staticmethod
+    def _divisor_rich(lo, hi, min_divisors):
+        return [p for p in range(lo, hi + 1)
+                if sum(1 for d in range(1, p + 1) if p % d == 0) >= min_divisors]
+
+    @pytest.mark.parametrize("m, n, work", [
+        (10, 48, (DEFAULT_NODE_BUDGET + 1, 100053)),
+        (11, 64, (DEFAULT_NODE_BUDGET + 1, 101239)),
+        (12, 80, (DEFAULT_NODE_BUDGET + 1, 93126)),
+    ])
+    def test_budget_exhausted_partition_shaped(self, m, n, work):
+        # Shaped like the benchmark's budget-exhausted instances: 48-80
+        # periods from the integers in [60, 1000] with at least six divisors.
+        periods = random.Random(m).sample(self._divisor_rich(60, 1000, 6), n)
+        result = solve(OptimizationProblem(periods=tuple(periods), m=m))
+        assert result.method == "heuristic"
+        assert (result.stats.nodes, result.stats.subsets) == work
+        assert result.objective == Fraction(1)
+        assert result.groups == (tuple(sorted(periods)),)
+
+    def test_budget_sweep_digest(self):
+        # Both paths at small budgets: where the search stops, what the
+        # greedy pass counts, and which groups win.
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for _ in range(50):
+            n = rng.randint(1, 20)
+            problem = OptimizationProblem(
+                periods=tuple(rng.sample(range(1, 201), n)), m=rng.randint(1, 6))
+            for budget in (1, 2, 4, 16, 64, 256):
+                r = solve(problem, node_budget=budget)
+                digest.update(repr(
+                    (r.method, r.stats.nodes, r.stats.subsets, r.groups)).encode())
+        assert digest.hexdigest() == (
+            "546297373cbdc613d8d3054501f71c02b4651720477890dfa3f8875067353071")
 
 
 class TestExportMiqcp:
