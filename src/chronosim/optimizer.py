@@ -13,13 +13,16 @@ the largest common divisor, and absorbing every remaining multiple of a
 group's GCD into that group never increases the objective, the timer count,
 or the lexicographic rank of the assignment.  Both dominance lemmas are
 validated against the brute-force enumerator in the test suite.  The search
-compares integer rates scaled by lcm(periods) in place of rational sums of
-1/GCD; every group GCD divides that lcm, so the comparison is still exact,
-and the rational objective is built once from the chosen groups.  The search
-runs under a node budget; a result is reported as exact exactly when the
-search completed, and as heuristic when the budget ran out.  The literal
-mixed-integer model is still available through :func:`export_miqcp` for
-external validation.
+compares one integer per state, ``rate * (m + 1) + timers``, in place of
+rational sums of 1/GCD: the rate is scaled by lcm(periods), which every group
+GCD divides, and a state uses at most m timers, so the comparison is exact
+and carries the fewer-timers tie-break.  The rational objective is built
+once from the chosen groups.  Each candidate group's scaled rate is cached by
+group mask, and its GCD is computed with an early exit at the divisor that
+cut the group.  The search runs under a node budget; a result is reported
+as exact exactly when the search completed, and as heuristic when the budget
+ran out.  The literal mixed-integer model is still available through
+:func:`export_miqcp` for external validation.
 """
 
 from __future__ import annotations
@@ -101,11 +104,18 @@ class _BudgetExceeded(Exception):
 class _PartitionSearch:
     """Memoized DP over (remaining period bitmask, timers left).
 
-    Rates are exact integers scaled by L = lcm(periods): a group with GCD g
-    adds L // g, which is exact because g divides every member and so
-    divides L.  Scaling by L > 0 keeps order and equality, so the
-    ``(rate, timers)`` tuples compare exactly as the rational objective and
-    its tie-break would.
+    A state's value is one integer, ``rate * (m + 1) + timers``.  The rate is
+    exact and scaled by L = lcm(periods): a group with GCD g adds L // g,
+    which is exact because g divides every member and so divides L.  Scaling
+    by L > 0 keeps order and equality, and since a state never uses more than
+    m timers, integer order is the order of ``(rate, timers)`` pairs, which
+    is the rational objective with its fewer-timers tie-break.
+
+    The memo holds one dict per timers-left, keyed by mask.  A candidate
+    group's own value, ``(L // g) * (m + 1) + 1``, is cached by group mask;
+    on a miss its GCD is folded from the lowest member up and stops as soon
+    as it reaches the divisor ``d`` that cut the group, since every member is
+    a multiple of ``d`` and the GCD can go no lower.
     """
 
     def __init__(self, periods: tuple[int, ...], m: int, node_budget: int):
@@ -114,122 +124,132 @@ class _PartitionSearch:
         self.m = m
         self.node_budget = node_budget
         self.stats = SolverStats()
-        self._scale = math.lcm(*periods)
-        self._memo: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self._gcds: dict[int, int] = {}
-        self._rates: dict[int, int] = {}   # group GCD -> L // GCD
-        # For every divisor of any period, the bitmask of periods it divides.
+        self._scale = math.lcm(*periods) * (m + 1)
+        self._memo: list[dict[int, int]] = [{} for _ in range(m + 1)]
+        self._group_values: dict[int, int] = {}
+        # For every divisor of any period, the bitmask of periods it divides,
+        # in order of the divisor's first appearance.
         self._divisor_masks: dict[int, int] = {}
         divisors_of = [_divisors(p) for p in periods]
-        for divs in divisors_of:
+        for i, divs in enumerate(divisors_of):
             for d in divs:
-                if d not in self._divisor_masks:
-                    self._divisor_masks[d] = 0
-        for d in self._divisor_masks:
-            mask = 0
-            for i, p in enumerate(periods):
-                if p % d == 0:
-                    mask |= 1 << i
-            self._divisor_masks[d] = mask
-        # Per period, the masks of its divisors in ascending divisor order.
-        # Every divisor-closed group containing the lowest remaining period is
-        # one of these masks cut down to the remaining set; the order fixes
-        # the search's node and subset counts and where the budget runs out.
-        self._masks_of = [
-            tuple(self._divisor_masks[d] for d in divs) for divs in divisors_of
+                self._divisor_masks[d] = self._divisor_masks.get(d, 0) | 1 << i
+        # Per period, its (divisor, divisor mask) pairs in ascending divisor
+        # order.  Every divisor-closed group containing the lowest remaining
+        # period is one of these masks cut down to the remaining set; the
+        # order fixes the search's node and subset counts and where the
+        # budget runs out.  The first pair is always divisor 1, whose group
+        # is the whole remaining set.
+        self._candidates = [
+            tuple((d, self._divisor_masks[d]) for d in divs) for divs in divisors_of
         ]
 
-    def _gcd_of_mask(self, mask: int) -> int:
-        cached = self._gcds.get(mask)
-        if cached is not None:
-            return cached
-        g = 0
-        rest = mask
-        while rest:
+    def group_gcd(self, group: int, d: int = 1) -> int:
+        """GCD of the periods in ``group``, all of which are multiples of ``d``."""
+        periods = self.periods
+        low = group & -group
+        g = periods[low.bit_length() - 1]
+        rest = group ^ low
+        while rest and g != d:
             bit = rest & -rest
-            g = math.gcd(g, self.periods[bit.bit_length() - 1])
+            g = math.gcd(g, periods[bit.bit_length() - 1])
             rest ^= bit
-        self._gcds[mask] = g
         return g
 
-    def _rate_of_mask(self, mask: int) -> int:
-        """L // gcd(group): the group's interrupt rate scaled by L."""
-        g = self._gcd_of_mask(mask)
-        rate = self._rates.get(g)
-        if rate is None:
-            rate = self._rates[g] = self._scale // g
-        return rate
+    def group_value(self, group: int, d: int = 1) -> int:
+        """One timer for ``group``: its rate scaled by L, times m + 1, plus 1."""
+        value = self._group_values.get(group)
+        if value is None:
+            value = self._group_values[group] = (
+                self._scale // self.group_gcd(group, d) + 1)
+        return value
 
-    def best(self, mask: int, timers_left: int) -> tuple[int, int] | None:
-        """Minimal (scaled rate, timers used) for covering ``mask``; None if infeasible."""
-        if mask == 0:
-            return (0, 0)
-        timers_left = min(timers_left, mask.bit_count())
-        if timers_left == 0:
-            return None
-        key = (mask, timers_left)
-        if key in self._memo:
-            return self._memo[key]
-        self.stats.nodes += 1
-        if self.stats.nodes > self.node_budget:
+    def best(self, mask: int, timers_left: int) -> int:
+        """Minimal value of covering ``mask`` with at most ``timers_left`` timers.
+
+        Counts one node.  The caller has found ``(mask, timers_left)`` missing
+        from the memo, with ``mask`` nonempty and ``timers_left`` already cut
+        to ``1 <= timers_left <= popcount(mask)``.  Every such state is
+        feasible: the whole of ``mask`` on one timer always is.
+        """
+        stats = self.stats
+        stats.nodes += 1
+        if stats.nodes > self.node_budget:
             raise _BudgetExceeded
-        best: tuple[int, int] | None = None
-        seen: set[int] = set()
-        for divisor_mask in self._masks_of[(mask & -mask).bit_length() - 1]:
-            sub = divisor_mask & mask
-            if sub in seen:
-                continue   # distinct divisors yielding the same group
-            seen.add(sub)
-            self.stats.subsets += 1
-            rest = self.best(mask ^ sub, timers_left - 1)
-            if rest is None:
-                continue
-            value = (self._rate_of_mask(sub) + rest[0], 1 + rest[1])
-            if best is None or value < best:
-                best = value
-        self._memo[key] = best
+        candidates = self._candidates[(mask & -mask).bit_length() - 1]
+        group_values = self._group_values
+        best = group_values.get(mask)
+        if best is None:
+            best = self.group_value(mask)
+        if timers_left == 1:
+            # Any smaller group would leave periods without a timer.
+            seen = {divisor_mask & mask for _, divisor_mask in candidates}
+            stats.subsets += len(seen)
+        else:
+            memo = self._memo
+            below = timers_left - 1
+            seen = {mask}
+            try:
+                for d, divisor_mask in candidates:
+                    sub = divisor_mask & mask
+                    if sub in seen:
+                        continue   # distinct divisors yielding the same group
+                    seen.add(sub)
+                    rest = mask ^ sub
+                    left = rest.bit_count()
+                    if left > below:
+                        left = below
+                    value = memo[left].get(rest)
+                    if value is None:
+                        value = self.best(rest, left)
+                    group_value = group_values.get(sub)
+                    if group_value is None:
+                        group_value = self.group_value(sub, d)
+                    value += group_value
+                    if value < best:
+                        best = value
+            finally:
+                # Counted on the way out of a budget cut as well, so the
+                # total is every candidate group tried, as if counted one by
+                # one before its recursion.
+                stats.subsets += len(seen)
+        self._memo[timers_left][mask] = best
         return best
 
-    def reconstruct(self, mask: int, timers_left: int) -> list[int]:
-        """Walk optimal states picking the lexicographically smallest assignment.
+    def reconstruct(self) -> list[int]:
+        """Search from the full set, then walk optimal states to the groups.
 
         Among candidate groups achieving the optimum, the winner is the one
         containing the earliest period at which the memberships differ.
-        Every state visited here was memoized by :meth:`best`, so no node is
-        added, and a group that two divisors both yield ties with itself.
+        Every state the walk visits was memoized by the search, so the walk
+        adds no node, and a group that two divisors both yield ties with
+        itself.
         """
+        mask = (1 << self.n) - 1
+        timers_left = min(self.m, self.n)
+        target = self.best(mask, timers_left)
         groups: list[int] = []
         while mask:
-            timers_left = min(timers_left, mask.bit_count())
-            target = self.best(mask, timers_left)
-            assert target is not None
             chosen = None
-            chosen_key = -1
-            for divisor_mask in self._masks_of[(mask & -mask).bit_length() - 1]:
+            for _, divisor_mask in self._candidates[(mask & -mask).bit_length() - 1]:
                 sub = divisor_mask & mask
-                rest = self.best(mask ^ sub, timers_left - 1)
-                if rest is None:
+                rest = mask ^ sub
+                if rest and timers_left == 1:
                     continue
-                value = (self._rate_of_mask(sub) + rest[0], 1 + rest[1])
+                value = self._group_values[sub]
+                if rest:
+                    value += self._memo[min(timers_left - 1, rest.bit_count())][rest]
                 if value != target:
                     continue
-                key = self._membership_key(sub)
-                if key > chosen_key:
-                    chosen, chosen_key = sub, key
+                # The lowest period in exactly one of the two groups decides.
+                if chosen is None or (differ := sub ^ chosen) & -differ & sub:
+                    chosen = sub
             assert chosen is not None
             groups.append(chosen)
+            target -= self._group_values[chosen]
             mask ^= chosen
-            timers_left -= 1
+            timers_left = min(timers_left - 1, mask.bit_count())
         return groups
-
-    def _membership_key(self, mask: int) -> int:
-        # Earlier periods weigh heavier, so the max key prefers groups that
-        # keep low-index periods together (entry 1 beats any later entry).
-        key = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                key |= 1 << (self.n - 1 - i)
-        return key
 
 
 def _divisors(value: int) -> tuple[int, ...]:
@@ -296,15 +316,16 @@ def solve(problem: OptimizationProblem,
     result is never worse than the trivial single-group mapping, and its
     method is ``"heuristic"``.
     """
-    full = (1 << len(problem.periods)) - 1
     search = _PartitionSearch(problem.periods, problem.m, node_budget)
     try:
-        group_masks = search.reconstruct(full, problem.m)
+        group_masks = search.reconstruct()
     except _BudgetExceeded:
-        candidate = _build_result(problem, _greedy_extract(search), search.stats,
-                                  "heuristic")
-        single = _build_result(problem, [full], search.stats, "heuristic")
-        return min(candidate, single, key=lambda r: (r.objective, r.timers_used))
+        group_masks = _greedy_extract(search)
+        # Never worse than the single group; on a tie the greedy groups stay.
+        full = (1 << len(problem.periods)) - 1
+        if search.group_value(full) < sum(map(search.group_value, group_masks)):
+            group_masks = [full]
+        return _build_result(problem, group_masks, search.stats, "heuristic")
     return _build_result(problem, group_masks, search.stats, "exact")
 
 
@@ -361,29 +382,32 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
 
 
 def _greedy_extract(search: _PartitionSearch) -> list[int]:
-    """Repeatedly take the divisor-closed group with the best rate per period."""
+    """Repeatedly take the divisor-closed group with the best rate per period.
+
+    The key ``(-g * size, -size, mask)`` orders groups as ``(1 / (g * size),
+    -size, mask)`` would, without building a fraction per group.
+    """
     remaining = (1 << search.n) - 1
     groups: list[int] = []
     while remaining:
         if search.m - len(groups) <= 1:
             groups.append(remaining)
             break
-        best_mask = None
-        best_key: tuple | None = None
+        best_key: tuple[int, int, int] | None = None
         seen: set[int] = set()
-        for mask in search._divisor_masks.values():
+        for d, mask in search._divisor_masks.items():
             sub = mask & remaining
             if not sub or sub in seen:
                 continue
             seen.add(sub)
-            search.stats.subsets += 1
             size = sub.bit_count()
-            key = (Fraction(1, search._gcd_of_mask(sub) * size), -size, sub)
+            key = (-search.group_gcd(sub, d) * size, -size, sub)
             if best_key is None or key < best_key:
-                best_key, best_mask = key, sub
-        assert best_mask is not None
-        groups.append(best_mask)
-        remaining ^= best_mask
+                best_key = key
+        search.stats.subsets += len(seen)
+        assert best_key is not None
+        groups.append(best_key[2])
+        remaining ^= best_key[2]
     return groups
 
 

@@ -1,17 +1,23 @@
 """Budgeted solver vs brute force, fallback guarantees, and the model export."""
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronosim.errors import UsageError
-from chronosim.model import Task, TaskSet, expected_interrupt_rate
+from chronosim.model import (
+    Task, TaskSet, expected_interrupt_rate, mapping_from_json, rational_from_json,
+)
 from chronosim.optimizer import (
     DEFAULT_NODE_BUDGET,
     OptimizationProblem,
+    _PartitionSearch,
     brute_force_reference,
     export_miqcp,
     solve,
@@ -329,6 +335,44 @@ class TestSearchWorkPins:
                     (r.method, r.stats.nodes, r.stats.subsets, r.groups)).encode())
         assert digest.hexdigest() == (
             "546297373cbdc613d8d3054501f71c02b4651720477890dfa3f8875067353071")
+
+
+class TestDivisorMaskTable:
+    """The search's divisor-mask table against a per-divisor scan."""
+
+    @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_candidates_and_group_gcds(self, period_set):
+        periods = tuple(sorted(period_set))
+        search = _PartitionSearch(periods, m=3, node_budget=1)
+        divisors_of = [[d for d in range(1, p + 1) if p % d == 0] for p in periods]
+        # Keys in order of first appearance, each mask the periods d divides.
+        assert list(search._divisor_masks) == list(
+            dict.fromkeys(d for divs in divisors_of for d in divs))
+        for d, mask in search._divisor_masks.items():
+            assert mask == sum(1 << i for i, p in enumerate(periods) if p % d == 0)
+            members = [p for i, p in enumerate(periods) if mask >> i & 1]
+            assert search.group_gcd(mask, d) == math.gcd(*members)
+        for divs, candidates in zip(divisors_of, search._candidates):
+            assert [d for d, _ in candidates] == divs
+            assert all(mask == search._divisor_masks[d] for d, mask in candidates)
+
+
+class TestResultRoundTrip:
+    """``optimize`` results survive their JSON form on both solver paths."""
+
+    @given(st.sets(st.integers(min_value=1, max_value=200), min_size=1, max_size=14),
+           st.integers(min_value=1, max_value=5),
+           st.sampled_from([1, DEFAULT_NODE_BUDGET]))
+    @settings(max_examples=120, deadline=None)
+    def test_mapping_objective_and_timer_count(self, period_set, m, budget):
+        result = solve(OptimizationProblem(periods=tuple(period_set), m=m),
+                       node_budget=budget)
+        obj = json.loads(json.dumps(result.to_json()))
+        assert mapping_from_json(obj) == result.mapping
+        assert rational_from_json(obj["objective"]) == result.objective
+        assert result.timers_used == len(result.mapping.used_timers())
+        assert obj["timers_used"] == result.timers_used
 
 
 class TestExportMiqcp:
