@@ -144,7 +144,7 @@ class _PartitionSearch:
             tuple((d, self._divisor_masks[d]) for d in divs) for divs in divisors_of
         ]
 
-    def group_gcd(self, group: int, d: int = 1) -> int:
+    def group_gcd(self, group: int, d: int) -> int:
         """GCD of the periods in ``group``, all of which are multiples of ``d``."""
         periods = self.periods
         low = group & -group
