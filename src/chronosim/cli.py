@@ -38,7 +38,10 @@ def _load_scenario(args) -> dict:
             "presets", f"{args.preset}.json").read_text(encoding="utf-8")
         return json.loads(text)
     if getattr(args, "scenario", None):
-        return model.load_json(args.scenario)
+        scenario = model.load_json(args.scenario)
+        if not isinstance(scenario, dict):
+            raise UsageError(f"scenario {args.scenario} must be a JSON object")
+        return scenario
     raise UsageError("a scenario file or --preset is required")
 
 
@@ -274,6 +277,9 @@ def cmd_report(args) -> int:
             table = sim.SweepTable([_sweep_row(row) for row in csv.DictReader(fh)])
     except OSError as exc:
         raise UsageError(f"cannot read {args.sweep}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # Bytes that are not UTF-8, or a field past the csv module's size limit.
+        raise UsageError(f"malformed sweep CSV {args.sweep}: {exc}") from exc
     if not table.summary():
         raise UsageError(f"{args.sweep} contains no strategy rows")
     print(table.format_summary())

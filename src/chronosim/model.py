@@ -406,12 +406,18 @@ def mapping_from_json(obj: dict) -> Mapping:
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON file; unreadable or malformed files are input errors.
+
+    Malformed covers invalid JSON, bytes that are not UTF-8 and integers past
+    the interpreter's digit limit (all ``ValueError``) and nesting too deep to
+    decode (``RecursionError``).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -18,11 +18,31 @@ on overhead before any job work proceeds, which is what can make dense tick
 configurations unschedulable.  Delay-path cost is accounted but runs in task
 context and does not consume time.
 
+Bookkeeping: task ids are dense 1..n, and at most one job per task is live,
+so the loop keeps per-task tables indexed by task id: the constants (period,
+relative deadline, wcet, release limit), read once per run, and the live job's
+index (-1 when none) and remaining work.  No object is built per release.  The
+ready heap holds (period, time, kind, task, job index) and the deadline heap
+(deadline, task, job index); an entry is stale once its job index is not its
+task's live index, and stale heads are skipped where a head is read.  Ending a
+job, on completion or on a miss, is one helper that retires the task after its
+last release or delays it through the dispatcher.
+
+Each pass of the loop settles the current instant (completion of a finished
+job, the abandon pass, which is skipped unless the earliest deadline is due,
+zero-length jobs, the scheduling decision), runs the completion fast path, and
+then takes one general step.  The general step takes the next event time as a
+running minimum of four instants: the next tick, the running job's
+completion, the earliest live deadline and the slice boundary t + 1 (only
+while a job of equal period waits).  If that lies past the horizon, the run
+advances to the horizon and stops; with no horizon it stops once every task
+has retired.
+
 Completion fast path: between general steps, the running job's completion
 instant t_c (now plus the overhead backlog plus its remaining work) is taken
-directly, without building the candidate list, scanning timers or walking the
-deadline pass, as long as nothing else can happen first.  The loop leaves the
-fast path for the general step when any of these holds:
+directly, without scanning timers or walking the deadline pass, as long as
+nothing else can happen first.  The loop leaves the fast path for the general
+step when any of these holds:
 
 * t_c >= the next interrupt instant (an interrupt at t_c goes first);
 * t_c > the horizon;
@@ -201,15 +221,6 @@ def write_trace_csv(metrics: SimMetrics, fh: TextIO) -> None:
     writer.writerows([_csv_value(v) for v in event] for event in metrics.events)
 
 
-@dataclass(slots=True)
-class _Job:
-    task_id: int
-    release: int
-    deadline: int
-    remaining: int
-    index: int  # k-th timer-driven release; the synchronous start job is k=0
-
-
 def run(config: SimConfig) -> SimMetrics:
     """Simulate one configuration to its horizon or until all tasks retire."""
     task_set = config.task_set
@@ -240,11 +251,26 @@ def run(config: SimConfig) -> SimMetrics:
     weights = config.weights
     interrupt_counts = state.interrupt_ledger.counts
     counter_weights = tuple(weights.weight_of(c) for c in interrupt_counts)
-    tasks = {t.id: t for t in task_set.tasks}
     used_timers = sorted(mapping.used_timers(), key=lambda tc: tc.id)
-    timer_stats = {tc.id: TimerStats(id=tc.id, period=tc.period) for tc in used_timers}
-    next_fire = {tc.id: tc.period for tc in used_timers}
-    next_tick = min(next_fire.values())  # earliest instant some timer fires
+    per_timer = [TimerStats(id=tc.id, period=tc.period) for tc in used_timers]
+    next_fire = [tc.period for tc in used_timers]  # parallel to used_timers
+    next_tick = min(next_fire)  # earliest instant some timer fires
+
+    # Per-task constants and live-job state, indexed by task id (ids are
+    # dense 1..n; slot 0 is unused).  At most one job per task is live: its
+    # index is live[tid] (-1 when none) and its work left is remaining[tid].
+    n_tasks = task_set.n
+    period = [0] * (n_tasks + 1)
+    rel_deadline = [0] * (n_tasks + 1)
+    wcet = [0] * (n_tasks + 1)
+    release_limit: list[int | None] = [None] * (n_tasks + 1)
+    for task in task_set.tasks:
+        period[task.id] = task.period
+        rel_deadline[task.id] = task.deadline
+        wcet[task.id] = task.wcet
+        release_limit[task.id] = task.releases_limit
+    live = [-1] * (n_tasks + 1)
+    remaining = [0] * (n_tasks + 1)
 
     horizon = config.horizon
     time_slice = config.time_slice
@@ -253,8 +279,9 @@ def run(config: SimConfig) -> SimMetrics:
     collect = config.collect_trace
     limit = config.trace_limit
 
-    jobs: dict[int, _Job] = {}
-    retired: set[int] = set()
+    retired = 0  # tasks whose last job has ended; none is live again
+    # Heap entries end in (task, job index); an entry is stale once that job
+    # is no longer its task's live job.
     ready: list[tuple[int, int, int, int, int]] = []  # (period, time, kind, task, job index)
     deadlines: list[tuple[int, int, int]] = []  # (deadline, task, job index)
     zero_length: list[int] = []  # released jobs with no work, in ready order
@@ -279,49 +306,27 @@ def run(config: SimConfig) -> SimMetrics:
         else:
             events_dropped += 1
 
-    def complete_job(tid: int, now: int) -> None:
-        nonlocal jobs_completed
-        job = jobs.pop(tid)
-        jobs_completed += 1
+    def end_job(tid: int, now: int, missed: bool) -> None:
+        """Complete (or, if ``missed``, abandon) the live job of ``tid``, then
+        retire the task after its last release or delay it to its next one."""
+        nonlocal jobs_completed, retired
+        index = live[tid]
+        live[tid] = -1
+        if missed:
+            miss_events.append((now, tid))
+        else:
+            jobs_completed += 1
         if collect:
-            trace(now, "complete", None, tid)
-        limit_k = tasks[tid].releases_limit
-        if limit_k is not None and job.index >= limit_k:
-            retired.add(tid)
+            trace(now, "miss" if missed else "complete", None, tid)
+        limit_k = release_limit[tid]
+        if limit_k is not None and index >= limit_k:
+            retired += 1
             if collect:
                 trace(now, "retire", None, tid)
         else:
             delay_task(state, tid, now)
             if collect:
                 trace(now, "delay", None, tid)
-
-    def abandon_job(tid: int, now: int) -> None:
-        job = jobs.pop(tid)
-        miss_events.append((now, tid))
-        if collect:
-            trace(now, "miss", None, tid)
-        limit_k = tasks[tid].releases_limit
-        if limit_k is not None and job.index >= limit_k:
-            retired.add(tid)
-            if collect:
-                trace(now, "retire", None, tid)
-        else:
-            delay_task(state, tid, now)
-            if collect:
-                trace(now, "delay", None, tid)
-
-    def prune(heap: list) -> None:
-        """Pop entries of jobs that have completed or been abandoned.
-
-        Entries end in (task, job index); the job index identifies the job.
-        """
-        while heap:
-            entry = heap[0]
-            job = jobs.get(entry[-2])
-            if job is None or job.index != entry[-1]:
-                heapq.heappop(heap)
-            else:
-                break
 
     def admit_releases(now: int) -> None:
         """Move dispatcher releases into the ready structure canonically.
@@ -329,134 +334,146 @@ def run(config: SimConfig) -> SimMetrics:
         ``take_ready`` yields (period, task id) order, which is the ready-heap
         order of jobs released at one instant; zero-length jobs keep it.
         """
-        if not state.ready:
-            return
         for tid in state.take_ready():
-            task = tasks[tid]
-            job = _Job(tid, now, now + task.deadline, task.wcet, now // task.period)
-            jobs[tid] = job
-            if job.remaining == 0:
+            index = live[tid] = now // period[tid]
+            work = remaining[tid] = wcet[tid]
+            if work == 0:
                 zero_length.append(tid)
             else:
-                heapq.heappush(ready, (task.period, now, 1, tid, job.index))
-                heapq.heappush(deadlines, (job.deadline, tid, job.index))
+                heapq.heappush(ready, (period[tid], now, 1, tid, index))
+                heapq.heappush(deadlines, (now + rel_deadline[tid], tid, index))
             if collect and now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
                 trace(now, "release", state.tasks[tid].timer_id, tid)
 
-    def drain_and_schedule(now: int) -> None:
-        nonlocal running, running_since
-        # Zero-length jobs complete at release without occupying the CPU.
-        for tid in zero_length:
-            complete_job(tid, now)
-        zero_length.clear()
-        prune(ready)
-        if not ready:
-            return
-        top_period = ready[0][0]
-        if running is None:
-            running = heapq.heappop(ready)[3]
-            running_since = now
-        elif top_period < tasks[running].period:
-            job = jobs[running]
-            heapq.heappush(ready, (tasks[running].period, now, 0, running, job.index))
-            if collect:
-                trace(now, "preempt", None, running)
-            running = heapq.heappop(ready)[3]
-            running_since = now
-        elif (time_slice and top_period == tasks[running].period
-              and now - running_since >= 1):
-            job = jobs[running]
-            heapq.heappush(ready, (tasks[running].period, now, 2, running, job.index))
-            running = heapq.heappop(ready)[3]
-            running_since = now
-
-    def advance(start: int, end: int) -> None:
-        nonlocal pending_cost, busy_time, idle_time, overhead_time
-        span = end - start
-        if span <= 0:
-            return
-        spent = 0
-        if as_time:
-            spent = min(span, pending_cost // scale)
-            pending_cost -= spent * scale
-            overhead_time += spent
-        rest = span - spent
-        if running is not None:
-            work = min(rest, jobs[running].remaining)
-            jobs[running].remaining -= work
-            busy_time += work
-            rest -= work
-        idle_time += rest
-
     # The synchronous start: every task is ready with its k=0 job.
     admit_releases(0)
-    drain_and_schedule(0)
     t = 0
 
     while True:
+        # Settle instant t: the running job completes if its work is done,
+        # live jobs whose deadline is due are abandoned in ascending task id,
+        # zero-length jobs complete without occupying the CPU, and the
+        # scheduler picks the next job.
+        if running is not None and remaining[running] == 0:
+            end_job(running, t, False)
+            running = None
+        if deadlines and deadlines[0][0] <= t:
+            late: list[int] = []
+            while deadlines and deadlines[0][0] <= t:
+                _, tid, index = heapq.heappop(deadlines)
+                if live[tid] == index:
+                    late.append(tid)
+            for tid in sorted(late):
+                if tid == running:
+                    running = None
+                end_job(tid, t, True)
+        if zero_length:
+            for tid in zero_length:
+                end_job(tid, t, False)
+            zero_length.clear()
+        while ready and live[ready[0][3]] != ready[0][4]:
+            heapq.heappop(ready)
+        if ready:
+            top_period = ready[0][0]
+            if running is None:
+                running = heapq.heappop(ready)[3]
+                running_since = t
+            elif top_period < period[running]:
+                heapq.heappush(ready, (period[running], t, 0, running, live[running]))
+                if collect:
+                    trace(t, "preempt", None, running)
+                running = heapq.heappop(ready)[3]
+                running_since = t
+            elif (time_slice and top_period == period[running]
+                  and t - running_since >= 1):
+                heapq.heappush(ready, (period[running], t, 2, running, live[running]))
+                running = heapq.heappop(ready)[3]
+                running_since = t
+
         # Completion fast path (module docstring): complete the running job
         # directly while nothing else can happen at or before its completion.
         while running is not None:
-            job = jobs[running]
             backlog = pending_cost // scale if as_time else 0
-            t_c = t + backlog + job.remaining
+            work = remaining[running]
+            t_c = t + backlog + work
             if t_c >= next_tick or (horizon is not None and t_c > horizon):
                 break
             # Every heap entry, stale or live, is no earlier than the top.
             if deadlines and deadlines[0][0] <= t_c:
-                prune(deadlines)
+                while deadlines and live[deadlines[0][1]] != deadlines[0][2]:
+                    heapq.heappop(deadlines)
                 if deadlines and deadlines[0][0] <= t_c:
                     break
-            prune(ready)
-            # A slice boundary at t_c itself has no effect: the job completes first.
-            if (time_slice and ready and ready[0][0] == tasks[running].period
-                    and max(running_since + 1, t + 1) < t_c):
+            while ready and live[ready[0][3]] != ready[0][4]:
+                heapq.heappop(ready)
+            # The slice boundary is t + 1; one at t_c itself has no effect,
+            # the job completes first.
+            if time_slice and ready and ready[0][0] == period[running] and t + 1 < t_c:
                 break
             if backlog:
                 pending_cost -= backlog * scale
                 overhead_time += backlog
-            busy_time += job.remaining
-            job.remaining = 0
+            busy_time += work
+            remaining[running] = 0
             t = t_c
-            complete_job(running, t)
+            end_job(running, t, False)
             if ready:
                 running = heapq.heappop(ready)[3]
                 running_since = t
             else:
                 running = None
 
-        if horizon is None and len(retired) == len(tasks) and running is None and not jobs:
+        # General step: the next event is the earliest of the next tick, the
+        # running job's completion, the earliest live deadline and the slice
+        # boundary.  Unless the run has ended, some timer always fires next.
+        if horizon is None and retired == n_tasks:
             break
-        candidates: list[int] = []
-        if horizon is not None or len(retired) < len(tasks):
-            candidates.append(next_tick)
+        t_next = next_tick
         if running is not None:
-            backlog = pending_cost // scale if as_time else 0
-            candidates.append(t + backlog + jobs[running].remaining)
-        prune(deadlines)
-        if deadlines:
-            candidates.append(deadlines[0][0])
-        prune(ready)
-        if (time_slice and running is not None and ready
-                and ready[0][0] == tasks[running].period):
-            candidates.append(max(running_since + 1, t + 1))
-        if horizon is not None:
-            candidates = [c for c in candidates if c <= horizon]
-            if not candidates:
-                advance(t, horizon)
-                t = horizon
+            t_c = t + (pending_cost // scale if as_time else 0) + remaining[running]
+            if t_c < t_next:
+                t_next = t_c
+        while deadlines:
+            deadline, tid, index = deadlines[0]
+            if live[tid] == index:
+                if deadline < t_next:
+                    t_next = deadline
                 break
-        elif not candidates:
-            break
-        t_next = min(candidates)
-        advance(t, t_next)
+            heapq.heappop(deadlines)
+        while ready and live[ready[0][3]] != ready[0][4]:
+            heapq.heappop(ready)
+        # A job starts at the current instant or earlier (running_since <= t),
+        # so its slice boundary max(running_since + 1, t + 1) is t + 1.
+        if (time_slice and running is not None and ready
+                and ready[0][0] == period[running] and t + 1 < t_next):
+            t_next = t + 1
+        cut = horizon is not None and t_next > horizon
+        if cut:
+            t_next = horizon
+        # Advance to t_next: overhead backlog first, then the running job's
+        # work, and the rest is idle.
+        span = t_next - t
+        if span > 0:
+            if as_time:
+                spent = min(span, pending_cost // scale)
+                pending_cost -= spent * scale
+                overhead_time += spent
+                span -= spent
+            if running is not None:
+                work = min(span, remaining[running])
+                remaining[running] -= work
+                busy_time += work
+                span -= work
+            idle_time += span
         t = t_next
+        if cut:
+            break
 
         # Interrupts fire in ascending timer order; each charges its own entry.
         if t == next_tick:
-            for tc in used_timers:
-                if next_fire[tc.id] != t:
+            for i, tc in enumerate(used_timers):
+                if next_fire[i] != t:
                     continue
                 skips_before = len(state.skip_events)
                 released = tick(state, tc.id)
@@ -467,7 +484,7 @@ def run(config: SimConfig) -> SimMetrics:
                                     counter_weights))
                     pending_cost += total - charged_cost
                     charged_cost = total
-                stats = timer_stats[tc.id]
+                stats = per_timer[i]
                 stats.interrupts += 1
                 if released:
                     stats.required += 1
@@ -475,28 +492,12 @@ def run(config: SimConfig) -> SimMetrics:
                     trace(t, "interrupt", tc.id, None)
                     for _, timer_id, tid in state.skip_events[skips_before:]:
                         trace(t, "skip", timer_id, tid)
-                next_fire[tc.id] += tc.period
-            next_tick = min(next_fire.values())
-        admit_releases(t)
-
-        if running is not None and jobs[running].remaining == 0:
-            complete_job(running, t)
-            running = None
-        # Live jobs whose deadline is due are abandoned in ascending task id.
-        late: list[int] = []
-        while deadlines and deadlines[0][0] <= t:
-            _, tid, jidx = heapq.heappop(deadlines)
-            job = jobs.get(tid)
-            if job is not None and job.index == jidx:
-                late.append(tid)
-        for tid in sorted(late):
-            if tid == running:
-                running = None
-            abandon_job(tid, t)
-        drain_and_schedule(t)
+                next_fire[i] += tc.period
+            next_tick = min(next_fire)
+        if state.ready:
+            admit_releases(t)
 
     total_time = t
-    per_timer = [timer_stats[tc.id] for tc in used_timers]
     total_interrupts = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)
     interrupt_cost = state.interrupt_ledger.total(weights)

@@ -474,3 +474,47 @@ class TestSweepAndReport:
 
     def test_report_on_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == 2
+
+
+class TestMalformedFiles:
+    """Files that cannot be decoded exit 2 with a message, never a traceback."""
+
+    COMMANDS = {
+        "generate": ["generate", "{}", "--out", "{out}"],
+        "optimize": ["optimize", "{}", "--timers", "2", "--out", "{out}"],
+        "simulate": ["simulate", "{}", "--strategy", "baseline", "--out", "{out}"],
+        "sweep": ["sweep", "{}", "--out", "{out}"],
+    }
+    JSON_FILES = {
+        "not_utf8": b'{"tasks": [\xff]}',
+        "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+        "integer_past_digit_limit": b'{"tasks": [{"id": ' + b"9" * 5000 + b"}]}",
+    }
+
+    @pytest.mark.parametrize("content", sorted(JSON_FILES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_undecodable_json_exit_two(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(self.JSON_FILES[content])
+        argv = [arg.format(str(path), out=str(tmp_path / "out"))
+                for arg in self.COMMANDS[command]]
+        assert main(argv) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_scenario_that_is_not_an_object_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[]")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_report_on_non_utf8_csv_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"factor,strategy\n1,\xff\n")
+        assert main(["report", str(path)]) == 2
+        assert "malformed sweep CSV" in capsys.readouterr().err
+
+    def test_report_on_oversized_csv_field_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text("factor,strategy\n1," + "x" * 200_000 + "\n")
+        assert main(["report", str(path)]) == 2
+        assert "malformed sweep CSV" in capsys.readouterr().err

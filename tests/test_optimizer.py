@@ -337,6 +337,72 @@ class TestSearchWorkPins:
             "546297373cbdc613d8d3054501f71c02b4651720477890dfa3f8875067353071")
 
 
+def milp_divisors(periods, m):
+    """Each period's timer period in an optimum of the set-cover MILP.
+
+    A binary y_g for every divisor g of any period and a binary x_{p,g} for
+    each g | p; sum_g x_{p,g} = 1, x_{p,g} <= y_g, sum_g y_g <= m; minimise
+    sum_g y_g / g.  Solved by scipy's HiGHS with no relative gap.
+    """
+    np = pytest.importorskip("numpy")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    divisors = sorted({g for p in periods for g in range(1, p + 1) if p % g == 0})
+    column = {g: i for i, g in enumerate(divisors)}
+    pairs = [(p, g) for p in periods for g in divisors if p % g == 0]
+    n_vars = len(divisors) + len(pairs)
+    cost = np.zeros(n_vars)
+    cost[:len(divisors)] = [1 / g for g in divisors]
+    rows = np.zeros((len(periods) + len(pairs) + 1, n_vars))
+    lower = np.zeros(len(rows))
+    upper = np.zeros(len(rows))
+    row_of = {p: i for i, p in enumerate(periods)}
+    for k, (p, g) in enumerate(pairs):
+        x = len(divisors) + k
+        rows[row_of[p], x] = 1                     # sum_g x_{p,g} = 1
+        rows[len(periods) + k, x] = 1              # x_{p,g} - y_g <= 0
+        rows[len(periods) + k, column[g]] = -1
+    lower[:len(periods)] = upper[:len(periods)] = 1
+    lower[len(periods):] = -np.inf
+    rows[-1, :len(divisors)] = 1                   # sum_g y_g <= m
+    upper[-1] = m
+    res = scipy_optimize.milp(
+        cost, constraints=scipy_optimize.LinearConstraint(rows, lower, upper),
+        integrality=np.ones(n_vars), bounds=scipy_optimize.Bounds(0, 1),
+        options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    return {p: g for k, (p, g) in enumerate(pairs) if res.x[len(divisors) + k] > 0.5}
+
+
+class TestMilpOracle:
+    """``solve`` against an exact MILP beyond ``brute_force_reference``'s
+    10-period bound (test-only; needs scipy)."""
+
+    def test_exact_solve_matches_the_milp_optimum(self):
+        # Periods in [2, 120] that are multiples of two to four small bases,
+        # so most optima use several timers; only instances that ``solve``
+        # completes (method "exact") are checked.
+        rng = random.Random(9)
+        checked = 0
+        for _ in range(200):
+            bases = rng.sample(range(2, 13), rng.randint(2, 4))
+            pool = [p for p in range(2, 121) if any(p % b == 0 for b in bases)]
+            problem = OptimizationProblem(
+                periods=tuple(rng.sample(pool, rng.randint(11, min(24, len(pool))))),
+                m=rng.randint(2, 6))
+            result = solve(problem)
+            if result.method != "exact":
+                continue
+            chosen = milp_divisors(problem.periods, problem.m)
+            assert sorted(chosen) == list(problem.periods)
+            assert len(set(chosen.values())) <= problem.m
+            assert sum(Fraction(1, g) for g in set(chosen.values())) == \
+                result.objective, problem
+            checked += 1
+            if checked == 30:
+                break
+        assert checked == 30
+
+
 class TestDivisorMaskTable:
     """The search's divisor-mask table against a per-divisor scan."""
 

@@ -650,6 +650,16 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def grouped_mapping(task_set, k, assignment, pick):
+    """Timers 1..k, each task on its assigned timer; a timer's period is
+    ``pick(divisors of its group's GCD)``, and 1 for a timer with no task."""
+    timers = []
+    for j in range(1, k + 1):
+        group = [t.period for t in task_set.tasks if assignment[t.id] == j]
+        timers.append(TimerConfig(j, pick(divisors(math.gcd(*group) or 1))))
+    return Mapping(timers=tuple(timers), assignment=assignment)
+
+
 def seeded_config(rng):
     """One random traced run for ``TestSeededRunsPin``.
 
@@ -681,11 +691,7 @@ def seeded_config(rng):
     else:
         k = rng.randint(1, 3)
         assignment = {t.id: rng.randint(1, k) for t in ts.tasks}
-        timers = []
-        for j in range(1, k + 1):
-            group = [t.period for t in ts.tasks if assignment[t.id] == j]
-            timers.append(TimerConfig(j, rng.choice(divisors(math.gcd(*group) or 1))))
-        mapping = Mapping(timers=tuple(timers), assignment=assignment)
+        mapping = grouped_mapping(ts, k, assignment, rng.choice)
     return SimConfig(
         task_set=ts, strategy=strategy, mapping=mapping, horizon=horizon,
         period_factor=factor, time_slice=rng.random() < 0.5,
@@ -728,7 +734,12 @@ TRACE_FIELDS = ("events", "events_dropped")
 
 @st.composite
 def sim_configs(draw):
-    """Small runs of every strategy, with and without horizon and overhead."""
+    """Small runs of every strategy, with and without horizon and overhead.
+
+    The multi-timer strategies run on 1..3 timers, so several timers can fire
+    at one instant.  Chronos-harmonic is drawn only with harmonic periods,
+    which makes every group a harmonic chain.
+    """
     harmonic = draw(st.booleans())
     base = draw(st.sampled_from([1, 2, 3]))
     periods = (st.sampled_from([base, 2 * base, 4 * base, 8 * base]) if harmonic
@@ -747,13 +758,18 @@ def sim_configs(draw):
     if harmonic:
         choices.append(Strategy.CHRONOS_HARMONIC)
     strategy = draw(st.sampled_from(choices))
-    gcd = math.gcd(*ts.periods())
-    timer_period = draw(st.sampled_from([d for d in range(1, gcd + 1) if gcd % d == 0]))
+    factor, mapping = 1, None
+    if strategy is Strategy.BASELINE:
+        factor = draw(st.sampled_from(divisors(math.gcd(*ts.periods()))))
+    else:
+        k = draw(st.integers(min_value=1, max_value=3))
+        assignment = {t.id: draw(st.integers(min_value=1, max_value=k))
+                      for t in ts.tasks}
+        mapping = grouped_mapping(ts, k, assignment,
+                                  lambda seq: draw(st.sampled_from(seq)))
     return SimConfig(
-        task_set=ts, strategy=strategy,
-        mapping=(None if strategy is Strategy.BASELINE
-                 else single_timer_mapping(ts, period=timer_period)),
-        period_factor=timer_period, horizon=horizon,
+        task_set=ts, strategy=strategy, mapping=mapping,
+        period_factor=factor, horizon=horizon,
         time_slice=draw(st.booleans()), overhead_as_time=draw(st.booleans()),
         time_scale=draw(st.sampled_from([1, 4, 100])),
         trace_limit=draw(st.sampled_from([3, 100_000])))
