@@ -708,12 +708,8 @@ SEEDED_RUNS_PIN = "8bd08eba642be371e8ccc69d64b2844d06c32d3a35a12df6371a9eb23228b
 
 
 class TestSeededRunsPin:
-    """A differential pin over many small random runs.
-
-    The value was taken before the scheduler loop's bookkeeping was
-    rewritten; any change to an output, a ledger counter or the trace of any
-    of these runs moves it.
-    """
+    """A differential pin over many small random runs: any change to an
+    output, a ledger counter or the trace of any of them moves it."""
 
     def test_digest_over_seeded_configurations(self):
         rng = random.Random(20260)
