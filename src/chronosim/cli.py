@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 bad input, 3 inconsistent configuration, 4 internal
 error.  ``optimize`` additionally exits 5 when the mapping is not proven
-optimal: the partition search ran out of its node budget and the greedy
-fallback produced the mapping.  Scenario files plus a seed fully determine
-every output byte.
+optimal: the partition search ran out of its node budget, and the mapping is
+the best partition it assembled from the states it evaluated.  Scenario files
+plus a seed fully determine every output byte.
 """
 
 from __future__ import annotations
@@ -138,16 +138,22 @@ def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
 
 
 def _sweep_row(row: dict) -> sim.SweepRow:
-    """The columns of one sweep CSV row that the summary reads."""
+    """The columns of one sweep CSV row that the summary reads.
+
+    An overhead ratio must be positive and representable as a float: the
+    summary takes its logarithm and prints it as a float.
+    """
     try:
-        ratio = row["overhead_ratio"]
+        ratio = Fraction(row["overhead_ratio"]) if row["overhead_ratio"] else None
+        if ratio is not None and not float(ratio) > 0:
+            raise ValueError("overhead_ratio is not positive")
         return sim.SweepRow(
             factor=int(row["factor"]),
             strategy=row["strategy"],
-            overhead_ratio=Fraction(ratio) if ratio else None,
+            overhead_ratio=ratio,
             schedulable_class=row["schedulable_class"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed sweep row: {row!r}") from exc
 
 

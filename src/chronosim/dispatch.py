@@ -126,7 +126,7 @@ class _TimerRuntime:
     timer_id: int
     period: int
     tick: int = 0
-    next_release: int = TIME_MAX
+    next_release: int = TIME_MAX                            # unread by the slot routine
     queue: list[int] = field(default_factory=list)          # sorted or append order
     keys: list[int] = field(default_factory=list)           # sorted: next releases
     slot_owners: tuple[int, ...] = ()                       # harmonic, by period rank
@@ -212,19 +212,29 @@ class DispatcherState:
                 f"timer {timer_id}: tick {ts.tick} is not a multiple of {ts.period}"
             )
         if self.strategy is Strategy.CHRONOS_HARMONIC:
-            pending = [self.tasks[t].next_release for t in ts.slots if t is not None]
-        else:
-            pending = [self.tasks[t].next_release for t in ts.queue]
-            if self.strategy is not Strategy.CHRONOS_CONST:
-                if pending != sorted(pending):
+            # The slot routine reads no cached release: it relies on each
+            # occupied slot holding its own task, due after the last tick.
+            for owner, occupant in zip(ts.slot_owners, ts.slots):
+                if occupant is not None and (
+                        occupant != owner
+                        or self.tasks[occupant].next_release <= ts.tick):
                     raise InvariantViolation(
-                        f"timer {timer_id}: delayed list is not sorted: {pending}"
+                        f"timer {timer_id}, tick {ts.tick}: the slot of task "
+                        f"{owner} holds task {occupant}, due at "
+                        f"{self.tasks[occupant].next_release}"
                     )
-                if pending != ts.keys:
-                    raise InvariantViolation(
-                        f"timer {timer_id}: release keys {ts.keys} do not match "
-                        f"the delayed list's next releases {pending}"
-                    )
+            return
+        pending = [self.tasks[t].next_release for t in ts.queue]
+        if self.strategy is not Strategy.CHRONOS_CONST:
+            if pending != sorted(pending):
+                raise InvariantViolation(
+                    f"timer {timer_id}: delayed list is not sorted: {pending}"
+                )
+            if pending != ts.keys:
+                raise InvariantViolation(
+                    f"timer {timer_id}: release keys {ts.keys} do not match "
+                    f"the delayed list's next releases {pending}"
+                )
         expected = min(pending) if pending else TIME_MAX
         if ts.next_release != expected:
             raise InvariantViolation(
@@ -354,10 +364,6 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
         released.append(occupant)
     counts["ready_insert"] += len(released)
     state.ready.extend(released)
-    # Bookkeeping only (the routine itself never consults the cache): keep
-    # the cached next release coherent for the stated state invariant.
-    ts.next_release = min(
-        (tasks[t].next_release for t in slots if t is not None), default=TIME_MAX)
     if state.check_invariants:
         state._check(timer_id)
     return released

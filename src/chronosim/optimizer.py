@@ -19,9 +19,12 @@ GCD divides, and a state uses at most m timers, so the comparison is exact
 and carries the fewer-timers tie-break.  The rational objective is built
 once from the chosen groups.  Each candidate group's scaled rate is cached by
 group mask, and its GCD is computed with an early exit at the divisor that
-cut the group.  The search runs under a node budget; a result is reported
-as exact exactly when the search completed, and as heuristic when the budget
-ran out.  The literal mixed-integer model is still available through
+cut the group.  The search runs under a node budget.  A state reached after
+the budget is spent is not expanded; its value is its whole remaining set on
+one timer.  So the search always finishes with a feasible partition: the
+proven optimum, reported as exact, when the search completed, and otherwise
+the best partition assembled from the states it evaluated, reported as
+heuristic.  The literal mixed-integer model is still available through
 :func:`export_miqcp` for external validation.
 """
 
@@ -97,10 +100,6 @@ class OptimizationResult:
         }
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _PartitionSearch:
     """Memoized DP over (remaining period bitmask, timers left).
 
@@ -165,65 +164,68 @@ class _PartitionSearch:
         return value
 
     def best(self, mask: int, timers_left: int) -> int:
-        """Minimal value of covering ``mask`` with at most ``timers_left`` timers.
+        """Best value found for ``mask`` on at most ``timers_left`` timers.
 
         Counts one node.  The caller has found ``(mask, timers_left)`` missing
         from the memo, with ``mask`` nonempty and ``timers_left`` already cut
         to ``1 <= timers_left <= popcount(mask)``.  Every such state is
-        feasible: the whole of ``mask`` on one timer always is.
+        feasible: the whole of ``mask`` on one timer always is.  Once the node
+        budget is spent, a new state is not expanded: its value is that one
+        group, and ``stats.nodes`` stays at ``node_budget + 1``.  So every
+        memo value is the value of a feasible partition, and it is the
+        minimum whenever the search completed.
         """
         stats = self.stats
-        stats.nodes += 1
-        if stats.nodes > self.node_budget:
-            raise _BudgetExceeded
-        candidates = self._candidates[(mask & -mask).bit_length() - 1]
         group_values = self._group_values
         best = group_values.get(mask)
         if best is None:
             best = self.group_value(mask)
+        if stats.nodes >= self.node_budget:
+            stats.nodes = self.node_budget + 1
+            stats.subsets += 1
+            self._memo[timers_left][mask] = best
+            return best
+        stats.nodes += 1
+        candidates = self._candidates[(mask & -mask).bit_length() - 1]
         if timers_left == 1:
             # Any smaller group would leave periods without a timer.
             seen = {divisor_mask & mask for _, divisor_mask in candidates}
-            stats.subsets += len(seen)
         else:
             memo = self._memo
             below = timers_left - 1
             seen = {mask}
-            try:
-                for d, divisor_mask in candidates:
-                    sub = divisor_mask & mask
-                    if sub in seen:
-                        continue   # distinct divisors yielding the same group
-                    seen.add(sub)
-                    rest = mask ^ sub
-                    left = rest.bit_count()
-                    if left > below:
-                        left = below
-                    value = memo[left].get(rest)
-                    if value is None:
-                        value = self.best(rest, left)
-                    group_value = group_values.get(sub)
-                    if group_value is None:
-                        group_value = self.group_value(sub, d)
-                    value += group_value
-                    if value < best:
-                        best = value
-            finally:
-                # Counted on the way out of a budget cut as well, so the
-                # total is every candidate group tried, as if counted one by
-                # one before its recursion.
-                stats.subsets += len(seen)
+            for d, divisor_mask in candidates:
+                sub = divisor_mask & mask
+                if sub in seen:
+                    continue   # distinct divisors yielding the same group
+                seen.add(sub)
+                rest = mask ^ sub
+                left = rest.bit_count()
+                if left > below:
+                    left = below
+                value = memo[left].get(rest)
+                if value is None:
+                    value = self.best(rest, left)
+                group_value = group_values.get(sub)
+                if group_value is None:
+                    group_value = self.group_value(sub, d)
+                value += group_value
+                if value < best:
+                    best = value
+        stats.subsets += len(seen)
         self._memo[timers_left][mask] = best
         return best
 
     def reconstruct(self) -> list[int]:
-        """Search from the full set, then walk optimal states to the groups.
+        """Search from the full set, then walk the memoized states to the groups.
 
-        Among candidate groups achieving the optimum, the winner is the one
-        containing the earliest period at which the memberships differ.
+        Among candidate groups achieving a state's value, the winner is the
+        one containing the earliest period at which the memberships differ.
         Every state the walk visits was memoized by the search, so the walk
         adds no node, and a group that two divisors both yield ties with
-        itself.
+        itself.  A candidate whose group or rest the search never evaluated
+        (the candidates of a state left unexpanded by a budget cut) is
+        skipped; the state's own value is its whole mask, which always was.
         """
         mask = (1 << self.n) - 1
         timers_left = min(self.m, self.n)
@@ -236,9 +238,13 @@ class _PartitionSearch:
                 rest = mask ^ sub
                 if rest and timers_left == 1:
                     continue
-                value = self._group_values[sub]
+                value = self._group_values.get(sub)
                 if rest:
-                    value += self._memo[min(timers_left - 1, rest.bit_count())][rest]
+                    left = min(timers_left - 1, rest.bit_count())
+                    rest_value = self._memo[left].get(rest)
+                    if value is None or rest_value is None:
+                        continue
+                    value += rest_value
                 if value != target:
                     continue
                 # The lowest period in exactly one of the two groups decides.
@@ -311,22 +317,16 @@ def solve(problem: OptimizationProblem,
 
     Runs the divisor-closed partition search under ``node_budget``.  When the
     search completes, the result is the proven optimum and its method is
-    ``"exact"``.  When the budget runs out (``stats.nodes`` then exceeds it),
-    greedy extraction of the densest divisor-closed group takes over; that
-    result is never worse than the trivial single-group mapping, and its
-    method is ``"heuristic"``.
+    ``"exact"``.  When the budget runs out (``stats.nodes`` is then
+    ``node_budget + 1``), every state reached after that point counts its
+    whole remaining set as one group, so the result is the best partition
+    the search can assemble from what it evaluated, never worse than the
+    single-group mapping, and its method is ``"heuristic"``.
     """
     search = _PartitionSearch(problem.periods, problem.m, node_budget)
-    try:
-        group_masks = search.reconstruct()
-    except _BudgetExceeded:
-        group_masks = _greedy_extract(search)
-        # Never worse than the single group; on a tie the greedy groups stay.
-        full = (1 << len(problem.periods)) - 1
-        if search.group_value(full) < sum(map(search.group_value, group_masks)):
-            group_masks = [full]
-        return _build_result(problem, group_masks, search.stats, "heuristic")
-    return _build_result(problem, group_masks, search.stats, "exact")
+    group_masks = search.reconstruct()
+    method = "heuristic" if search.stats.nodes > node_budget else "exact"
+    return _build_result(problem, group_masks, search.stats, method)
 
 
 def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
@@ -379,36 +379,6 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
                 mask |= 1 << i
         group_masks.append(mask)
     return _build_result(problem, group_masks, stats, "brute-force")
-
-
-def _greedy_extract(search: _PartitionSearch) -> list[int]:
-    """Repeatedly take the divisor-closed group with the best rate per period.
-
-    The key ``(-g * size, -size, mask)`` orders groups as ``(1 / (g * size),
-    -size, mask)`` would, without building a fraction per group.
-    """
-    remaining = (1 << search.n) - 1
-    groups: list[int] = []
-    while remaining:
-        if search.m - len(groups) <= 1:
-            groups.append(remaining)
-            break
-        best_key: tuple[int, int, int] | None = None
-        seen: set[int] = set()
-        for d, mask in search._divisor_masks.items():
-            sub = mask & remaining
-            if not sub or sub in seen:
-                continue
-            seen.add(sub)
-            size = sub.bit_count()
-            key = (-search.group_gcd(sub, d) * size, -size, sub)
-            if best_key is None or key < best_key:
-                best_key = key
-        search.stats.subsets += len(seen)
-        assert best_key is not None
-        groups.append(best_key[2])
-        remaining ^= best_key[2]
-    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import chronosim
 from chronosim.cli import PRESETS, main
 from chronosim.model import dump_json, load_json, task_set_from_json
 from chronosim.optimizer import DEFAULT_NODE_BUDGET
@@ -513,8 +518,29 @@ class TestMalformedFiles:
         assert main(["report", str(path)]) == 2
         assert "malformed sweep CSV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["0", "-2", "1e400"])
+    def test_report_on_ratio_not_a_positive_float_exit_two(self, tmp_path, capsys,
+                                                             ratio):
+        path = tmp_path / "sweep.csv"
+        path.write_text("factor,strategy,overhead_ratio,schedulable_class\n"
+                        f"1,chronos,{ratio},schedulable\n")
+        assert main(["report", str(path)]) == 2
+        assert "malformed sweep row" in capsys.readouterr().err
+
     def test_report_on_oversized_csv_field_exit_two(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         path.write_text("factor,strategy\n1," + "x" * 200_000 + "\n")
         assert main(["report", str(path)]) == 2
         assert "malformed sweep CSV" in capsys.readouterr().err
+
+
+class TestStdlibOnly:
+    def test_cli_import_loads_no_third_party_module(self):
+        # The test suite uses numpy, scipy and hypothesis; the runtime must not.
+        src = str(Path(chronosim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, chronosim.cli; print(sorted({name.split('.')[0] "
+                "for name in sys.modules} & {'numpy', 'scipy', 'hypothesis'}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"

@@ -163,6 +163,19 @@ class TestTickChronosHarmonic:
         flagged = [(t, task) for t, _, task in state.skip_events]
         assert (6, 1) in flagged and (9, 1) in flagged and (12, 1) in flagged
 
+    def test_task_in_another_tasks_slot_detected_in_checked_mode(self):
+        state = self.build_chain()
+        slots = state.timers[1].slots
+        slots[1], slots[2] = slots[2], slots[1]   # tau2 and tau3 swap slots
+        with pytest.raises(InvariantViolation, match="the slot of task 2 holds task 3"):
+            tick_chronos_harmonic(state, 1)
+
+    def test_slotted_task_already_due_detected_in_checked_mode(self):
+        state = self.build_chain()
+        state.tasks[2].next_release = 3           # due at tick 3, yet slot 1 is not
+        with pytest.raises(InvariantViolation, match="holds task 2, due at 3"):
+            tick_chronos_harmonic(state, 1)
+
     def test_inspections_bounded_by_group_size(self):
         state = self.build_chain()
         for _ in range(32):

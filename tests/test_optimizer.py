@@ -1,4 +1,4 @@
-"""Budgeted solver vs brute force, fallback guarantees, and the model export."""
+"""Budgeted solver vs brute force, budget-cut guarantees, and the model export."""
 
 import hashlib
 import json
@@ -28,6 +28,16 @@ def random_problem(rng, max_n=8, max_period=30, max_m=4):
     n = rng.randint(1, max_n)
     periods = rng.sample(range(1, max_period + 1), n)
     return OptimizationProblem(periods=tuple(periods), m=rng.randint(1, max_m))
+
+
+def divisor_rich(lo, hi, min_divisors):
+    return [p for p in range(lo, hi + 1)
+            if sum(1 for d in range(1, p + 1) if p % d == 0) >= min_divisors]
+
+
+def partition_shaped(m, n):
+    """``n`` periods drawn with seed ``m`` from [60, 1000], six divisors up."""
+    return random.Random(m).sample(divisor_rich(60, 1000, 6), n)
 
 
 def result_shape(result):
@@ -176,11 +186,12 @@ class TestExactMatchesBruteForce:
             assert expected_interrupt_rate(result.mapping) == result.objective
 
 
-class TestGreedyHeuristic:
-    """The fallback taken when the search runs out of its node budget."""
+class TestBudgetCut:
+    """The search's result when it runs out of its node budget."""
 
     def test_coprime_triple_falls_back_to_single_group(self):
-        # Greedy extraction gives 1/5 + 1/3 + 1/2 > 1; the guard keeps gcd 1.
+        # Splitting off {2} leaves {3, 5} unexpanded on one gcd-1 timer:
+        # 1/2 + 1 > 1, so the single gcd-1 group wins.
         result = solve(OptimizationProblem(periods=(2, 3, 5), m=3), node_budget=1)
         assert result.method == "heuristic"
         assert result.objective == Fraction(1)
@@ -223,7 +234,7 @@ class TestGreedyHeuristic:
         assert result.objective == Fraction(886, 1155)
         assert sorted(tc.period for tc in result.mapping.used_timers()) == [3, 5, 7, 11]
 
-    def test_budget_exhaustion_falls_back_to_extraction(self):
+    def test_budget_exhaustion_returns_a_feasible_partition(self):
         periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
         result = solve(
             OptimizationProblem(periods=tuple(periods), m=4), node_budget=1)
@@ -284,45 +295,64 @@ class TestSearchWorkPins:
         )
 
     def test_budget_exhausted_divisor_rich_periods(self):
-        periods = [p for p in range(60, 351)
-                   if sum(1 for d in range(1, p + 1) if p % d == 0) >= 12][:48]
+        periods = divisor_rich(60, 350, 12)[:48]
         result = solve(OptimizationProblem(periods=tuple(periods), m=10))
         assert result.method == "heuristic"
         assert (result.stats.nodes, result.stats.subsets) == (
-            DEFAULT_NODE_BUDGET + 1, 138426)
-        assert result.objective == Fraction(8494007149, 15579194400)
+            DEFAULT_NODE_BUDGET + 1, 137661)
+        assert result.objective == Fraction(3283919, 15315300)
         assert result.groups == (
-            (350,), (348,), (342,), (340,), (84, 168, 252, 336), (330,),
-            (108, 216, 324), (160, 320), (315,),
-            (60, 72, 90, 96, 120, 126, 132, 140, 144, 150, 156, 180, 192, 198,
-             200, 204, 210, 220, 224, 228, 234, 240, 260, 264, 270, 276, 280,
-             288, 294, 300, 306, 308, 312),
+            (60, 72, 84, 90, 96, 108, 120, 126, 132, 144, 150, 156, 168, 180,
+             192, 198, 204, 210, 216, 228, 234, 240, 252, 264, 270, 276, 288,
+             294, 300, 306, 312, 324, 330, 336, 342, 348), (140, 280, 350),
+            (160, 320), (200,), (220,), (224,), (260,), (308,), (315,), (340,),
         )
 
-
-    @staticmethod
-    def _divisor_rich(lo, hi, min_divisors):
-        return [p for p in range(lo, hi + 1)
-                if sum(1 for d in range(1, p + 1) if p % d == 0) >= min_divisors]
+    # Per timer budget m: the objective and groups of the budgeted search.
+    PARTITION_SHAPED = {
+        10: (Fraction(370526659631, 705705354900), (
+            (75, 330, 345, 390, 840, 990), (98, 539, 882, 980),
+            (99, 108, 144, 306, 351, 369, 477, 486, 702, 837), (200, 208, 232,
+             244, 316, 424, 440, 496, 512, 548, 624, 656, 692, 800, 848, 852,
+             964), (273, 546), (418, 646), (425, 575, 725), (518, 777), (618,),
+            (714,),
+        )),
+        11: (Fraction(1274732651577443, 2244716820880380), (
+            (64, 96, 100, 160, 164, 252, 264, 308, 360, 496, 504, 508, 520,
+             564, 568, 592, 608, 636, 640, 656, 664, 668, 672, 688, 692, 704,
+             808, 824, 832, 836, 876, 888, 900, 908, 940),
+            (75, 105, 210, 255, 390, 555, 645, 810, 855, 975, 990),
+            (126, 297, 369, 522, 531, 657, 774), (130, 230, 730), (258,),
+            (455, 875), (574,), (582,), (638,), (678,), (867,),
+        )),
+        12: (Fraction(541011983584420289, 906598707250386150), (
+            (60, 70, 78, 116, 126, 128, 144, 152, 154, 160, 180, 204, 212, 216,
+             234, 242, 268, 276, 288, 292, 336, 342, 376, 402, 404, 414, 434,
+             440, 460, 464, 476, 480, 496, 500, 516, 530, 532, 564, 568, 582,
+             594, 606, 624, 642, 664, 682, 696, 702, 708, 710, 720, 728, 732,
+             826, 836, 844, 846, 902, 904, 924, 960, 986, 996), (429,),
+            (441, 525, 651, 987), (539,), (561, 663, 867), (605, 935), (645,),
+            (725,), (885,), (931,), (981,), (999,),
+        )),
+    }
 
     @pytest.mark.parametrize("m, n, work", [
-        (10, 48, (DEFAULT_NODE_BUDGET + 1, 100053)),
-        (11, 64, (DEFAULT_NODE_BUDGET + 1, 101239)),
-        (12, 80, (DEFAULT_NODE_BUDGET + 1, 93126)),
+        (10, 48, (DEFAULT_NODE_BUDGET + 1, 99281)),
+        (11, 64, (DEFAULT_NODE_BUDGET + 1, 100122)),
+        (12, 80, (DEFAULT_NODE_BUDGET + 1, 91532)),
     ])
     def test_budget_exhausted_partition_shaped(self, m, n, work):
         # Shaped like the benchmark's budget-exhausted instances: 48-80
         # periods from the integers in [60, 1000] with at least six divisors.
-        periods = random.Random(m).sample(self._divisor_rich(60, 1000, 6), n)
+        periods = partition_shaped(m, n)
         result = solve(OptimizationProblem(periods=tuple(periods), m=m))
         assert result.method == "heuristic"
         assert (result.stats.nodes, result.stats.subsets) == work
-        assert result.objective == Fraction(1)
-        assert result.groups == (tuple(sorted(periods)),)
+        assert (result.objective, result.groups) == self.PARTITION_SHAPED[m]
 
     def test_budget_sweep_digest(self):
-        # Both paths at small budgets: where the search stops, what the
-        # greedy pass counts, and which groups win.
+        # Small budgets: where the search stops, what it counts, and which
+        # groups win.
         rng = random.Random(11)
         digest = hashlib.sha256()
         for _ in range(50):
@@ -334,7 +364,7 @@ class TestSearchWorkPins:
                 digest.update(repr(
                     (r.method, r.stats.nodes, r.stats.subsets, r.groups)).encode())
         assert digest.hexdigest() == (
-            "546297373cbdc613d8d3054501f71c02b4651720477890dfa3f8875067353071")
+            "c54f1eb083c1362342bbccdfce5760233d9fb1d22a42708402b84db8b40a1b0a")
 
 
 def milp_divisors(periods, m):
@@ -401,6 +431,20 @@ class TestMilpOracle:
             if checked == 30:
                 break
         assert checked == 30
+
+
+    def test_budget_cut_solve_near_the_milp_optimum(self):
+        # Budget-cut instances shaped like the benchmark's hard class, and
+        # the divisor-rich one: the search's best partition within its
+        # node budget stays within 15% of the MILP optimum.
+        instances = [(partition_shaped(10, 48), 10), (partition_shaped(12, 80), 12),
+                     (divisor_rich(60, 350, 12)[:48], 10)]
+        for periods, m in instances:
+            result = solve(OptimizationProblem(periods=tuple(periods), m=m))
+            assert result.method == "heuristic"
+            chosen = milp_divisors(sorted(periods), m)
+            optimum = sum(Fraction(1, g) for g in set(chosen.values()))
+            assert result.objective <= Fraction(115, 100) * optimum, (m, optimum)
 
 
 class TestDivisorMaskTable:
