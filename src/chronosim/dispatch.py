@@ -29,13 +29,18 @@ interrupt finds its due prefix with one bisection of the keys and removes it
 from both lists.  Checked mode verifies that the two lists agree.  Released
 tasks are appended to the ready list, which ``take_ready`` hands over in
 (period, task id) order.
+
+The per-task and per-timer runtimes are slotted dataclasses, and each task's
+runtime holds a reference to its timer's.  The strategy's container insert
+(sorted insert, append, or slot write) is chosen once per state, so the delay
+path makes no strategy test and no timer lookup per call.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, InvariantViolation, UsageError
 from .model import Mapping, TaskSet, is_harmonic_chain
@@ -69,6 +74,7 @@ class CostWeights:
     ticking and comparing cost 1, unlinking a list node 2, each traversal
     step of a sorted insert 1, appending 1, writing a slot 1, inserting into
     the ready list 1, and every interrupt pays a fixed 10 for entry/exit.
+    A weight may be zero but not negative: a cost is never a credit.
     """
 
     tick_increment: int = 1
@@ -79,6 +85,12 @@ class CostWeights:
     slot_write: int = 1
     ready_insert: int = 1
     interrupt_entry_exit: int = 10
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise UsageError(f"cost weight {f.name} must be >= 0, "
+                                 f"got {getattr(self, f.name)}")
 
     def weight_of(self, counter: str) -> int:
         if counter == "interrupt":
@@ -111,17 +123,7 @@ class OpCostLedger:
         return dict(self.counts)
 
 
-@dataclass
-class _TaskRuntime:
-    task_id: int
-    period: int
-    timer_id: int
-    next_release: int = 0
-    delayed: bool = False
-    slot: int | None = None
-
-
-@dataclass
+@dataclass(slots=True)
 class _TimerRuntime:
     timer_id: int
     period: int
@@ -132,6 +134,16 @@ class _TimerRuntime:
     slot_owners: tuple[int, ...] = ()                       # harmonic, by period rank
     slot_periods: tuple[int, ...] = ()
     slots: list[int | None] = field(default_factory=list)   # None = task is released
+
+
+@dataclass(slots=True)
+class _TaskRuntime:
+    task_id: int
+    period: int
+    timer: _TimerRuntime
+    next_release: int = 0
+    delayed: bool = False
+    slot: int | None = None
 
 
 class DispatcherState:
@@ -175,10 +187,14 @@ class DispatcherState:
         for tc in sorted(mapping.timers, key=lambda c: c.id):
             self.timers[tc.id] = _TimerRuntime(timer_id=tc.id, period=tc.period)
         for task in task_set.tasks:
-            timer_id = mapping.assignment[task.id]
             self.tasks[task.id] = _TaskRuntime(
-                task_id=task.id, period=task.period, timer_id=timer_id
+                task_id=task.id, period=task.period,
+                timer=self.timers[mapping.assignment[task.id]],
             )
+        # The delay path's container insert, chosen once per state.
+        self._enqueue = {Strategy.CHRONOS_CONST: _enqueue_append,
+                         Strategy.CHRONOS_HARMONIC: _enqueue_slot,
+                         }.get(strategy, _enqueue_sorted)
         if strategy is Strategy.CHRONOS_HARMONIC:
             for timer_id, task_ids in mapping.groups().items():
                 ordered = sorted(task_ids, key=lambda t: (task_set.by_id(t).period, t))
@@ -373,6 +389,29 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
 # Delay path
 # ---------------------------------------------------------------------------
 
+def _enqueue_sorted(counts: dict[str, int], entry: _TaskRuntime,
+                    next_release: int) -> None:
+    """Insert after every entry due no later; the step charge is the position."""
+    ts = entry.timer
+    keys = ts.keys
+    pos = bisect.bisect_right(keys, next_release)
+    counts["sorted_insert_step"] += pos
+    keys.insert(pos, next_release)
+    ts.queue.insert(pos, entry.task_id)
+
+
+def _enqueue_append(counts: dict[str, int], entry: _TaskRuntime,
+                    next_release: int) -> None:
+    entry.timer.queue.append(entry.task_id)
+    counts["list_append"] += 1
+
+
+def _enqueue_slot(counts: dict[str, int], entry: _TaskRuntime,
+                  next_release: int) -> None:
+    entry.timer.slots[entry.slot] = entry.task_id
+    counts["slot_write"] += 1
+
+
 def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
     """Delay a finished job until its task's next release.
 
@@ -386,25 +425,12 @@ def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
     if entry.delayed:
         raise InvariantViolation(f"task {task_id} is already delayed")
     next_release = entry.next_release = (now // entry.period + 1) * entry.period
-    ts = state.timers[entry.timer_id]
     counts = state.delay_ledger.counts
-    strategy = state.strategy
-    if strategy is Strategy.CHRONOS_CONST:
-        ts.queue.append(task_id)
-        counts["list_append"] += 1
-    elif strategy is Strategy.CHRONOS_HARMONIC:
-        assert entry.slot is not None
-        ts.slots[entry.slot] = task_id
-        counts["slot_write"] += 1
-    else:
-        keys = ts.keys
-        pos = bisect.bisect_right(keys, next_release)
-        counts["sorted_insert_step"] += pos
-        keys.insert(pos, next_release)
-        ts.queue.insert(pos, task_id)
+    state._enqueue(counts, entry, next_release)
     entry.delayed = True
     counts["comparison"] += 1  # refresh the cached earliest release
+    ts = entry.timer
     if next_release < ts.next_release:
         ts.next_release = next_release
     if state.check_invariants:
-        state._check(entry.timer_id)
+        state._check(ts.timer_id)

@@ -20,13 +20,20 @@ context and does not consume time.
 
 Bookkeeping: task ids are dense 1..n, and at most one job per task is live,
 so the loop keeps per-task tables indexed by task id: the constants (period,
-relative deadline, wcet, release limit), read once per run, and the live job's
-index (-1 when none) and remaining work.  No object is built per release.  The
-ready heap holds (period, time, kind, task, job index) and the deadline heap
-(deadline, task, job index); an entry is stale once its job index is not its
-task's live index, and stale heads are skipped where a head is read.  Ending a
-job, on completion or on a miss, is one helper that retires the task after its
-last release or delays it through the dispatcher.
+relative deadline, wcet, the deadline of the last job a release limit allows),
+read once per run, and the live job's absolute deadline (-1 when none) and
+remaining work.  The deadline identifies the job: job k of a task is released
+at k times its period, so no two of its jobs share one.  No object is built
+per release.  The ready heap holds (period, time, kind, task, deadline).
+Deadlines sit in buckets keyed by absolute instant, each a list of task ids in
+release order, with a heap of the distinct instants: one heap entry per
+bucket, not per job.  An entry of either is stale once its deadline is not its
+task's live one.  The earliest live deadline is found by dropping stale tails
+of the head bucket and emptied buckets; the abandon pass takes the live tasks
+of the bucket at the current instant in ascending task id.  Ending jobs is one
+helper over a sequence of them (the running job, the late jobs of an instant,
+or its zero-length jobs), which retires each task after its last release or
+delays it through the dispatcher.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
@@ -72,6 +79,7 @@ from fractions import Fraction
 from typing import Iterable, TextIO
 
 from .dispatch import (
+    TIME_MAX,
     CostWeights,
     DispatcherState,
     Strategy,
@@ -257,18 +265,22 @@ def run(config: SimConfig) -> SimMetrics:
     next_tick = min(next_fire)  # earliest instant some timer fires
 
     # Per-task constants and live-job state, indexed by task id (ids are
-    # dense 1..n; slot 0 is unused).  At most one job per task is live: its
-    # index is live[tid] (-1 when none) and its work left is remaining[tid].
+    # dense 1..n; slot 0 is unused).  At most one job per task is live, and
+    # its absolute deadline identifies it: live[tid] is that deadline (-1 when
+    # none) and remaining[tid] its work left.  A task retires once a job with
+    # a deadline of at least final_deadline[tid] ends (None: never).
     n_tasks = task_set.n
     period = [0] * (n_tasks + 1)
     rel_deadline = [0] * (n_tasks + 1)
     wcet = [0] * (n_tasks + 1)
-    release_limit: list[int | None] = [None] * (n_tasks + 1)
+    final_deadline: list[int | None] = [None] * (n_tasks + 1)
     for task in task_set.tasks:
         period[task.id] = task.period
         rel_deadline[task.id] = task.deadline
         wcet[task.id] = task.wcet
-        release_limit[task.id] = task.releases_limit
+        if task.releases_limit is not None:
+            # Job k is released at k * period; job releases_limit is the last.
+            final_deadline[task.id] = task.releases_limit * task.period + task.deadline
     live = [-1] * (n_tasks + 1)
     remaining = [0] * (n_tasks + 1)
 
@@ -280,10 +292,13 @@ def run(config: SimConfig) -> SimMetrics:
     limit = config.trace_limit
 
     retired = 0  # tasks whose last job has ended; none is live again
-    # Heap entries end in (task, job index); an entry is stale once that job
-    # is no longer its task's live job.
-    ready: list[tuple[int, int, int, int, int]] = []  # (period, time, kind, task, job index)
-    deadlines: list[tuple[int, int, int]] = []  # (deadline, task, job index)
+    # Ready-heap entries end in (task, deadline) and bucket entries are task
+    # ids under a deadline instant; either is stale once that deadline is no
+    # longer its task's live one.  The instants heap holds each bucket's key.
+    # (period, time, kind, task, deadline)
+    ready: list[tuple[int, int, int, int, int]] = []
+    buckets: dict[int, list[int]] = {}  # deadline instant -> tasks, in release order
+    instants: list[int] = []
     zero_length: list[int] = []  # released jobs with no work, in ready order
     running: int | None = None
     running_since = 0
@@ -306,27 +321,43 @@ def run(config: SimConfig) -> SimMetrics:
         else:
             events_dropped += 1
 
-    def end_job(tid: int, now: int, missed: bool) -> None:
-        """Complete (or, if ``missed``, abandon) the live job of ``tid``, then
-        retire the task after its last release or delay it to its next one."""
+    def end_jobs(tids: Iterable[int], now: int, missed: bool) -> None:
+        """Complete (or, if ``missed``, abandon) the live jobs of ``tids`` in
+        order; each task then retires after its last release or is delayed
+        to its next one."""
         nonlocal jobs_completed, retired
-        index = live[tid]
-        live[tid] = -1
-        if missed:
-            miss_events.append((now, tid))
-        else:
-            jobs_completed += 1
-        if collect:
-            trace(now, "miss" if missed else "complete", None, tid)
-        limit_k = release_limit[tid]
-        if limit_k is not None and index >= limit_k:
-            retired += 1
+        for tid in tids:
+            deadline = live[tid]
+            live[tid] = -1
+            if missed:
+                miss_events.append((now, tid))
+            else:
+                jobs_completed += 1
             if collect:
-                trace(now, "retire", None, tid)
-        else:
-            delay_task(state, tid, now)
-            if collect:
-                trace(now, "delay", None, tid)
+                trace(now, "miss" if missed else "complete", None, tid)
+            final = final_deadline[tid]
+            if final is not None and deadline >= final:
+                retired += 1
+                if collect:
+                    trace(now, "retire", None, tid)
+            else:
+                delay_task(state, tid, now)
+                if collect:
+                    trace(now, "delay", None, tid)
+
+    def earliest_deadline() -> int:
+        """The earliest live deadline (``TIME_MAX`` when none); stale bucket
+        tails and emptied buckets are dropped on the way."""
+        while instants:
+            instant = instants[0]
+            bucket = buckets[instant]
+            while bucket:
+                if live[bucket[-1]] == instant:
+                    return instant
+                bucket.pop()
+            heapq.heappop(instants)
+            del buckets[instant]
+        return TIME_MAX
 
     def admit_releases(now: int) -> None:
         """Move dispatcher releases into the ready structure canonically.
@@ -335,16 +366,21 @@ def run(config: SimConfig) -> SimMetrics:
         order of jobs released at one instant; zero-length jobs keep it.
         """
         for tid in state.take_ready():
-            index = live[tid] = now // period[tid]
+            deadline = live[tid] = now + rel_deadline[tid]
             work = remaining[tid] = wcet[tid]
             if work == 0:
                 zero_length.append(tid)
             else:
-                heapq.heappush(ready, (period[tid], now, 1, tid, index))
-                heapq.heappush(deadlines, (now + rel_deadline[tid], tid, index))
+                heapq.heappush(ready, (period[tid], now, 1, tid, deadline))
+                bucket = buckets.get(deadline)
+                if bucket is None:
+                    buckets[deadline] = [tid]
+                    heapq.heappush(instants, deadline)
+                else:
+                    bucket.append(tid)
             if collect and now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
-                trace(now, "release", state.tasks[tid].timer_id, tid)
+                trace(now, "release", state.tasks[tid].timer.timer_id, tid)
 
     # The synchronous start: every task is ready with its k=0 job.
     admit_releases(0)
@@ -356,21 +392,19 @@ def run(config: SimConfig) -> SimMetrics:
         # zero-length jobs complete without occupying the CPU, and the
         # scheduler picks the next job.
         if running is not None and remaining[running] == 0:
-            end_job(running, t, False)
+            end_jobs((running,), t, False)
             running = None
-        if deadlines and deadlines[0][0] <= t:
-            late: list[int] = []
-            while deadlines and deadlines[0][0] <= t:
-                _, tid, index = heapq.heappop(deadlines)
-                if live[tid] == index:
-                    late.append(tid)
-            for tid in sorted(late):
-                if tid == running:
-                    running = None
-                end_job(tid, t, True)
+        if instants and instants[0] <= t and earliest_deadline() <= t:
+            # No live deadline lies before t (each one is an event time), so
+            # the head bucket is the one at t.
+            deadline = heapq.heappop(instants)
+            late = sorted(tid for tid in buckets.pop(deadline)
+                          if live[tid] == deadline)
+            if running is not None and live[running] == deadline:
+                running = None
+            end_jobs(late, t, True)
         if zero_length:
-            for tid in zero_length:
-                end_job(tid, t, False)
+            end_jobs(zero_length, t, False)
             zero_length.clear()
         while ready and live[ready[0][3]] != ready[0][4]:
             heapq.heappop(ready)
@@ -399,12 +433,9 @@ def run(config: SimConfig) -> SimMetrics:
             t_c = t + backlog + work
             if t_c >= next_tick or (horizon is not None and t_c > horizon):
                 break
-            # Every heap entry, stale or live, is no earlier than the top.
-            if deadlines and deadlines[0][0] <= t_c:
-                while deadlines and live[deadlines[0][1]] != deadlines[0][2]:
-                    heapq.heappop(deadlines)
-                if deadlines and deadlines[0][0] <= t_c:
-                    break
+            # Every bucket, stale or live, is no earlier than the top instant.
+            if instants and instants[0] <= t_c and earliest_deadline() <= t_c:
+                break
             while ready and live[ready[0][3]] != ready[0][4]:
                 heapq.heappop(ready)
             # The slice boundary is t + 1; one at t_c itself has no effect,
@@ -417,7 +448,7 @@ def run(config: SimConfig) -> SimMetrics:
             busy_time += work
             remaining[running] = 0
             t = t_c
-            end_job(running, t, False)
+            end_jobs((running,), t, False)
             if ready:
                 running = heapq.heappop(ready)[3]
                 running_since = t
@@ -434,13 +465,8 @@ def run(config: SimConfig) -> SimMetrics:
             t_c = t + (pending_cost // scale if as_time else 0) + remaining[running]
             if t_c < t_next:
                 t_next = t_c
-        while deadlines:
-            deadline, tid, index = deadlines[0]
-            if live[tid] == index:
-                if deadline < t_next:
-                    t_next = deadline
-                break
-            heapq.heappop(deadlines)
+        if instants and instants[0] < t_next:
+            t_next = min(t_next, earliest_deadline())
         while ready and live[ready[0][3]] != ready[0][4]:
             heapq.heappop(ready)
         # A job starts at the current instant or earlier (running_since <= t),

@@ -320,6 +320,34 @@ class TestPinnedOutputs:
                 for name, data in got.items()} == PINNED_OUTPUTS
 
 
+# SHA-256 of the sweep CSV and stdout of the other four presets, each written
+# to ``sweep.csv`` in the working directory.
+PINNED_PRESET_SWEEPS = {
+    "low": ("1a91bff825e82ae870d2509451b48c3dd44b3400420d44f81d9244929f27dbe7",
+            "de144052e6ff0b5148c5c6c448ddac39a8551da950768a1bf40564e47fa121df"),
+    "high": ("7e25cc0369641ddf50fd2d622dc4c943dfa1467957cb348b10ae10965bc26094",
+             "5756138708b9072c67ed135c0e6ae2d69f30cf94cb21b3afd5e0515594c6efde"),
+    "harmonic_low": (
+        "7aebdded6db95897dd858646dc9d71442c293f96c71d64aa029e926aaa9baafa",
+        "666f4c0b9ee1a008cdc447d226b7f547ac125af8770332ff43a872f975b4cff8"),
+    "harmonic_high": (
+        "093c9eb10695ba75cd40c298c3196cde6aa582a602f3f88d3d25c929b9148466",
+        "20ab3046140c790d325075ec65299d0e664bd80a63e7f8c4bc4b03603085e467"),
+}
+
+
+class TestPinnedPresetSweeps:
+    """The sweeps of the remaining presets stay byte-identical too."""
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_PRESET_SWEEPS))
+    def test_sweep_matches_the_pin(self, tmp_path, monkeypatch, capsys, preset):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--preset", preset, "--out", "sweep.csv"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(read(tmp_path / "sweep.csv")).hexdigest(),
+                hashlib.sha256(stdout).hexdigest()) == PINNED_PRESET_SWEEPS[preset]
+
+
 BAD_INTEGERS = [1.9, 6.0, "6", True]
 
 
@@ -413,6 +441,17 @@ class TestStrictScenario:
         assert "expected a JSON" in err
         if path[0] == "generation":
             assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
+
+    def test_negative_cost_weight_exit_two(self, tmp_path, capsys, scenario_file):
+        bad = self.scenario(tmp_path, ("weights",),
+                            {"interrupt_entry_exit": -50, "comparison": -3})
+        assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "cost weight comparison must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_zero_cost_weights_still_run(self, tmp_path, scenario_file):
+        ok = self.scenario(tmp_path, ("weights",),
+                           {"interrupt_entry_exit": 0, "comparison": 0})
+        assert main(["sweep", ok, "--out", str(tmp_path / "s.csv")]) == 0
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_still_load(self, tmp_path, preset):

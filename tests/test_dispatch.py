@@ -231,8 +231,9 @@ class TestDelayTask:
         delay_task(state, 1, 6)
         assert state.tasks[1].next_release == 12
 
-    def test_double_delay_is_invariant_violation(self):
-        state = build_state([6], 3, Strategy.CHRONOS)
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_double_delay_is_invariant_violation(self, strategy):
+        state = build_state([6], 3, strategy)
         delay_task(state, 1, 0)
         with pytest.raises(InvariantViolation):
             delay_task(state, 1, 0)

@@ -546,6 +546,23 @@ def pinned_case(name):
         return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                          mapping=single_timer_mapping(ts, period=4),
                          horizon=16, check_invariants=True)
+    if name == "shared_deadline_instant":
+        # Every first job is due at 4: task 2 completes there, tasks 4 and 3
+        # (queued in that order by period) are abandoned there in ascending
+        # id, and task 1, done at 1, is released again at 4.
+        ts = tasks_of((1, 4, 4, None), (3, 8, 4, None), (2, 16, 4, None),
+                      (1, 12, 4, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                         mapping=single_timer_mapping(ts, period=4),
+                         horizon=16, check_invariants=True)
+    if name == "constrained_deadline_between_ticks":
+        # Task 2's deadline (release + 3) falls between the ticks at multiples
+        # of 4; each interrupt leaves a backlog of overhead time.
+        ts = tasks_of((1, 4, 4, None), (2, 8, 3, None), (1, 16, 7, None))
+        return SimConfig(task_set=ts, strategy=Strategy.CHRONOS_CONST,
+                         mapping=single_timer_mapping(ts, period=4), horizon=32,
+                         overhead_as_time=True, time_scale=8,
+                         check_invariants=True)
     if name == "release_limited":
         ts = tasks_of((1, 3, 3, 2), (2, 6, 6, 1), (1, 6, 4, 2))
         return SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
@@ -592,6 +609,12 @@ PINNED_RUNS = {
     "release_limited": (
         (10, 3, 0, 8, 0, 4, 76, 25),
         "3f3b89d036b59fba91d0c143133a98ccfaa95b63f9b11d256e725d029ba460bb"),
+    "shared_deadline_instant": (
+        (11, 5, 0, 7, 2, 4, 102, 30),
+        "9ea2b00c5fcf8df0c183e6713cab7daf30b252d398443a72502bf20f72c0fe18"),
+    "constrained_deadline_between_ticks": (
+        (11, 6, 15, 9, 3, 8, 174, 44),
+        "e8ea3e491add2337f97944c672166fa23209df96d3e3673fc87b940cf6b2d93e"),
 }
 
 
@@ -620,6 +643,10 @@ PINNED_CSV = {
         "54e3f25cd76125812b367c07f9b5fd6cf44b75cc6f8a7f0421048d7c39ec4e16",
     "zero_length_jobs":
         "aac5afe1d10468a3f73d135b4531ae1f81c780d8e207288899313160cec67bdf",
+    "shared_deadline_instant":
+        "ee50d15f669f37b448e93c5e9e8370eb7a5cc153929497eeec4d79cb8ae4f416",
+    "constrained_deadline_between_ticks":
+        "2c76c2a923c694ef8987f374a5f2733ed7f162c99efd2f524115c723f153e72b",
 }
 
 
