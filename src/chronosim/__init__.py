@@ -22,21 +22,17 @@ from .errors import ChronosimError, ConfigError, InvariantViolation, UsageError
 from .model import (
     GenerationSpec,
     Mapping,
-    Rational,
     Task,
     TaskSet,
     TimerConfig,
     expected_interrupt_rate,
-    gcd_of_periods,
     generate_task_set,
     is_harmonic_chain,
-    required_ticks,
     single_timer_mapping,
 )
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
-    brute_force_reference,
     export_miqcp,
     solve,
 )
@@ -61,7 +57,6 @@ __all__ = [
     "OpCostLedger",
     "OptimizationProblem",
     "OptimizationResult",
-    "Rational",
     "SimConfig",
     "SimMetrics",
     "Strategy",
@@ -71,15 +66,12 @@ __all__ = [
     "TaskSet",
     "TimerConfig",
     "UsageError",
-    "brute_force_reference",
     "delay_task",
     "expected_interrupt_rate",
     "export_miqcp",
-    "gcd_of_periods",
     "generate_task_set",
     "is_harmonic_chain",
     "period_factor_sweep",
-    "required_ticks",
     "run",
     "single_timer_mapping",
     "solve",

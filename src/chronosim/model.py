@@ -16,9 +16,6 @@ from typing import Iterable
 
 from .errors import ConfigError, UsageError
 
-# Exact rational values (reduced integer pairs, positive denominator).
-Rational = Fraction
-
 # Hyperperiods beyond this are rejected as not computable at desk scale.
 MAX_HYPERPERIOD = 2**62
 
@@ -255,37 +252,12 @@ class GenerationSpec:
 # Operations
 # ---------------------------------------------------------------------------
 
-def gcd_of_periods(periods: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers."""
-    values = list(periods)
-    if not values:
-        raise UsageError("cannot take the GCD of an empty period set")
-    if any(p < 1 for p in values):
-        raise UsageError(f"periods must be >= 1, got {values}")
-    return math.gcd(*values)
-
-
-def expected_interrupt_rate(mapping: Mapping) -> Rational:
+def expected_interrupt_rate(mapping: Mapping) -> Fraction:
     """Expected tick interrupts per time unit: sum of 1/period over used timers."""
     rate = Fraction(0)
     for timer in mapping.used_timers():
         rate += Fraction(1, timer.period)
     return rate
-
-
-def required_ticks(task_set: TaskSet, horizon: int) -> list[int]:
-    """All time points in [1, horizon] at which some task releases a job.
-
-    The synchronous release at t=0 is modeled as tasks starting ready, so only
-    t >= 1 counts.  This is the brute-force release oracle: it enumerates the
-    multiples of every period directly.
-    """
-    if horizon < 1:
-        raise UsageError(f"horizon must be >= 1, got {horizon}")
-    ticks: set[int] = set()
-    for task in task_set.tasks:
-        ticks.update(range(task.period, horizon + 1, task.period))
-    return sorted(ticks)
 
 
 def is_harmonic_chain(periods: Iterable[int]) -> bool:
@@ -330,11 +302,11 @@ def _json_int(value: object) -> int:
     return value
 
 
-def rational_to_json(value: Rational) -> dict[str, int]:
+def rational_to_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def rational_from_json(obj: dict) -> Rational:
+def rational_from_json(obj: dict) -> Fraction:
     try:
         return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

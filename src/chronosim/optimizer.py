@@ -39,7 +39,6 @@ from .model import (
     Mapping, Task, TaskSet, TimerConfig, mapping_to_json, rational_to_json,
 )
 
-BRUTE_FORCE_BOUND = 10
 DEFAULT_NODE_BUDGET = 20_000
 
 
@@ -86,9 +85,8 @@ class OptimizationResult:
     objective: Fraction
     timers_used: int
     stats: SolverStats
-    method: str                       # "exact" | "brute-force" | "heuristic"
+    method: str                       # "exact" | "heuristic"
     groups: tuple[tuple[int, ...], ...]  # period groups in canonical order
-    divisor_witnesses: dict[int, int]    # task id -> period // timer period
 
     def to_json(self) -> dict:
         return {
@@ -296,10 +294,6 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
     assignment = {t.id: period_to_timer[t.period] for t in task_set.tasks}
     mapping = Mapping(timers=tuple(timers), assignment=assignment)
     mapping.validate(task_set)
-    witnesses = {
-        t.id: t.period // mapping.timer_by_id(assignment[t.id]).period
-        for t in task_set.tasks
-    }
     return OptimizationResult(
         mapping=mapping,
         objective=objective,
@@ -307,7 +301,6 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
         stats=stats,
         method=method,
         groups=tuple(groups),
-        divisor_witnesses=witnesses,
     )
 
 
@@ -327,58 +320,6 @@ def solve(problem: OptimizationProblem,
     group_masks = search.reconstruct()
     method = "heuristic" if search.stats.nodes > node_budget else "exact"
     return _build_result(problem, group_masks, search.stats, method)
-
-
-def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
-    """Test oracle: enumerate every set partition into at most ``m`` blocks.
-
-    Enumerates restricted growth strings in lexicographic order; keeping the
-    first strict improvement therefore realizes the same tie-break as
-    :func:`solve` (fewer timers, then smallest assignment vector).
-    """
-    n = len(problem.periods)
-    if n > BRUTE_FORCE_BOUND:
-        raise UsageError(
-            f"{n} distinct periods exceed the brute-force bound ({BRUTE_FORCE_BOUND})"
-        )
-    stats = SolverStats()
-    best_value: tuple[Fraction, int] | None = None
-    best_rgs: list[int] | None = None
-    rgs = [0] * n
-
-    def evaluate() -> None:
-        nonlocal best_value, best_rgs
-        stats.subsets += 1
-        stats.nodes += 1
-        blocks = max(rgs) + 1
-        objective = Fraction(0)
-        for b in range(blocks):
-            members = [problem.periods[i] for i in range(n) if rgs[i] == b]
-            objective += Fraction(1, math.gcd(*members))
-        value = (objective, blocks)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_rgs = rgs.copy()
-
-    def descend(i: int, prefix_max: int) -> None:
-        if i == n:
-            evaluate()
-            return
-        for v in range(min(prefix_max + 1, problem.m - 1) + 1):
-            rgs[i] = v
-            descend(i + 1, max(prefix_max, v))
-
-    descend(1, 0)
-    assert best_rgs is not None
-    blocks = max(best_rgs) + 1
-    group_masks = []
-    for b in range(blocks):
-        mask = 0
-        for i in range(n):
-            if best_rgs[i] == b:
-                mask |= 1 << i
-        group_masks.append(mask)
-    return _build_result(problem, group_masks, stats, "brute-force")
 
 
 # ---------------------------------------------------------------------------

@@ -37,30 +37,17 @@ delays it through the dispatcher.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
-zero-length jobs, the scheduling decision), runs the completion fast path, and
-then takes one general step.  The general step takes the next event time as a
-running minimum of four instants: the next tick, the running job's
-completion, the earliest live deadline and the slice boundary t + 1 (only
-while a job of equal period waits).  If that lies past the horizon, the run
-advances to the horizon and stops; with no horizon it stops once every task
-has retired.
-
-Completion fast path: between general steps, the running job's completion
-instant t_c (now plus the overhead backlog plus its remaining work) is taken
-directly, without scanning timers or walking the deadline pass, as long as
-nothing else can happen first.  The loop leaves the fast path for the general
-step when any of these holds:
-
-* t_c >= the next interrupt instant (an interrupt at t_c goes first);
-* t_c > the horizon;
-* t_c >= the earliest live deadline;
-* a job of equal period waits and the one-unit slice would end before t_c
-  (a slice boundary at t_c itself has no effect: the job completes first).
-
-Otherwise the fast path spends the backlog as overhead time and the work as
-busy time, completes the job at t_c and starts the head of the ready heap,
-which is exactly what the general step at t_c would do.  Event semantics,
-ledgers and traces are unchanged.
+zero-length jobs, the scheduling decision) and then takes one step.  The step
+takes the next event time as a running minimum of four instants: the next
+tick, the running job's completion t_c (now plus the overhead backlog plus its
+remaining work), the earliest live deadline and the slice boundary t + 1
+(only while a job of equal period waits; one at t_c has no effect, the job
+completes first).  The run advances there, spending the backlog as overhead
+time first, then the running job's work as busy time, and the rest as idle
+time; interrupts due at the new instant then fire and their releases are
+admitted.  If the next event lies past the horizon, the run advances to the
+horizon instead and stops; with no horizon it stops once every task has
+retired.
 
 Traces: ``events`` is the one event stream.  ``SimMetrics.release_trace`` and
 ``SimMetrics.interrupt_log`` are views of it, so they are cut with it at
@@ -285,6 +272,7 @@ def run(config: SimConfig) -> SimMetrics:
     remaining = [0] * (n_tasks + 1)
 
     horizon = config.horizon
+    end = TIME_MAX if horizon is None else horizon  # no run reaches TIME_MAX
     time_slice = config.time_slice
     as_time = config.overhead_as_time
     scale = config.time_scale
@@ -409,94 +397,70 @@ def run(config: SimConfig) -> SimMetrics:
         while ready and live[ready[0][3]] != ready[0][4]:
             heapq.heappop(ready)
         if ready:
-            top_period = ready[0][0]
             if running is None:
                 running = heapq.heappop(ready)[3]
                 running_since = t
-            elif top_period < period[running]:
+            elif ready[0][0] < period[running]:
                 heapq.heappush(ready, (period[running], t, 0, running, live[running]))
                 if collect:
                     trace(t, "preempt", None, running)
                 running = heapq.heappop(ready)[3]
                 running_since = t
-            elif (time_slice and top_period == period[running]
+            elif (time_slice and ready[0][0] == period[running]
                   and t - running_since >= 1):
                 heapq.heappush(ready, (period[running], t, 2, running, live[running]))
                 running = heapq.heappop(ready)[3]
                 running_since = t
 
-        # Completion fast path (module docstring): complete the running job
-        # directly while nothing else can happen at or before its completion.
-        while running is not None:
-            backlog = pending_cost // scale if as_time else 0
-            work = remaining[running]
-            t_c = t + backlog + work
-            if t_c >= next_tick or (horizon is not None and t_c > horizon):
-                break
-            # Every bucket, stale or live, is no earlier than the top instant.
-            if instants and instants[0] <= t_c and earliest_deadline() <= t_c:
-                break
-            while ready and live[ready[0][3]] != ready[0][4]:
-                heapq.heappop(ready)
-            # The slice boundary is t + 1; one at t_c itself has no effect,
-            # the job completes first.
-            if time_slice and ready and ready[0][0] == period[running] and t + 1 < t_c:
-                break
-            if backlog:
-                pending_cost -= backlog * scale
-                overhead_time += backlog
-            busy_time += work
-            remaining[running] = 0
-            t = t_c
-            end_jobs((running,), t, False)
-            if ready:
-                running = heapq.heappop(ready)[3]
-                running_since = t
-            else:
-                running = None
-
-        # General step: the next event is the earliest of the next tick, the
-        # running job's completion, the earliest live deadline and the slice
-        # boundary.  Unless the run has ended, some timer always fires next.
+        # Step: the next event is the earliest of the next tick, the running
+        # job's completion, the earliest live deadline and the slice boundary.
+        # Unless the run has ended, some timer always fires next.
         if horizon is None and retired == n_tasks:
             break
+        backlog = pending_cost // scale  # pending_cost stays 0 unless as_time
         t_next = next_tick
         if running is not None:
-            t_c = t + (pending_cost // scale if as_time else 0) + remaining[running]
+            t_c = t + backlog + remaining[running]
             if t_c < t_next:
                 t_next = t_c
+        # Every bucket, stale or live, is no earlier than the top instant.
         if instants and instants[0] < t_next:
-            t_next = min(t_next, earliest_deadline())
-        while ready and live[ready[0][3]] != ready[0][4]:
-            heapq.heappop(ready)
+            deadline = earliest_deadline()
+            if deadline < t_next:
+                t_next = deadline
         # A job starts at the current instant or earlier (running_since <= t),
-        # so its slice boundary max(running_since + 1, t + 1) is t + 1.
-        if (time_slice and running is not None and ready
-                and ready[0][0] == period[running] and t + 1 < t_next):
-            t_next = t + 1
-        cut = horizon is not None and t_next > horizon
+        # so its slice boundary max(running_since + 1, t + 1) is t + 1; one at
+        # the job's completion itself has no effect, the job completes first.
+        # The rarely true t + 1 < t_next goes first to skip the ready-heap walk.
+        if t + 1 < t_next and time_slice and running is not None:
+            while ready and live[ready[0][3]] != ready[0][4]:
+                heapq.heappop(ready)
+            if ready and ready[0][0] == period[running]:
+                t_next = t + 1
+        cut = t_next > end
         if cut:
-            t_next = horizon
+            t_next = end
         # Advance to t_next: overhead backlog first, then the running job's
         # work, and the rest is idle.
         span = t_next - t
-        if span > 0:
-            if as_time:
-                spent = min(span, pending_cost // scale)
-                pending_cost -= spent * scale
-                overhead_time += spent
-                span -= spent
-            if running is not None:
-                work = min(span, remaining[running])
-                remaining[running] -= work
-                busy_time += work
-                span -= work
-            idle_time += span
+        if backlog:
+            spent = backlog if backlog < span else span
+            pending_cost -= spent * scale
+            overhead_time += spent
+            span -= spent
+        if running is not None:
+            left = remaining[running]
+            work = span if span < left else left
+            remaining[running] = left - work
+            busy_time += work
+            span -= work
+        idle_time += span
         t = t_next
         if cut:
             break
 
         # Interrupts fire in ascending timer order; each charges its own entry.
+        # Only interrupts release jobs, and t = 0 is admitted before the loop.
         if t == next_tick:
             for i, tc in enumerate(used_timers):
                 if next_fire[i] != t:
@@ -520,8 +484,8 @@ def run(config: SimConfig) -> SimMetrics:
                         trace(t, "skip", timer_id, tid)
                 next_fire[i] += tc.period
             next_tick = min(next_fire)
-        if state.ready:
-            admit_releases(t)
+            if state.ready:
+                admit_releases(t)
 
     total_time = t
     total_interrupts = sum(s.interrupts for s in per_timer)

@@ -21,14 +21,10 @@ from chronosim.model import (
     TimerConfig,
     expected_interrupt_rate,
     generate_task_set,
-    required_ticks,
 )
-from chronosim.optimizer import (
-    OptimizationProblem,
-    brute_force_reference,
-    solve,
-)
+from chronosim.optimizer import OptimizationProblem, solve
 from chronosim.sim import SimConfig, period_factor_sweep, run
+from oracles import brute_force_reference, required_ticks
 
 
 @contextlib.contextmanager

@@ -583,3 +583,9 @@ class TestStdlibOnly:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "[]\n"
+
+
+class TestPackageSurface:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in chronosim.__all__
+                if not hasattr(chronosim, name)] == []

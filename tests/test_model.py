@@ -15,27 +15,17 @@ from chronosim.model import (
     TaskSet,
     TimerConfig,
     expected_interrupt_rate,
-    gcd_of_periods,
     generate_task_set,
     is_harmonic_chain,
     mapping_from_json,
     mapping_to_json,
     rational_from_json,
     rational_to_json,
-    required_ticks,
     single_timer_mapping,
     task_set_from_json,
     task_set_to_json,
 )
-
-
-def brute_force_gcd(values):
-    """Independent oracle: largest d in 1..min(values) dividing every value."""
-    best = 1
-    for d in range(1, min(values) + 1):
-        if all(v % d == 0 for v in values):
-            best = d
-    return best
+from oracles import required_ticks
 
 
 def make_task_set(periods, wcet=0, releases=None):
@@ -114,34 +104,6 @@ class TestMapping:
         mapping = single_timer_mapping(ts)
         assert [tc.period for tc in mapping.timers] == [1]
         assert mapping.tasks_of(1) == (1, 2)
-
-
-# ---------------------------------------------------------------------------
-# gcd_of_periods
-# ---------------------------------------------------------------------------
-
-class TestGcdOfPeriods:
-    def test_coprime_pair_forces_unit_period(self):
-        assert gcd_of_periods({2, 5}) == 1
-
-    def test_smallest_element_divides_rest(self):
-        assert gcd_of_periods({4, 8, 16}) == 4
-
-    def test_derived_example_against_divisor_scan(self):
-        values = {12, 18, 30}
-        assert brute_force_gcd(values) == 6
-        assert gcd_of_periods(values) == 6
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(UsageError):
-            gcd_of_periods(set())
-
-    @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
-    @settings(max_examples=150)
-    def test_matches_brute_force_and_divides_all(self, values):
-        g = gcd_of_periods(values)
-        assert g == brute_force_gcd(values)
-        assert all(v % g == 0 for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -814,6 +814,48 @@ class TestObservationOnly:
         assert all(o == outcomes[0] for o in outcomes[1:])
 
 
+class TestTimeConservation:
+    @settings(max_examples=300, deadline=None)
+    @given(config=sim_configs())
+    def test_busy_idle_overhead_sum_to_total_time(self, config):
+        m = run(config)
+        assert m.busy_time + m.idle_time + m.overhead_time == m.total_time
+        if config.horizon is not None:
+            assert m.total_time == config.horizon
+
+
+def preset_configs(preset, pick):
+    """``(factor, strategy, timers, config)`` for each run ``chronosim sweep
+    --preset`` makes at the factors ``pick`` takes from the preset's list,
+    with checked dispatcher invariants and no trace; ``timers`` is the
+    mapping the strategy ticks on."""
+    scenario = json.loads(resources.files("chronosim").joinpath(
+        "presets", f"{preset}.json").read_text(encoding="utf-8"))
+    task_set = cli._scenario_task_set(scenario, None)
+    if "fixed_timer_period" in scenario:
+        mapping = single_timer_mapping(
+            task_set, period=scenario["fixed_timer_period"])
+    else:
+        mapping = solve(OptimizationProblem.from_task_set(
+            task_set, scenario["timers"])).mapping
+    horizon = cli._scenario_horizon(scenario, task_set)
+    task_set = cli._strip_release_limits(task_set)
+    for factor in pick(cli._factors(scenario)):
+        ts_scaled = task_set.scaled(factor)
+        map_scaled = mapping.scaled(factor)
+        for strategy in applicable_strategies(ts_scaled, map_scaled):
+            baseline = strategy is Strategy.BASELINE
+            timers = (single_timer_mapping(ts_scaled, period=factor) if baseline
+                      else map_scaled)
+            yield factor, strategy, timers, SimConfig(
+                task_set=ts_scaled, strategy=strategy,
+                mapping=None if baseline else map_scaled,
+                horizon=horizon * factor, period_factor=factor,
+                overhead_as_time=scenario["overhead_as_time"],
+                time_scale=scenario["time_scale"],
+                collect_trace=False, check_invariants=True)
+
+
 class TestPresetInvariants:
     """Every shipped preset under checked dispatcher invariants.
 
@@ -824,46 +866,23 @@ class TestPresetInvariants:
 
     @staticmethod
     def check_factors(preset, pick):
-        scenario = json.loads(resources.files("chronosim").joinpath(
-            "presets", f"{preset}.json").read_text(encoding="utf-8"))
-        task_set = cli._scenario_task_set(scenario, None)
-        if "fixed_timer_period" in scenario:
-            mapping = single_timer_mapping(
-                task_set, period=scenario["fixed_timer_period"])
-        else:
-            mapping = solve(OptimizationProblem.from_task_set(
-                task_set, scenario["timers"])).mapping
-        horizon = cli._scenario_horizon(scenario, task_set)
-        task_set = cli._strip_release_limits(task_set)
-        for factor in pick(cli._factors(scenario)):
-            ts_scaled = task_set.scaled(factor)
-            map_scaled = mapping.scaled(factor)
-            for strategy in applicable_strategies(ts_scaled, map_scaled):
-                baseline = strategy is Strategy.BASELINE
-                timers = (single_timer_mapping(ts_scaled, period=factor) if baseline
-                          else map_scaled)
-                m = run(SimConfig(
-                    task_set=ts_scaled, strategy=strategy,
-                    mapping=None if baseline else map_scaled,
-                    horizon=horizon * factor, period_factor=factor,
-                    overhead_as_time=scenario["overhead_as_time"],
-                    time_scale=scenario["time_scale"],
-                    collect_trace=False, check_invariants=True))
-                label = (preset, factor, strategy.value)
-                assert m.total_interrupts == sum(
-                    horizon * factor // tc.period
-                    for tc in timers.used_timers()), label
-                # Steady state never retires a task: every completed or
-                # abandoned job is delayed once.
-                delays = m.jobs_completed + m.deadline_misses
-                assert m.delay_counters["comparison"] == delays, label
-                removed = m.interrupt_counters["list_remove"]
-                if strategy is Strategy.CHRONOS_CONST:
-                    assert m.delay_counters["list_append"] == delays, label
-                elif strategy is Strategy.CHRONOS_HARMONIC:
-                    assert m.delay_counters["slot_write"] == delays, label
-                    removed = m.interrupt_counters["slot_write"]
-                assert m.interrupt_counters["ready_insert"] == removed, label
+        for factor, strategy, timers, config in preset_configs(preset, pick):
+            m = run(config)
+            label = (preset, factor, strategy.value)
+            assert m.total_interrupts == sum(
+                config.horizon // tc.period
+                for tc in timers.used_timers()), label
+            # Steady state never retires a task: every completed or
+            # abandoned job is delayed once.
+            delays = m.jobs_completed + m.deadline_misses
+            assert m.delay_counters["comparison"] == delays, label
+            removed = m.interrupt_counters["list_remove"]
+            if strategy is Strategy.CHRONOS_CONST:
+                assert m.delay_counters["list_append"] == delays, label
+            elif strategy is Strategy.CHRONOS_HARMONIC:
+                assert m.delay_counters["slot_write"] == delays, label
+                removed = m.interrupt_counters["slot_write"]
+            assert m.interrupt_counters["ready_insert"] == removed, label
 
     @pytest.mark.parametrize("preset", cli.PRESETS)
     def test_interrupt_counts_and_ledger_identities(self, preset):
@@ -873,3 +892,21 @@ class TestPresetInvariants:
     @pytest.mark.parametrize("preset", cli.PRESETS)
     def test_every_factor_in_between(self, preset):
         self.check_factors(preset, lambda factors: factors[1:-1])
+
+
+class TestFactorInvariance:
+    """With every wcet 0, no job occupies the CPU, so scaling every period
+    and the horizon by a factor only stretches the time axis: the same
+    interrupts, releases, delays and misses happen in the same order."""
+
+    @pytest.mark.parametrize("preset", ["low", "harmonic_low", "harmonic_single"])
+    def test_counters_at_factor_15_equal_factor_1(self, preset):
+        outcomes = {1: {}, 15: {}}
+        for factor, strategy, _, config in preset_configs(preset, lambda _: (1, 15)):
+            assert all(t.wcet == 0 for t in config.task_set.tasks)
+            m = run(config)
+            outcomes[factor][strategy] = (
+                m.interrupt_counters, m.delay_counters,
+                [(s.interrupts, s.required) for s in m.per_timer],
+                m.total_interrupts, m.deadline_misses)
+        assert outcomes[15] == outcomes[1]
