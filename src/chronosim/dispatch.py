@@ -31,16 +31,20 @@ tasks are appended to the ready list, which ``take_ready`` hands over in
 (period, task id) order.
 
 The per-task and per-timer runtimes are slotted dataclasses, and each task's
-runtime holds a reference to its timer's.  The strategy's container insert
-(sorted insert, append, or slot write) is chosen once per state, so the delay
-path makes no strategy test and no timer lookup per call.
+runtime holds a reference to its timer's.  Each state maps its strategy once,
+at construction, to a container kind (``"sorted"``, ``"append"`` or
+``"slot"``); ``tick`` and ``delay_task`` branch on that kind and never test
+the strategy.  ``delay_task`` takes the whole ordered batch of jobs that ended
+at one instant and charges the ledger once per batch, with the same totals as
+one call per job.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from .errors import ConfigError, InvariantViolation, UsageError
 from .model import Mapping, TaskSet, is_harmonic_chain
@@ -173,7 +177,6 @@ class DispatcherState:
                         f"timer {timer_id} group has non-harmonic periods "
                         f"{sorted(set(periods))}"
                     )
-        self.strategy = strategy
         self.check_invariants = check_invariants
         self.interrupt_ledger = OpCostLedger()
         self.delay_ledger = OpCostLedger()
@@ -191,11 +194,12 @@ class DispatcherState:
                 task_id=task.id, period=task.period,
                 timer=self.timers[mapping.assignment[task.id]],
             )
-        # The delay path's container insert, chosen once per state.
-        self._enqueue = {Strategy.CHRONOS_CONST: _enqueue_append,
-                         Strategy.CHRONOS_HARMONIC: _enqueue_slot,
-                         }.get(strategy, _enqueue_sorted)
-        if strategy is Strategy.CHRONOS_HARMONIC:
+        # The container kind, the one place a strategy picks its routines:
+        # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
+        # or "slot" arrays (chronos-harmonic).
+        self.container = {Strategy.CHRONOS_CONST: "append",
+                          Strategy.CHRONOS_HARMONIC: "slot"}.get(strategy, "sorted")
+        if self.container == "slot":
             for timer_id, task_ids in mapping.groups().items():
                 ordered = sorted(task_ids, key=lambda t: (task_set.by_id(t).period, t))
                 ts = self.timers[timer_id]
@@ -227,7 +231,7 @@ class DispatcherState:
             raise InvariantViolation(
                 f"timer {timer_id}: tick {ts.tick} is not a multiple of {ts.period}"
             )
-        if self.strategy is Strategy.CHRONOS_HARMONIC:
+        if self.container == "slot":
             # The slot routine reads no cached release: it relies on each
             # occupied slot holding its own task, due after the last tick.
             for owner, occupant in zip(ts.slot_owners, ts.slots):
@@ -241,7 +245,7 @@ class DispatcherState:
                     )
             return
         pending = [self.tasks[t].next_release for t in ts.queue]
-        if self.strategy is not Strategy.CHRONOS_CONST:
+        if self.container == "sorted":
             if pending != sorted(pending):
                 raise InvariantViolation(
                     f"timer {timer_id}: delayed list is not sorted: {pending}"
@@ -264,12 +268,13 @@ class DispatcherState:
 # ---------------------------------------------------------------------------
 
 def tick(state: DispatcherState, timer_id: int) -> list[int]:
-    """Execute one tick interrupt of the given timer under the state's strategy."""
-    if state.strategy is Strategy.CHRONOS_CONST:
+    """Execute one tick interrupt of the given timer for the state's container."""
+    container = state.container
+    if container == "sorted":
+        return tick_chronos(state, timer_id)
+    if container == "append":
         return tick_chronos_const(state, timer_id)
-    if state.strategy is Strategy.CHRONOS_HARMONIC:
-        return tick_chronos_harmonic(state, timer_id)
-    return tick_chronos(state, timer_id)
+    return tick_chronos_harmonic(state, timer_id)
 
 
 def tick_chronos(state: DispatcherState, timer_id: int) -> list[int]:
@@ -290,7 +295,7 @@ def tick_chronos(state: DispatcherState, timer_id: int) -> list[int]:
     released: list[int] = []
     if ts.tick >= ts.next_release:
         keys = ts.keys
-        due = bisect.bisect_right(keys, ts.tick)
+        due = bisect_right(keys, ts.tick)
         if due < len(keys):
             counts["comparison"] += due + 1
             ts.next_release = keys[due]
@@ -389,48 +394,51 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
 # Delay path
 # ---------------------------------------------------------------------------
 
-def _enqueue_sorted(counts: dict[str, int], entry: _TaskRuntime,
-                    next_release: int) -> None:
-    """Insert after every entry due no later; the step charge is the position."""
-    ts = entry.timer
-    keys = ts.keys
-    pos = bisect.bisect_right(keys, next_release)
-    counts["sorted_insert_step"] += pos
-    keys.insert(pos, next_release)
-    ts.queue.insert(pos, entry.task_id)
+# The ledger counter of each container kind's insert.
+_INSERT_PRIMITIVE = {"sorted": "sorted_insert_step", "append": "list_append",
+                     "slot": "slot_write"}
 
 
-def _enqueue_append(counts: dict[str, int], entry: _TaskRuntime,
-                    next_release: int) -> None:
-    entry.timer.queue.append(entry.task_id)
-    counts["list_append"] += 1
+def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> None:
+    """Delay the finished jobs of ``task_ids``, in order, until their next releases.
 
-
-def _enqueue_slot(counts: dict[str, int], entry: _TaskRuntime,
-                  next_release: int) -> None:
-    entry.timer.slots[entry.slot] = entry.task_id
-    counts["slot_write"] += 1
-
-
-def delay_task(state: DispatcherState, task_id: int, now: int) -> None:
-    """Delay a finished job until its task's next release.
-
-    The next release is the smallest multiple of the period strictly greater
-    than ``now``: a job completing exactly at one of its own release times has
-    already consumed that release.  The sorted-list strategies insert after
-    every entry due no later than the new one and charge one
-    ``sorted_insert_step`` per such entry, i.e. the insert position.
+    A task's next release is the smallest multiple of its period strictly
+    greater than ``now``: a job completing exactly at one of its own release
+    times has already consumed that release.  Each task enters its timer's
+    container as if delayed alone: a sorted list inserts it after every entry
+    due no later (one ``sorted_insert_step`` per such entry, i.e. the insert
+    position), an unsorted list appends it, a slot array writes its slot.
+    Each also costs one ``comparison`` to refresh the timer's cached earliest
+    release.  The charges reach the ledger once per call, with the totals of
+    one call per task; an empty sequence changes nothing.
     """
-    entry = state.tasks[task_id]
-    if entry.delayed:
-        raise InvariantViolation(f"task {task_id} is already delayed")
-    next_release = entry.next_release = (now // entry.period + 1) * entry.period
+    tasks = state.tasks
+    container = state.container
+    charge = 0  # of the container's insert primitive
+    for tid in task_ids:
+        entry = tasks[tid]
+        if entry.delayed:
+            raise InvariantViolation(f"task {tid} is already delayed")
+        period = entry.period
+        next_release = entry.next_release = (now // period + 1) * period
+        ts = entry.timer
+        if container == "sorted":
+            keys = ts.keys
+            pos = bisect_right(keys, next_release)
+            charge += pos
+            keys.insert(pos, next_release)
+            ts.queue.insert(pos, tid)
+        elif container == "append":
+            ts.queue.append(tid)
+            charge += 1
+        else:
+            ts.slots[entry.slot] = tid
+            charge += 1
+        entry.delayed = True
+        if next_release < ts.next_release:
+            ts.next_release = next_release
+        if state.check_invariants:
+            state._check(ts.timer_id)
     counts = state.delay_ledger.counts
-    state._enqueue(counts, entry, next_release)
-    entry.delayed = True
-    counts["comparison"] += 1  # refresh the cached earliest release
-    ts = entry.timer
-    if next_release < ts.next_release:
-        ts.next_release = next_release
-    if state.check_invariants:
-        state._check(ts.timer_id)
+    counts["comparison"] += len(task_ids)
+    counts[_INSERT_PRIMITIVE[container]] += charge

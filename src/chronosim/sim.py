@@ -32,8 +32,9 @@ task's live one.  The earliest live deadline is found by dropping stale tails
 of the head bucket and emptied buckets; the abandon pass takes the live tasks
 of the bucket at the current instant in ascending task id.  Ending jobs is one
 helper over a sequence of them (the running job, the late jobs of an instant,
-or its zero-length jobs), which retires each task after its last release or
-delays it through the dispatcher.
+or its zero-length jobs).  It retires each task after its last release and
+delays the rest with one dispatcher call per sequence: the sequence itself,
+unless a task in it retired, so the common case builds no list.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
@@ -63,7 +64,7 @@ import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .dispatch import (
     TIME_MAX,
@@ -309,29 +310,31 @@ def run(config: SimConfig) -> SimMetrics:
         else:
             events_dropped += 1
 
-    def end_jobs(tids: Iterable[int], now: int, missed: bool) -> None:
+    def end_jobs(tids: Sequence[int], now: int, missed: bool) -> None:
         """Complete (or, if ``missed``, abandon) the live jobs of ``tids`` in
-        order; each task then retires after its last release or is delayed
-        to its next one."""
+        order; each task then retires after its last release, and the rest
+        are delayed to their next releases in one dispatcher call."""
         nonlocal jobs_completed, retired
+        retiring: set[int] | None = None  # built only when some task retires
         for tid in tids:
-            deadline = live[tid]
+            final = final_deadline[tid]
+            last = final is not None and live[tid] >= final
             live[tid] = -1
             if missed:
                 miss_events.append((now, tid))
             else:
                 jobs_completed += 1
+            if last:
+                if retiring is None:
+                    retiring = set()
+                retiring.add(tid)
             if collect:
                 trace(now, "miss" if missed else "complete", None, tid)
-            final = final_deadline[tid]
-            if final is not None and deadline >= final:
-                retired += 1
-                if collect:
-                    trace(now, "retire", None, tid)
-            else:
-                delay_task(state, tid, now)
-                if collect:
-                    trace(now, "delay", None, tid)
+                trace(now, "retire" if last else "delay", None, tid)
+        if retiring is not None:
+            retired += len(retiring)
+            tids = [tid for tid in tids if tid not in retiring]
+        delay_task(state, tids, now)
 
     def earliest_deadline() -> int:
         """The earliest live deadline (``TIME_MAX`` when none); stale bucket

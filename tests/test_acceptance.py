@@ -193,9 +193,9 @@ def test_criterion_6_cost_contracts():
             state = DispatcherState(ts, mapping, Strategy.CHRONOS_CONST)
             state.take_ready()
             for tid in range(1, count):
-                delay_task(state, tid, 0)
+                delay_task(state, [tid], 0)
             before = state.delay_ledger.snapshot()
-            delay_task(state, count, 0)
+            delay_task(state, [count], 0)
             after = state.delay_ledger.snapshot()
             deltas.add(tuple(sorted(
                 (k, after[k] - before[k]) for k in after if after[k] != before[k])))
@@ -209,7 +209,7 @@ def test_criterion_6_cost_contracts():
         state = DispatcherState(ts, mapping, Strategy.CHRONOS_HARMONIC)
         state.take_ready()
         for t in ts.tasks:
-            delay_task(state, t.id, 0)
+            delay_task(state, [t.id], 0)
         from chronosim.dispatch import tick_chronos_harmonic
         for _ in range(64):
             before = state.interrupt_ledger.snapshot()
@@ -217,7 +217,7 @@ def test_criterion_6_cost_contracts():
             after = state.interrupt_ledger.snapshot()
             assert after["comparison"] - before["comparison"] <= len(chain)
             for tid in released:
-                delay_task(state, tid, state.timers[1].tick)
+                delay_task(state, [tid], state.timers[1].tick)
 
         # Sorted order preserved across ten thousand randomized operations.
         rng = random.Random(99991)
@@ -233,7 +233,7 @@ def test_criterion_6_cost_contracts():
         for _ in range(10_000):
             if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
                 tid = rng.choice(sorted(ready))
-                delay_task(state, tid, now)
+                delay_task(state, [tid], now)
                 ready.discard(tid)
             else:
                 now += 2

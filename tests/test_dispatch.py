@@ -44,8 +44,8 @@ class TestTickChronos:
     def test_releases_due_head_and_caches_next(self):
         # tasks: tau1 next release 2, tau2 next release 4
         state = build_state([2, 4], 2, Strategy.CHRONOS)
-        delay_task(state, 1, 0)
-        delay_task(state, 2, 0)
+        delay_task(state, [1], 0)
+        delay_task(state, [2], 0)
         before = state.interrupt_ledger.snapshot()
         released = tick_chronos(state, 1)
         assert released == [1]
@@ -68,7 +68,7 @@ class TestTickChronos:
 
     def test_emptying_the_list_parks_the_sentinel(self):
         state = build_state([10], 5, Strategy.CHRONOS)
-        delay_task(state, 1, 0)  # next release 10
+        delay_task(state, [1], 0)  # next release 10
         state.timers[1].tick = 5
         released = tick_chronos(state, 1)
         assert released == [1]
@@ -76,8 +76,8 @@ class TestTickChronos:
 
     def test_detects_unsorted_list_in_checked_mode(self):
         state = build_state([2, 4], 2, Strategy.CHRONOS)
-        delay_task(state, 1, 0)
-        delay_task(state, 2, 0)
+        delay_task(state, [1], 0)
+        delay_task(state, [2], 0)
         state.timers[1].queue.reverse()  # corrupt the order
         with pytest.raises(InvariantViolation):
             tick_chronos(state, 1)
@@ -87,9 +87,9 @@ class TestTickChronosConst:
     def setup_list(self):
         # append order: tau3 (next 9), tau1 (next 6), tau2 (next 12)
         state = build_state([6, 12, 9], 3, Strategy.CHRONOS_CONST)
-        delay_task(state, 3, 0)
-        delay_task(state, 1, 0)
-        delay_task(state, 2, 0)
+        delay_task(state, [3], 0)
+        delay_task(state, [1], 0)
+        delay_task(state, [2], 0)
         assert state.timers[1].queue == [3, 1, 2]
         return state
 
@@ -116,8 +116,8 @@ class TestTickChronosConst:
 
     def test_releases_all_when_everything_due(self):
         state = build_state([12, 9], 3, Strategy.CHRONOS_CONST)
-        delay_task(state, 1, 0)  # next 12
-        delay_task(state, 2, 0)  # next 9
+        delay_task(state, [1], 0)  # next 12
+        delay_task(state, [2], 0)  # next 9
         state.timers[1].tick = 9
         released = tick_chronos_const(state, 1)
         assert sorted(released) == [1, 2]
@@ -127,9 +127,9 @@ class TestTickChronosConst:
 class TestTickChronosHarmonic:
     def build_chain(self):
         state = build_state([3, 6, 12], 3, Strategy.CHRONOS_HARMONIC)
-        delay_task(state, 1, 0)
-        delay_task(state, 2, 0)
-        delay_task(state, 3, 0)
+        delay_task(state, [1], 0)
+        delay_task(state, [2], 0)
+        delay_task(state, [3], 0)
         return state
 
     def test_rejects_non_harmonic_group(self):
@@ -144,7 +144,7 @@ class TestTickChronosHarmonic:
     def test_releases_prefix_of_due_slots(self):
         state = self.build_chain()
         tick_chronos_harmonic(state, 1)           # tick 3
-        delay_task(state, 1, 3)                   # back into its slot, next 6
+        delay_task(state, [1], 3)                 # back into its slot, next 6
         before = state.interrupt_ledger.snapshot()
         released = tick_chronos_harmonic(state, 1)  # tick 6
         assert released == [1, 2]                 # break at 6 mod 12 != 0
@@ -156,7 +156,7 @@ class TestTickChronosHarmonic:
         state = self.build_chain()
         tick_chronos_harmonic(state, 1)   # tick 3 releases tau1
         tick_chronos_harmonic(state, 1)   # tick 6: tau1 slot vacant -> skip; tau2 due
-        delay_task(state, 2, 6)
+        delay_task(state, [2], 6)
         tick_chronos_harmonic(state, 1)   # tick 9: tau1 slot vacant -> skip
         released = tick_chronos_harmonic(state, 1)  # tick 12
         assert released == [2, 3]
@@ -184,32 +184,32 @@ class TestTickChronosHarmonic:
             delta = counter_delta(state.interrupt_ledger, before)
             assert delta["comparison"] <= 3
             for tid in released:
-                delay_task(state, tid, state.timers[1].tick)
+                delay_task(state, [tid], state.timers[1].tick)
 
 
 class TestTickBaseline:
     def test_two_task_figure_trace(self):
         state = build_state([2, 5], 1, Strategy.BASELINE)
-        delay_task(state, 1, 0)
-        delay_task(state, 2, 0)
+        delay_task(state, [1], 0)
+        delay_task(state, [2], 0)
         releases_by_tick = {}
         for t in range(1, 11):
             released = tick(state, 1)
             releases_by_tick[t] = list(released)
             for tid in released:
-                delay_task(state, tid, t)
+                delay_task(state, [tid], t)
         released_ticks = {t for t, r in releases_by_tick.items() if r}
         assert released_ticks == {2, 4, 5, 6, 8, 10}
         assert {t for t, r in releases_by_tick.items() if not r} == {1, 3, 7, 9}
 
     def test_single_task_early_exits_until_due(self):
         state = build_state([4], 1, Strategy.BASELINE)
-        delay_task(state, 1, 0)
+        delay_task(state, [1], 0)
         assert [tick(state, 1) for _ in range(4)] == [[], [], [], [1]]
 
     def test_exhausted_list_always_early_exits(self):
         state = build_state([4], 1, Strategy.BASELINE)
-        delay_task(state, 1, 0)
+        delay_task(state, [1], 0)
         for _ in range(4):
             tick(state, 1)
         # never re-delayed: every further tick exits on the sentinel
@@ -223,26 +223,26 @@ class TestTickBaseline:
 class TestDelayTask:
     def test_next_release_is_strictly_future_multiple(self):
         state = build_state([6], 3, Strategy.CHRONOS)
-        delay_task(state, 1, 4)
+        delay_task(state, [1], 4)
         assert state.tasks[1].next_release == 6
 
     def test_completion_on_release_boundary_skips_to_next(self):
         state = build_state([6], 3, Strategy.CHRONOS)
-        delay_task(state, 1, 6)
+        delay_task(state, [1], 6)
         assert state.tasks[1].next_release == 12
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_double_delay_is_invariant_violation(self, strategy):
         state = build_state([6], 3, strategy)
-        delay_task(state, 1, 0)
+        delay_task(state, [1], 0)
         with pytest.raises(InvariantViolation):
-            delay_task(state, 1, 0)
+            delay_task(state, [1], 0)
 
     def test_updates_cached_timer_next_release(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
-        delay_task(state, 2, 0)
+        delay_task(state, [2], 0)
         assert state.timers[1].next_release == 12
-        delay_task(state, 1, 0)
+        delay_task(state, [1], 0)
         assert state.timers[1].next_release == 6
 
     def test_const_append_cost_independent_of_length(self):
@@ -252,18 +252,18 @@ class TestDelayTask:
         for count in (1, 10, 100):
             st = build_state(periods, 6, Strategy.CHRONOS_CONST)
             for tid in range(1, count):
-                delay_task(st, tid, 0)
+                delay_task(st, [tid], 0)
             before = st.delay_ledger.snapshot()
-            delay_task(st, count, 0)
+            delay_task(st, [count], 0)
             deltas.add(tuple(sorted(counter_delta(st.delay_ledger, before).items())))
         assert len(deltas) == 1  # identical charge at lengths 1, 10, and 100
 
     def test_sorted_insert_charges_traversal_steps(self):
         state = build_state([6, 12, 18], 6, Strategy.CHRONOS)
-        delay_task(state, 1, 0)   # next 6, empty list: 0 steps
-        delay_task(state, 2, 0)   # next 12, after one entry: 1 step
+        delay_task(state, [1], 0)   # next 6, empty list: 0 steps
+        delay_task(state, [2], 0)   # next 12, after one entry: 1 step
         before = state.delay_ledger.snapshot()
-        delay_task(state, 3, 0)   # next 18, after two entries: 2 steps
+        delay_task(state, [3], 0)   # next 18, after two entries: 2 steps
         assert counter_delta(state.delay_ledger, before)["sorted_insert_step"] == 2
         assert state.timers[1].queue == [1, 2, 3]
 
@@ -274,7 +274,7 @@ class TestDelayTask:
         for tid in rng.sample(range(1, 31), 30):
             length = len(state.timers[1].queue)
             before = state.delay_ledger.snapshot()
-            delay_task(state, tid, 0)
+            delay_task(state, [tid], 0)
             steps = counter_delta(state.delay_ledger, before).get(
                 "sorted_insert_step", 0)
             assert steps <= length
@@ -290,7 +290,7 @@ class TestSortedOrderProperty:
         for _ in range(10_000):
             if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
                 tid = rng.choice(sorted(ready))
-                delay_task(state, tid, now)   # checked mode verifies sortedness
+                delay_task(state, [tid], now)   # checked mode verifies sortedness
                 ready.discard(tid)
             else:
                 now += 2
@@ -328,10 +328,86 @@ class TestInsertContracts:
             tid = ready.pop(op % len(ready))
             old_queue = list(queue)
             before = state.delay_ledger.snapshot()
-            delay_task(state, tid, state.timers[1].tick)
+            delay_task(state, [tid], state.timers[1].tick)
             due = state.tasks[tid].next_release
             no_later = sum(1 for t in old_queue
                            if state.tasks[t].next_release <= due)
             assert counter_delta(state.delay_ledger, before).get(
                 "sorted_insert_step", 0) == no_later
             assert queue == old_queue[:no_later] + [tid] + old_queue[no_later:]
+
+
+def state_snapshot(state):
+    """Everything a delay can change, plus what only an interrupt changes."""
+    timers = {j: (ts.tick, ts.next_release, list(ts.queue), list(ts.keys),
+                  list(ts.slots)) for j, ts in state.timers.items()}
+    tasks = {tid: (e.next_release, e.delayed) for tid, e in state.tasks.items()}
+    return (timers, tasks, state.delay_ledger.snapshot(),
+            state.interrupt_ledger.snapshot(), list(state.skip_events))
+
+
+class TestBatchContract:
+    """One call over a batch leaves the state of one call per task, in order."""
+
+    @staticmethod
+    def build(strategy, periods, on_second):
+        # Timer 1 (period 1) takes every task the draw did not move to timer 2
+        # (period 2); periods are powers of two, so every group is harmonic.
+        ts = TaskSet(tuple(
+            Task.implicit(i + 1, wcet=0, period=p, releases_limit=None)
+            for i, p in enumerate(periods)
+        ))
+        if strategy is Strategy.BASELINE:
+            mapping = Mapping(timers=(TimerConfig(1, 1),),
+                              assignment={t.id: 1 for t in ts.tasks})
+        else:
+            mapping = Mapping(
+                timers=(TimerConfig(1, 1), TimerConfig(2, 2)),
+                assignment={t.id: 2 if t.period > 1 and t.id in on_second else 1
+                            for t in ts.tasks},
+            )
+        state = DispatcherState(ts, mapping, strategy, check_invariants=True)
+        state.take_ready()
+        return state
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_one_call_per_task(self, strategy, data):
+        periods = data.draw(st.lists(st.sampled_from([1, 2, 4, 8]),
+                                     min_size=1, max_size=8), label="periods")
+        on_second = data.draw(st.sets(st.integers(1, len(periods))), label="on_second")
+        batched = self.build(strategy, periods, on_second)
+        single = self.build(strategy, periods, on_second)
+        ready = list(range(1, len(periods) + 1))
+        for now in range(data.draw(st.integers(1, 24), label="instants")):
+            if now:
+                # Both timers fire at every multiple of their period.
+                for timer_id, timer in batched.timers.items():
+                    if now % timer.period == 0:
+                        tick(batched, timer_id)
+                        tick(single, timer_id)
+                released = batched.take_ready()
+                assert single.take_ready() == released
+                ready.extend(released)
+            batch = data.draw(st.lists(st.sampled_from(ready), unique=True)
+                              if ready else st.just([]), label=f"batch at {now}")
+            delay_task(batched, batch, now)
+            for tid in batch:
+                delay_task(single, [tid], now)
+            ready = [tid for tid in ready if tid not in batch]
+            assert state_snapshot(batched) == state_snapshot(single)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_task_named_twice_is_invariant_violation(self, strategy):
+        state = build_state([6, 12], 6, strategy)
+        with pytest.raises(InvariantViolation, match="task 1 is already delayed"):
+            delay_task(state, [1, 2, 1], 0)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_empty_batch_changes_and_charges_nothing(self, strategy):
+        state = build_state([6, 12], 6, strategy)
+        delay_task(state, [2], 0)
+        before = state_snapshot(state)
+        delay_task(state, [], 7)
+        assert state_snapshot(state) == before

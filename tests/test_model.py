@@ -296,6 +296,38 @@ class TestSerialization:
         loaded = mapping_from_json(mapping_to_json(mapping))
         assert loaded == mapping
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_task_set_json_round_trip_property(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        tasks = []
+        for task_id in data.draw(st.permutations(range(1, n + 1)), label="ids"):
+            period = data.draw(st.integers(1, 10**12))
+            tasks.append(Task(
+                id=task_id, wcet=data.draw(st.integers(0, 10**12)), period=period,
+                deadline=data.draw(st.integers(1, period)),
+                releases_limit=data.draw(st.none() | st.integers(1, 10**6))))
+        ts = TaskSet(tuple(tasks))
+        obj = task_set_to_json(ts)
+        loaded = task_set_from_json(json.loads(json.dumps(obj)))
+        assert loaded == ts
+        assert task_set_to_json(loaded) == obj
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mapping_json_round_trip_property(self, data):
+        timer_ids = data.draw(st.lists(st.integers(1, 50), min_size=1,
+                                       max_size=5, unique=True), label="timers")
+        timers = tuple(TimerConfig(j, data.draw(st.integers(1, 10**9)))
+                       for j in timer_ids)
+        task_ids = data.draw(st.sets(st.integers(1, 40), max_size=12), label="tasks")
+        assignment = {tid: data.draw(st.sampled_from(timer_ids)) for tid in task_ids}
+        mapping = Mapping(timers=timers, assignment=assignment)
+        obj = mapping_to_json(mapping)
+        loaded = mapping_from_json(json.loads(json.dumps(obj)))
+        assert loaded == mapping
+        assert mapping_to_json(loaded) == obj
+
     def test_double_assignment_rejected(self):
         with pytest.raises(UsageError):
             mapping_from_json({"timers": [

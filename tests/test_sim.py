@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronosim import cli
+from chronosim import cli, dispatch, sim
 from chronosim.dispatch import Strategy
 from chronosim.errors import ConfigError
 from chronosim.model import (
@@ -234,6 +234,56 @@ class TestDeadlines:
         assert [t for t, kind in task3 if kind == "complete"] == [0, 4, 8]
         assert [t for t, kind in task3 if kind == "retire"] == [8]
         assert metrics.miss_events == []
+
+
+class TestEndJobsBatches:
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_retiring_task_leaves_a_mixed_batch(self, strategy, monkeypatch):
+        # Both tasks have zero-length jobs released together at t = 2, which
+        # end in one batch: task 1 ends its last job there, task 2 does not.
+        ts = TaskSet((
+            Task(id=1, wcet=0, period=2, deadline=2, releases_limit=1),
+            Task(id=2, wcet=0, period=2, deadline=2, releases_limit=3),
+        ))
+        mapping = Mapping(timers=(TimerConfig(1, 2),), assignment={1: 1, 2: 1})
+        batches = []
+
+        def recording_delay_task(state, task_ids, now):
+            batches.append((now, list(task_ids)))
+            dispatch.delay_task(state, task_ids, now)
+
+        monkeypatch.setattr(sim, "delay_task", recording_delay_task)
+        metrics = run(SimConfig(
+            task_set=ts, strategy=strategy,
+            mapping=None if strategy is Strategy.BASELINE else mapping,
+            horizon=None, check_invariants=True))
+        completed = [(t, tid) for t, kind, _, tid in metrics.events
+                     if kind == "complete"]
+        assert (2, 1) in completed and (2, 2) in completed
+        assert (2, "retire", None, 1) in metrics.events
+        assert (2, [2]) in batches
+        assert all(1 not in batch for now, batch in batches if now >= 2)
+        assert metrics.jobs_completed == 6  # 2 start jobs + 1 + 3 releases
+
+
+class TestLeafTargets:
+    """The benchmark times ``tick`` and ``delay_task`` by patching the names
+    ``chronosim.sim`` looks up; a call that bypassed them would drop a span."""
+
+    def test_sim_looks_up_the_dispatcher_primitives(self, monkeypatch):
+        assert sim.tick is dispatch.tick
+        assert sim.delay_task is dispatch.delay_task
+        calls = {"tick": 0, "delay_task": 0}
+        for name in calls:
+            def wrapper(*args, _name=name, _real=getattr(sim, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(sim, name, wrapper)
+        ts, mapping = two_five_scenario()
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                                mapping=mapping))
+        assert calls["tick"] == metrics.total_interrupts
+        assert calls["delay_task"] > 0
 
 
 class TestSimValidation:
