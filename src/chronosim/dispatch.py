@@ -35,8 +35,12 @@ runtime holds a reference to its timer's.  Each state maps its strategy once,
 at construction, to a container kind (``"sorted"``, ``"append"`` or
 ``"slot"``); ``tick`` and ``delay_task`` branch on that kind and never test
 the strategy.  ``delay_task`` takes the whole ordered batch of jobs that ended
-at one instant and charges the ledger once per batch, with the same totals as
-one call per job.
+since the last interrupt instant and charges the ledger once per batch, with
+the same totals as one call per job.  The simulator passes that instant as
+``now``: no task's release lies strictly between two interrupt instants (each
+timer fires at every multiple of its period, which divides its tasks'
+periods), so each job's next release is the same as at its own end, and no
+routine reads a container between two interrupts.
 """
 
 from __future__ import annotations
@@ -404,7 +408,11 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
 
     A task's next release is the smallest multiple of its period strictly
     greater than ``now``: a job completing exactly at one of its own release
-    times has already consumed that release.  Each task enters its timer's
+    times has already consumed that release.  For a batch, ``now`` may lie
+    before a job's end, as long as no multiple of the job's period lies in
+    between (after ``now``, up to the end): the next release is then the
+    same.  The simulator passes the last interrupt instant, and every job in
+    the batch ended before the next one.  Each task enters its timer's
     container as if delayed alone: a sorted list inserts it after every entry
     due no later (one ``sorted_insert_step`` per such entry, i.e. the insert
     position), an unsorted list appends it, a slot array writes its slot.

@@ -33,8 +33,15 @@ of the head bucket and emptied buckets; the abandon pass takes the live tasks
 of the bucket at the current instant in ascending task id.  Ending jobs is one
 helper over a sequence of them (the running job, the late jobs of an instant,
 or its zero-length jobs).  It retires each task after its last release and
-delays the rest with one dispatcher call per sequence: the sequence itself,
-unless a task in it retired, so the common case builds no list.
+appends the rest to one list of the tasks whose jobs ended since the last
+interrupt instant.  That list is delayed in one dispatcher call at the next
+interrupt instant, before any timer fires, and once more when the run ends.
+Delaying a job there, with the last interrupt instant as ``now``, is exact:
+every timer period divides its tasks' periods and the timer fires at each of
+its multiples, so no release of any task lies strictly between two interrupt
+instants, and each job's next release is the one it had when it ended.  Only
+interrupts read the delayed containers, and the inserts keep their order, so
+positions, ledgers and skips are those of delaying each job as it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
@@ -168,8 +175,9 @@ class SimMetrics:
                 for t, kind, timer, _ in self.events if kind == "interrupt"]
 
     def to_json(self) -> dict:
+        """Every field but the trace itself, plus ``schedulable``."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in _NOT_SERIALIZED}
+               if f.name != "events"}
         out.update(
             per_timer=[asdict(s) for s in self.per_timer],
             miss_events=[{"time": t, "task": tid} for t, tid in self.miss_events],
@@ -181,13 +189,12 @@ class SimMetrics:
         return out
 
 
-# Left out of the metrics JSON and CSV: the ledger counters and the trace.
-_NOT_SERIALIZED = ("interrupt_counters", "delay_counters", "events", "events_dropped")
-
-# The metrics CSV holds the scalar entries of the metrics JSON, in its order.
+# The metrics CSV holds the scalar entries of the metrics JSON, in its order,
+# except the trace's ``events_dropped``.
 METRICS_CSV_COLUMNS = tuple(
     f.name for f in fields(SimMetrics)
-    if f.name not in _NOT_SERIALIZED + ("per_timer", "miss_events", "harmonic_skips")
+    if f.name not in ("per_timer", "interrupt_counters", "delay_counters",
+                      "miss_events", "harmonic_skips", "events", "events_dropped")
 ) + ("schedulable",)
 
 
@@ -291,6 +298,10 @@ def run(config: SimConfig) -> SimMetrics:
     zero_length: list[int] = []  # released jobs with no work, in ready order
     running: int | None = None
     running_since = 0
+    # Tasks whose jobs ended since the interrupt instant last_tick, in end
+    # order; they are delayed in one call before the next interrupt fires.
+    ended: list[int] = []
+    last_tick = 0
 
     charged_cost = 0  # interrupt-ledger total already added to pending_cost
     pending_cost = 0
@@ -313,7 +324,8 @@ def run(config: SimConfig) -> SimMetrics:
     def end_jobs(tids: Sequence[int], now: int, missed: bool) -> None:
         """Complete (or, if ``missed``, abandon) the live jobs of ``tids`` in
         order; each task then retires after its last release, and the rest
-        are delayed to their next releases in one dispatcher call."""
+        join ``ended``, to be delayed at the next interrupt instant.  None of
+        them is released before it, and the delay finds the same release."""
         nonlocal jobs_completed, retired
         retiring: set[int] | None = None  # built only when some task retires
         for tid in tids:
@@ -331,10 +343,11 @@ def run(config: SimConfig) -> SimMetrics:
             if collect:
                 trace(now, "miss" if missed else "complete", None, tid)
                 trace(now, "retire" if last else "delay", None, tid)
-        if retiring is not None:
+        if retiring is None:
+            ended.extend(tids)
+        else:
             retired += len(retiring)
-            tids = [tid for tid in tids if tid not in retiring]
-        delay_task(state, tids, now)
+            ended.extend(tid for tid in tids if tid not in retiring)
 
     def earliest_deadline() -> int:
         """The earliest live deadline (``TIME_MAX`` when none); stale bucket
@@ -464,7 +477,12 @@ def run(config: SimConfig) -> SimMetrics:
 
         # Interrupts fire in ascending timer order; each charges its own entry.
         # Only interrupts release jobs, and t = 0 is admitted before the loop.
+        # The jobs ended since the last interrupt instant are delayed first.
         if t == next_tick:
+            if ended:
+                delay_task(state, ended, last_tick)
+                ended.clear()
+            last_tick = t
             for i, tc in enumerate(used_timers):
                 if next_fire[i] != t:
                     continue
@@ -490,6 +508,8 @@ def run(config: SimConfig) -> SimMetrics:
             if state.ready:
                 admit_releases(t)
 
+    if ended:
+        delay_task(state, ended, last_tick)
     total_time = t
     total_interrupts = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)

@@ -273,25 +273,25 @@ PINNED_OUTPUTS = {
     "sweep.csv":
         "45a1b726cba0c146f0b14a5de1110e4a9d8825d33ca666069b2bc3047e81ce40",
     "baseline.json":
-        "fe57963276f3e11bc4da1ec6f9459bd1d2e12c55d2b85a6cc360b5a532eb9287",
+        "8ca8817b49a7b177528193cfa29d037782e44a19c78a126bdc2acb9a52789591",
     "baseline.csv":
         "8bab58a5c499aff757b762de9a188fe69fa03af6e80576115c2f90fce8fca66a",
     "baseline.trace.csv":
         "c4eb66e67ef46bd9b7caf7f24d88a11e43c3d241616a17d807a1b68cc390792d",
     "chronos.json":
-        "f233d03b913a5bc38dfa73c898237aa03d6667b2a35631b65ac0fd7da30fab05",
+        "b8340a226cba00b2ff5d50a269eec0af110cf30af05d95180fb51c91c6e21c0c",
     "chronos.csv":
         "45d8d3c5f8f9050976ba35784e1fe992dabaa8de5ffce6ab1b2c9b9c4035d99b",
     "chronos.trace.csv":
         "c9f1e02982fdfd312ad228220cd0c5925f4d92e9ee266a91f0123e07c7d95553",
     "chronos-const.json":
-        "57a13ce5dcb2cf9af9425e37c53aec73cbbf42ef6c50f35f65c4da76e6fe9c65",
+        "395fc81f1f6063e9ed9b7cfc943f4c40bfd04631736f77d3efa7d4a7e94527cc",
     "chronos-const.csv":
         "8ab7caf06ee49228dc6195f9b457fd1f3640ac942083f8bb93d00f7078b17a26",
     "chronos-const.trace.csv":
         "c9f1e02982fdfd312ad228220cd0c5925f4d92e9ee266a91f0123e07c7d95553",
     "chronos-harmonic.json":
-        "f45aae7b14d964e368a98b09859895f2b79e2ae5c5323dd3db6de0d3b465bd3b",
+        "2582aa3241535cb650667608ab185d242bc1be1674a3305f86a63039313c97ee",
     "chronos-harmonic.csv":
         "68e7758f576eb5621a735425b90a7511f22eb7f729c6d3e204db2c8b697f2328",
     "chronos-harmonic.trace.csv":
@@ -583,6 +583,17 @@ class TestStdlibOnly:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "[]\n"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(chronosim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronosim", "report", str(tmp_path / "missing.csv")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
 
 
 class TestPackageSurface:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronosim import cli, dispatch, sim
-from chronosim.dispatch import Strategy
+from chronosim.dispatch import CostWeights, Strategy
 from chronosim.errors import ConfigError
 from chronosim.model import (
     Mapping,
@@ -237,6 +237,13 @@ class TestDeadlines:
 
 
 class TestEndJobsBatches:
+    """Ended jobs are delayed once per interrupt instant.  Before the
+    instant's timers fire, one ``delay_task`` call takes the tasks whose jobs
+    ended since the previous interrupt instant, in end order and without the
+    ones that retired, with that previous instant as ``now``.  No release
+    lies strictly between two interrupt instants, so each job still gets the
+    next release of its own end instant."""
+
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_retiring_task_leaves_a_mixed_batch(self, strategy, monkeypatch):
         # Both tasks have zero-length jobs released together at t = 2, which
@@ -622,13 +629,17 @@ def pinned_case(name):
 
 
 def run_digest(metrics):
-    """SHA-256 over the metrics JSON, both counter dicts and the event trace."""
-    blob = json.dumps({
-        "metrics": metrics.to_json(),
-        "interrupt_counters": metrics.interrupt_counters,
-        "delay_counters": metrics.delay_counters,
-        "events": metrics.events,
-    }, sort_keys=True)
+    """SHA-256 over the metrics JSON, both counter dicts and the event trace.
+
+    The counter dicts are hashed beside the rest of the metrics JSON, and
+    ``events_dropped`` is left to the callers that pin it.
+    """
+    obj = metrics.to_json()
+    counters = {name: obj.pop(name)
+                for name in ("interrupt_counters", "delay_counters")}
+    del obj["events_dropped"]
+    blob = json.dumps({"metrics": obj, **counters, "events": metrics.events},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -862,6 +873,57 @@ class TestObservationOnly:
                     assert (fields.pop(name) is None) is not collect
                 outcomes.append(fields)
         assert all(o == outcomes[0] for o in outcomes[1:])
+
+
+class TestDelayOncePerInterruptInstant:
+    """The exactness of delaying ended jobs once per interrupt instant (see
+    ``TestEndJobsBatches``): every delayed job, in end order, gets the next
+    release of its own end instant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=sim_configs())
+    def test_each_job_gets_the_release_after_its_own_end(self, config):
+        config = dataclasses.replace(config, collect_trace=True,
+                                     trace_limit=100_000)
+        delayed = []  # (task, next release) per delayed job, in call order
+        calls = 0
+
+        def recording_delay_task(state, task_ids, now):
+            nonlocal calls
+            calls += 1
+            dispatch.delay_task(state, task_ids, now)
+            delayed.extend((tid, state.tasks[tid].next_release) for tid in task_ids)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "delay_task", recording_delay_task)
+            m = run(config)
+        assert m.events_dropped == 0
+        period = {task.id: task.period for task in config.task_set.tasks}
+        assert delayed == [(tid, (t // period[tid] + 1) * period[tid])
+                           for t, kind, _, tid in m.events if kind == "delay"]
+        # One call per interrupt instant at most, plus one when the run ends.
+        assert calls <= m.total_interrupts + 1
+
+
+class TestMetricsJsonCounters:
+    @settings(max_examples=100, deadline=None)
+    @given(config=sim_configs(), collect=st.booleans(),
+           weights=st.lists(st.integers(min_value=0, max_value=20),
+                            min_size=len(dataclasses.fields(CostWeights)),
+                            max_size=len(dataclasses.fields(CostWeights))))
+    def test_metrics_json_counters_weigh_up_to_the_costs(self, config, collect,
+                                                         weights):
+        cost_weights = CostWeights(*weights)
+        m = run(dataclasses.replace(config, weights=cost_weights,
+                                    collect_trace=collect))
+        obj = json.loads(json.dumps(m.to_json()))
+        for counters, cost in (("interrupt_counters", "interrupt_cost"),
+                               ("delay_counters", "delay_cost")):
+            assert sum(count * cost_weights.weight_of(name)
+                       for name, count in obj[counters].items()) == obj[cost]
+        assert obj["events_dropped"] == m.events_dropped
+        assert (obj["events_dropped"] is None) is not collect
+        assert "events" not in obj
 
 
 class TestTimeConservation:
