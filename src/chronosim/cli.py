@@ -114,6 +114,23 @@ def _factors(scenario: dict) -> list[int]:
     return factors
 
 
+def _strategies(scenario: dict) -> list[Strategy] | None:
+    """The scenario's strategy labels, or None for the applicable strategies.
+
+    A JSON list of known labels; the sweep rejects an empty or repeated list.
+    """
+    if "strategies" not in scenario:
+        return None
+    raw = scenario["strategies"]
+    if not isinstance(raw, list):
+        raise UsageError(
+            f"malformed scenario entry 'strategies': expected a JSON list, got {raw!r}")
+    try:
+        return [Strategy.from_label(s) for s in raw]
+    except UsageError as exc:
+        raise UsageError(f"malformed scenario entry 'strategies': {exc}") from exc
+
+
 def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
     """A fixed horizon, either absolute or as a multiple of the largest period."""
     raw = scenario.get("horizon")
@@ -243,9 +260,7 @@ def cmd_sweep(args) -> int:
     else:
         problem = optimizer.OptimizationProblem.from_task_set(task_set, timers)
         mapping = optimizer.solve(problem).mapping
-    strategies = None
-    if "strategies" in scenario:
-        strategies = [Strategy.from_label(s) for s in scenario["strategies"]]
+    strategies = _strategies(scenario)
     horizon = _scenario_horizon(scenario, task_set)
     if _setting(scenario, "steady_state", False, _json_bool):
         if horizon is None:

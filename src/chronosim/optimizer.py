@@ -17,15 +17,17 @@ compares one integer per state, ``rate * (m + 1) + timers``, in place of
 rational sums of 1/GCD: the rate is scaled by lcm(periods), which every group
 GCD divides, and a state uses at most m timers, so the comparison is exact
 and carries the fewer-timers tie-break.  The rational objective is built
-once from the chosen groups.  Each candidate group's scaled rate is cached by
-group mask, and its GCD is computed with an early exit at the divisor that
-cut the group.  The search runs under a node budget.  A state reached after
-the budget is spent is not expanded; its value is its whole remaining set on
-one timer.  So the search always finishes with a feasible partition: the
-proven optimum, reported as exact, when the search completed, and otherwise
-the best partition assembled from the states it evaluated, reported as
-heuristic.  The literal mixed-integer model is still available through
-:func:`export_miqcp` for external validation.
+once from the chosen groups.  The search computes no GCD: a table built once
+holds, for each divisor d of each period, the periods d divides and the
+scaled rate of one timer at period d, and each candidate group takes its
+value from the largest divisor that cuts it, which is its GCD (the argument
+is in :meth:`_PartitionSearch.groups`).  The search runs under a node budget.
+A state reached after the budget is spent is not expanded; its value is its
+whole remaining set on one timer.  So the search always finishes with a
+feasible partition: the proven optimum, reported as exact, when the search
+completed, and otherwise the best partition assembled from the states it
+evaluated, reported as heuristic.  The literal mixed-integer model is still
+available through :func:`export_miqcp` for external validation.
 """
 
 from __future__ import annotations
@@ -108,58 +110,50 @@ class _PartitionSearch:
     m timers, integer order is the order of ``(rate, timers)`` pairs, which
     is the rational objective with its fewer-timers tie-break.
 
-    The memo holds one dict per timers-left, keyed by mask.  A candidate
-    group's own value, ``(L // g) * (m + 1) + 1``, is cached by group mask;
-    on a miss its GCD is folded from the lowest member up and stops as soon
-    as it reaches the divisor ``d`` that cut the group, since every member is
-    a multiple of ``d`` and the GCD can go no lower.
+    The memo holds one dict per timers-left, keyed by mask; ``memo[0]`` holds
+    only the empty set, at value 0.  The candidate table holds, per period,
+    one ``(divisor mask, L * (m + 1) // d + 1)`` pair for each divisor d of
+    the period, in ascending divisor order: the periods d divides, and the
+    value of one timer at period d.  :meth:`groups` reads a state's groups
+    and their values off this table, with no GCD computed.
     """
 
     def __init__(self, periods: tuple[int, ...], m: int, node_budget: int):
-        self.periods = periods
         self.n = len(periods)
         self.m = m
         self.node_budget = node_budget
         self.stats = SolverStats()
-        self._scale = math.lcm(*periods) * (m + 1)
-        self._memo: list[dict[int, int]] = [{} for _ in range(m + 1)]
-        self._group_values: dict[int, int] = {}
-        # For every divisor of any period, the bitmask of periods it divides,
-        # in order of the divisor's first appearance.
-        self._divisor_masks: dict[int, int] = {}
+        self._memo: list[dict[int, int]] = [{0: 0}] + [{} for _ in range(m)]
+        scale = math.lcm(*periods) * (m + 1)
         divisors_of = [_divisors(p) for p in periods]
+        divisor_masks: dict[int, int] = {}
         for i, divs in enumerate(divisors_of):
             for d in divs:
-                self._divisor_masks[d] = self._divisor_masks.get(d, 0) | 1 << i
-        # Per period, its (divisor, divisor mask) pairs in ascending divisor
-        # order.  Every divisor-closed group containing the lowest remaining
-        # period is one of these masks cut down to the remaining set; the
-        # order fixes the search's node and subset counts and where the
-        # budget runs out.  The first pair is always divisor 1, whose group
-        # is the whole remaining set.
+                divisor_masks[d] = divisor_masks.get(d, 0) | 1 << i
         self._candidates = [
-            tuple((d, self._divisor_masks[d]) for d in divs) for divs in divisors_of
+            tuple((divisor_masks[d], scale // d + 1) for d in divs)
+            for divs in divisors_of
         ]
 
-    def group_gcd(self, group: int, d: int) -> int:
-        """GCD of the periods in ``group``, all of which are multiples of ``d``."""
-        periods = self.periods
-        low = group & -group
-        g = periods[low.bit_length() - 1]
-        rest = group ^ low
-        while rest and g != d:
-            bit = rest & -rest
-            g = math.gcd(g, periods[bit.bit_length() - 1])
-            rest ^= bit
-        return g
+    def groups(self, mask: int) -> dict[int, int]:
+        """The candidate groups of ``mask``, each with its one-timer value.
 
-    def group_value(self, group: int, d: int = 1) -> int:
-        """One timer for ``group``: its rate scaled by L, times m + 1, plus 1."""
-        value = self._group_values.get(group)
-        if value is None:
-            value = self._group_values[group] = (
-                self._scale // self.group_gcd(group, d) + 1)
-        return value
+        Every divisor-closed group containing the lowest period of ``mask`` is
+        a divisor mask of that period cut down to ``mask``.  The keys are the
+        distinct groups in order of the first divisor that cuts each, which
+        fixes the search's node and subset counts and where the budget runs
+        out; the first is ``mask`` itself, cut by divisor 1.  A later divisor
+        overwrites an earlier one that cut the same group, so each group keeps
+        the value of the largest divisor that cuts it, and that divisor is the
+        group's GCD g.  g divides the lowest period, so it is a candidate.  g
+        cuts exactly the group: every member is a multiple of g, and a period
+        of ``mask`` that g divides is divided by the divisor d that cut the
+        group (d divides every member, so d divides g), so it is a member.
+        And every divisor that cuts the group divides all of its members, so
+        it divides g.
+        """
+        return {divisor_mask & mask: value for divisor_mask, value
+                in self._candidates[(mask & -mask).bit_length() - 1]}
 
     def best(self, mask: int, timers_left: int) -> int:
         """Best value found for ``mask`` on at most ``timers_left`` timers.
@@ -171,46 +165,33 @@ class _PartitionSearch:
         budget is spent, a new state is not expanded: its value is that one
         group, and ``stats.nodes`` stays at ``node_budget + 1``.  So every
         memo value is the value of a feasible partition, and it is the
-        minimum whenever the search completed.
+        minimum whenever the search completed.  Each candidate group's value
+        comes from :meth:`groups`; only the rest is searched.
         """
         stats = self.stats
-        group_values = self._group_values
-        best = group_values.get(mask)
-        if best is None:
-            best = self.group_value(mask)
+        groups = self.groups(mask)
+        best = groups.pop(mask)   # the whole of ``mask`` on one timer
         if stats.nodes >= self.node_budget:
             stats.nodes = self.node_budget + 1
             stats.subsets += 1
             self._memo[timers_left][mask] = best
             return best
         stats.nodes += 1
-        candidates = self._candidates[(mask & -mask).bit_length() - 1]
-        if timers_left == 1:
-            # Any smaller group would leave periods without a timer.
-            seen = {divisor_mask & mask for _, divisor_mask in candidates}
-        else:
+        stats.subsets += len(groups) + 1
+        if timers_left > 1:   # else any smaller group leaves periods untimed
             memo = self._memo
             below = timers_left - 1
-            seen = {mask}
-            for d, divisor_mask in candidates:
-                sub = divisor_mask & mask
-                if sub in seen:
-                    continue   # distinct divisors yielding the same group
-                seen.add(sub)
+            for sub, value in groups.items():
                 rest = mask ^ sub
                 left = rest.bit_count()
                 if left > below:
                     left = below
-                value = memo[left].get(rest)
-                if value is None:
-                    value = self.best(rest, left)
-                group_value = group_values.get(sub)
-                if group_value is None:
-                    group_value = self.group_value(sub, d)
-                value += group_value
+                rest_value = memo[left].get(rest)
+                if rest_value is None:
+                    rest_value = self.best(rest, left)
+                value += rest_value
                 if value < best:
                     best = value
-        stats.subsets += len(seen)
         self._memo[timers_left][mask] = best
         return best
 
@@ -220,37 +201,30 @@ class _PartitionSearch:
         Among candidate groups achieving a state's value, the winner is the
         one containing the earliest period at which the memberships differ.
         Every state the walk visits was memoized by the search, so the walk
-        adds no node, and a group that two divisors both yield ties with
-        itself.  A candidate whose group or rest the search never evaluated
-        (the candidates of a state left unexpanded by a budget cut) is
-        skipped; the state's own value is its whole mask, which always was.
+        adds no node, and every group's value is known from the table.  A
+        candidate whose rest the search never evaluated (a candidate of a
+        state left unexpanded by a budget cut, or a nonempty rest with no
+        timer left) is skipped.  An unexpanded state's value is its whole
+        mask, which comes first and wins every tie.
         """
+        memo = self._memo
         mask = (1 << self.n) - 1
         timers_left = min(self.m, self.n)
         target = self.best(mask, timers_left)
         groups: list[int] = []
         while mask:
             chosen = None
-            for _, divisor_mask in self._candidates[(mask & -mask).bit_length() - 1]:
-                sub = divisor_mask & mask
+            for sub, value in self.groups(mask).items():
                 rest = mask ^ sub
-                if rest and timers_left == 1:
-                    continue
-                value = self._group_values.get(sub)
-                if rest:
-                    left = min(timers_left - 1, rest.bit_count())
-                    rest_value = self._memo[left].get(rest)
-                    if value is None or rest_value is None:
-                        continue
-                    value += rest_value
-                if value != target:
+                rest_value = memo[min(timers_left - 1, rest.bit_count())].get(rest)
+                if rest_value is None or value + rest_value != target:
                     continue
                 # The lowest period in exactly one of the two groups decides.
                 if chosen is None or (differ := sub ^ chosen) & -differ & sub:
-                    chosen = sub
+                    chosen, chosen_value = sub, value
             assert chosen is not None
             groups.append(chosen)
-            target -= self._group_values[chosen]
+            target -= chosen_value
             mask ^= chosen
             timers_left = min(timers_left - 1, mask.bit_count())
         return groups

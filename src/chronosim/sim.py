@@ -681,7 +681,9 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
     The normalized expected-interrupt column divides the mapping's rate by the
     baseline single-timer rate at the same factor, so it is constant across
     factors.  Rows that fail (for example a scaled hyperperiod overflowing)
-    are reported as per-factor error entries.
+    are reported as per-factor error entries.  ``strategies`` defaults to
+    :func:`applicable_strategies`; a given list must be nonempty and name no
+    strategy twice, since each row is keyed by factor and strategy.
     """
     factor_list = list(factors)
     if not factor_list:
@@ -692,6 +694,9 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
         raise UsageError("sweep requires a mapping in the base configuration")
     if strategies is None:
         strategies = applicable_strategies(base.task_set, base.mapping)
+    if not strategies or len(set(strategies)) < len(strategies):
+        raise UsageError("strategies must be a nonempty list without repeats, got "
+                         f"{[s.value for s in strategies]}")
 
     rows: list[SweepRow] = []
     for factor in factor_list:

@@ -442,6 +442,17 @@ class TestStrictScenario:
         if path[0] == "generation":
             assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
 
+    BAD_STRATEGIES = [5, None, "chronos", [], ["chronos", "chronos"], ["nope"], [1]]
+
+    @pytest.mark.parametrize("value", BAD_STRATEGIES,
+                             ids=[repr(v) for v in BAD_STRATEGIES])
+    def test_bad_strategies_exit_two(self, tmp_path, capsys, scenario_file, value):
+        bad = self.scenario(tmp_path, ("strategies",), value)
+        assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "strategies" in err
+        assert "Traceback" not in err
+
     def test_negative_cost_weight_exit_two(self, tmp_path, capsys, scenario_file):
         bad = self.scenario(tmp_path, ("weights",),
                             {"interrupt_entry_exit": -50, "comparison": -3})

@@ -448,25 +448,27 @@ class TestMilpOracle:
             assert result.objective <= Fraction(115, 100) * optimum, (m, optimum)
 
 
-class TestDivisorMaskTable:
-    """The search's divisor-mask table against a per-divisor scan."""
+class TestCandidateTable:
+    """Each state's candidate groups and their values, against a direct scan."""
 
-    @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=12))
-    @settings(max_examples=150, deadline=None)
-    def test_masks_candidates_and_group_gcds(self, period_set):
+    @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_groups_in_first_cut_order_with_gcd_values(self, period_set, m, data):
         periods = tuple(sorted(period_set))
-        search = _PartitionSearch(periods, m=3, node_budget=1)
-        divisors_of = [[d for d in range(1, p + 1) if p % d == 0] for p in periods]
-        # Keys in order of first appearance, each mask the periods d divides.
-        assert list(search._divisor_masks) == list(
-            dict.fromkeys(d for divs in divisors_of for d in divs))
-        for d, mask in search._divisor_masks.items():
-            assert mask == sum(1 << i for i, p in enumerate(periods) if p % d == 0)
-            members = [p for i, p in enumerate(periods) if mask >> i & 1]
-            assert search.group_gcd(mask, d) == math.gcd(*members)
-        for divs, candidates in zip(divisors_of, search._candidates):
-            assert [d for d, _ in candidates] == divs
-            assert all(mask == search._divisor_masks[d] for d, mask in candidates)
+        mask = data.draw(st.integers(min_value=1, max_value=(1 << len(periods)) - 1))
+        groups = _PartitionSearch(periods, m, node_budget=1).groups(mask)
+        members = [i for i in range(len(periods)) if mask >> i & 1]
+        lowest = periods[members[0]]
+        # The group each divisor of the lowest period cuts, in divisor order.
+        cuts = [sum(1 << i for i in members if periods[i] % d == 0)
+                for d in range(1, lowest + 1) if lowest % d == 0]
+        assert list(groups) == list(dict.fromkeys(cuts))
+        assert next(iter(groups)) == mask
+        scale = math.lcm(*periods) * (m + 1)
+        for group, value in groups.items():
+            group_periods = [p for i, p in enumerate(periods) if group >> i & 1]
+            assert value == scale // math.gcd(*group_periods) + 1
 
 
 class TestResultRoundTrip:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chronosim import cli, dispatch, sim
 from chronosim.dispatch import CostWeights, Strategy
-from chronosim.errors import ConfigError
+from chronosim.errors import ConfigError, UsageError
 from chronosim.model import (
     Mapping,
     Task,
@@ -311,6 +311,15 @@ class TestSimValidation:
         ts = make_task_set([2, 5])
         with pytest.raises(ConfigError):
             run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS, horizon=10))
+
+    @pytest.mark.parametrize("strategies", [
+        [], [Strategy.BASELINE, Strategy.CHRONOS, Strategy.BASELINE]])
+    def test_sweep_rejects_empty_or_repeated_strategies(self, strategies):
+        ts = make_task_set([2, 4])
+        base = SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                         mapping=single_timer_mapping(ts, period=2), horizon=8)
+        with pytest.raises(UsageError, match="strategies"):
+            period_factor_sweep(base, [1], strategies)
 
     def test_unbounded_releases_require_horizon(self):
         ts = make_task_set([2, 5], releases=None)
