@@ -33,10 +33,12 @@ tasks are appended to the ready list, which ``take_ready`` hands over in
 The per-task and per-timer runtimes are slotted dataclasses, and each task's
 runtime holds a reference to its timer's.  Each state maps its strategy once,
 at construction, to a container kind (``"sorted"``, ``"append"`` or
-``"slot"``); ``tick`` and ``delay_task`` branch on that kind and never test
-the strategy.  ``delay_task`` takes the whole ordered batch of jobs that ended
-since the last interrupt instant and charges the ledger once per batch, with
-the same totals as one call per job.  The simulator passes that instant as
+``"slot"``); ``tick`` and ``delay_task`` branch on that kind once per call
+and never test the strategy.  ``delay_task`` has one loop per kind.  It takes
+the whole ordered batch of jobs that ended since the last interrupt instant
+and charges the ledger once per batch, with the same totals as one call per
+job.  Each interrupt routine likewise counts in locals and charges the ledger
+once per interrupt.  The simulator passes that instant as
 ``now``: no task's release lies strictly between two interrupt instants (each
 timer fires at every multiple of its period, which divides its tasks'
 periods), so each job's next release is the same as at its own end, and no
@@ -367,16 +369,14 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
     interrupt of a properly configured timer.
     """
     ts = state.timers[timer_id]
-    counts = state.interrupt_ledger.counts
-    counts["interrupt"] += 1
-    counts["tick_increment"] += 1
     ts.tick += ts.period
     tick_ = ts.tick
     slots = ts.slots
     tasks = state.tasks
     released: list[int] = []
+    inspected = 0  # period-divisibility inspections
     for rank, slot_period in enumerate(ts.slot_periods):
-        counts["comparison"] += 1  # period-divisibility inspection
+        inspected += 1
         if tick_ % slot_period != 0:
             break
         occupant = slots[rank]
@@ -384,9 +384,13 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
             state.skip_events.append((tick_, timer_id, ts.slot_owners[rank]))
             continue
         slots[rank] = None
-        counts["slot_write"] += 1
         tasks[occupant].delayed = False
         released.append(occupant)
+    counts = state.interrupt_ledger.counts
+    counts["interrupt"] += 1
+    counts["tick_increment"] += 1
+    counts["comparison"] += inspected
+    counts["slot_write"] += len(released)  # one write per released slot
     counts["ready_insert"] += len(released)
     state.ready.extend(released)
     if state.check_invariants:
@@ -397,11 +401,6 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Delay path
 # ---------------------------------------------------------------------------
-
-# The ledger counter of each container kind's insert.
-_INSERT_PRIMITIVE = {"sorted": "sorted_insert_step", "append": "list_append",
-                     "slot": "slot_write"}
-
 
 def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> None:
     """Delay the finished jobs of ``task_ids``, in order, until their next releases.
@@ -421,32 +420,57 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     one call per task; an empty sequence changes nothing.
     """
     tasks = state.tasks
+    check = state.check_invariants
     container = state.container
-    charge = 0  # of the container's insert primitive
-    for tid in task_ids:
-        entry = tasks[tid]
-        if entry.delayed:
-            raise InvariantViolation(f"task {tid} is already delayed")
-        period = entry.period
-        next_release = entry.next_release = (now // period + 1) * period
-        ts = entry.timer
-        if container == "sorted":
+    if container == "sorted":
+        primitive, charge = "sorted_insert_step", 0  # the summed insert positions
+        for tid in task_ids:
+            entry = tasks[tid]
+            if entry.delayed:
+                raise InvariantViolation(f"task {tid} is already delayed")
+            period = entry.period
+            next_release = entry.next_release = (now // period + 1) * period
+            ts = entry.timer
             keys = ts.keys
             pos = bisect_right(keys, next_release)
             charge += pos
             keys.insert(pos, next_release)
             ts.queue.insert(pos, tid)
-        elif container == "append":
+            entry.delayed = True
+            if next_release < ts.next_release:
+                ts.next_release = next_release
+            if check:
+                state._check(ts.timer_id)
+    elif container == "append":
+        for tid in task_ids:
+            entry = tasks[tid]
+            if entry.delayed:
+                raise InvariantViolation(f"task {tid} is already delayed")
+            period = entry.period
+            next_release = entry.next_release = (now // period + 1) * period
+            ts = entry.timer
             ts.queue.append(tid)
-            charge += 1
-        else:
+            entry.delayed = True
+            if next_release < ts.next_release:
+                ts.next_release = next_release
+            if check:
+                state._check(ts.timer_id)
+        primitive, charge = "list_append", len(task_ids)
+    else:
+        for tid in task_ids:
+            entry = tasks[tid]
+            if entry.delayed:
+                raise InvariantViolation(f"task {tid} is already delayed")
+            period = entry.period
+            next_release = entry.next_release = (now // period + 1) * period
+            ts = entry.timer
             ts.slots[entry.slot] = tid
-            charge += 1
-        entry.delayed = True
-        if next_release < ts.next_release:
-            ts.next_release = next_release
-        if state.check_invariants:
-            state._check(ts.timer_id)
+            entry.delayed = True
+            if next_release < ts.next_release:
+                ts.next_release = next_release
+            if check:
+                state._check(ts.timer_id)
+        primitive, charge = "slot_write", len(task_ids)
     counts = state.delay_ledger.counts
     counts["comparison"] += len(task_ids)
-    counts[_INSERT_PRIMITIVE[container]] += charge
+    counts[primitive] += charge

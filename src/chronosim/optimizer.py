@@ -300,6 +300,15 @@ def solve(problem: OptimizationProblem,
 # Solver-file export
 # ---------------------------------------------------------------------------
 
+def _rate_lower_bound(max_t: int) -> str:
+    """The shortest decimal of the largest float whose decimal is at most
+    1/max_t, so the bound row never excludes a timer at period max_t."""
+    rate = 1.0 / max_t
+    while Fraction(repr(rate)) > Fraction(1, max_t):
+        rate = math.nextafter(rate, 0.0)
+    return repr(rate)
+
+
 def export_miqcp(problem: OptimizationProblem, path: str) -> None:
     """Write the full mixed-integer model in LP text format.
 
@@ -316,7 +325,7 @@ def export_miqcp(problem: OptimizationProblem, path: str) -> None:
     n = len(periods)
     m = problem.m
     max_t = problem.max_period
-    f_lower = repr(1.0 / max_t) if max_t > 1 else "1"
+    f_lower = _rate_lower_bound(max_t) if max_t > 1 else "1"
 
     lines: list[str] = []
     lines.append("\\ Tick-interrupt minimization: partition tasks over timers")

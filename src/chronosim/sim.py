@@ -18,30 +18,37 @@ on overhead before any job work proceeds, which is what can make dense tick
 configurations unschedulable.  Delay-path cost is accounted but runs in task
 context and does not consume time.
 
-Bookkeeping: task ids are dense 1..n, and at most one job per task is live,
-so the loop keeps per-task tables indexed by task id: the constants (period,
-relative deadline, wcet, the deadline of the last job a release limit allows),
-read once per run, and the live job's absolute deadline (-1 when none) and
-remaining work.  The deadline identifies the job: job k of a task is released
-at k times its period, so no two of its jobs share one.  No object is built
-per release.  The ready heap holds (period, time, kind, task, deadline).
-Deadlines sit in buckets keyed by absolute instant, each a list of task ids in
-release order, with a heap of the distinct instants: one heap entry per
-bucket, not per job.  An entry of either is stale once its deadline is not its
-task's live one.  The earliest live deadline is found by dropping stale tails
-of the head bucket and emptied buckets; the abandon pass takes the live tasks
-of the bucket at the current instant in ascending task id.  Ending jobs is one
-helper over a sequence of them (the running job, the late jobs of an instant,
-or its zero-length jobs).  It retires each task after its last release and
-appends the rest to one list of the tasks whose jobs ended since the last
-interrupt instant.  That list is delayed in one dispatcher call at the next
-interrupt instant, before any timer fires, and once more when the run ends.
-Delaying a job there, with the last interrupt instant as ``now``, is exact:
-every timer period divides its tasks' periods and the timer fires at each of
-its multiples, so no release of any task lies strictly between two interrupt
-instants, and each job's next release is the one it had when it ended.  Only
-interrupts read the delayed containers, and the inserts keep their order, so
-positions, ledgers and skips are those of delaying each job as it ends.
+Bookkeeping: task ids are dense 1..n, and at most one job per task is live, so
+the loop keeps per-task tables indexed by task id: the constants (period,
+relative deadline, wcet, the deadline of the last job a release limit allows,
+``TIME_MAX`` for a task that never retires), read once per run, and the live
+job's absolute deadline (-1 when none) and remaining work.  The deadline
+identifies the job: job k of a task is released at k times its period, so no
+two of its jobs share one.  No object is built per release.  The ready heap
+holds one integer per waiting job, which packs (period, time, kind, task) so
+that integer order is that tuple's order; each task's table entry keeps the
+key of its job's entry.  An abandoned job's entry goes stale and is dropped
+when it reaches the top; a count of stale entries skips the test while there
+are none.  Deadlines sit in buckets keyed by absolute instant, each a list of
+task ids in release order, with a heap of the distinct instants: one heap
+entry per bucket, not per job.  A bucket entry is stale once its deadline is
+not its task's live one.  The earliest live deadline is found by dropping
+stale tails of the head bucket and emptied buckets; the abandon pass takes the
+live tasks of the bucket at the current instant in ascending task id.  A task
+retires once a job with a deadline of at least its final one ends, which is
+one comparison.  The running job completes inline in the loop.  A task's last
+job, the late jobs of an instant and its zero-length jobs end through one
+helper over a sequence of them.  Either way, each task retires after its last
+release, and the rest join one list of the tasks whose jobs ended since the
+last interrupt instant.  That list is delayed in one dispatcher call at the
+next interrupt instant, before any timer fires, and once more when the run
+ends.  Delaying a job there, with the last interrupt instant as ``now``, is
+exact: every timer period divides its tasks' periods and the timer fires at
+each of its multiples, so no release of any task lies strictly between two
+interrupt instants, and each job's next release is the one it had when it
+ended.  Only interrupts read the delayed containers, and the inserts keep
+their order, so positions, ledgers and skips are those of delaying each job as
+it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
@@ -263,12 +270,12 @@ def run(config: SimConfig) -> SimMetrics:
     # dense 1..n; slot 0 is unused).  At most one job per task is live, and
     # its absolute deadline identifies it: live[tid] is that deadline (-1 when
     # none) and remaining[tid] its work left.  A task retires once a job with
-    # a deadline of at least final_deadline[tid] ends (None: never).
+    # a deadline of at least final_deadline[tid] ends (TIME_MAX: never).
     n_tasks = task_set.n
     period = [0] * (n_tasks + 1)
     rel_deadline = [0] * (n_tasks + 1)
     wcet = [0] * (n_tasks + 1)
-    final_deadline: list[int | None] = [None] * (n_tasks + 1)
+    final_deadline = [TIME_MAX] * (n_tasks + 1)
     for task in task_set.tasks:
         period[task.id] = task.period
         rel_deadline[task.id] = task.deadline
@@ -281,6 +288,18 @@ def run(config: SimConfig) -> SimMetrics:
 
     horizon = config.horizon
     end = TIME_MAX if horizon is None else horizon  # no run reaches TIME_MAX
+    # A ready-heap entry is one integer that orders as (period, time, kind,
+    # task): the fields are packed from the top down, no time exceeds end and
+    # no task id exceeds mask.  Kind 0 is a job preempted at that time, 1 one
+    # released then, 2 one whose time slice ended then.
+    bits = n_tasks.bit_length()
+    mask = (1 << bits) - 1
+    time_shift = bits + 2
+    period_shift = time_shift + end.bit_length()
+    first_key = [p << period_shift for p in period]  # the least key of a period
+    past_key = [(p + 1) << period_shift for p in period]
+    released_key = [first_key[tid] | 1 << bits | tid for tid in range(n_tasks + 1)]
+    queued = [0] * (n_tasks + 1)  # the key of each task's live ready-heap entry
     time_slice = config.time_slice
     as_time = config.overhead_as_time
     scale = config.time_scale
@@ -288,11 +307,12 @@ def run(config: SimConfig) -> SimMetrics:
     limit = config.trace_limit
 
     retired = 0  # tasks whose last job has ended; none is live again
-    # Ready-heap entries end in (task, deadline) and bucket entries are task
-    # ids under a deadline instant; either is stale once that deadline is no
-    # longer its task's live one.  The instants heap holds each bucket's key.
-    # (period, time, kind, task, deadline)
-    ready: list[tuple[int, int, int, int, int]] = []
+    # Bucket entries are task ids under a deadline instant, stale once that
+    # deadline is no longer their task's live one; a ready-heap entry is
+    # stale once it is not its task's queued key.  The instants heap holds
+    # each bucket's key.
+    ready: list[int] = []
+    stale = 0  # ready-heap entries of abandoned jobs
     buckets: dict[int, list[int]] = {}  # deadline instant -> tasks, in release order
     instants: list[int] = []
     zero_length: list[int] = []  # released jobs with no work, in ready order
@@ -329,8 +349,7 @@ def run(config: SimConfig) -> SimMetrics:
         nonlocal jobs_completed, retired
         retiring: set[int] | None = None  # built only when some task retires
         for tid in tids:
-            final = final_deadline[tid]
-            last = final is not None and live[tid] >= final
+            last = live[tid] >= final_deadline[tid]
             live[tid] = -1
             if missed:
                 miss_events.append((now, tid))
@@ -369,13 +388,15 @@ def run(config: SimConfig) -> SimMetrics:
         ``take_ready`` yields (period, task id) order, which is the ready-heap
         order of jobs released at one instant; zero-length jobs keep it.
         """
+        now_key = now << time_shift
         for tid in state.take_ready():
             deadline = live[tid] = now + rel_deadline[tid]
             work = remaining[tid] = wcet[tid]
             if work == 0:
                 zero_length.append(tid)
             else:
-                heapq.heappush(ready, (period[tid], now, 1, tid, deadline))
+                key = queued[tid] = released_key[tid] + now_key
+                heapq.heappush(ready, key)
                 bucket = buckets.get(deadline)
                 if bucket is None:
                     buckets[deadline] = [tid]
@@ -396,7 +417,17 @@ def run(config: SimConfig) -> SimMetrics:
         # zero-length jobs complete without occupying the CPU, and the
         # scheduler picks the next job.
         if running is not None and remaining[running] == 0:
-            end_jobs((running,), t, False)
+            # The running job completes inline; its task's last job retires
+            # through end_jobs.
+            if live[running] >= final_deadline[running]:
+                end_jobs((running,), t, False)
+            else:
+                live[running] = -1
+                jobs_completed += 1
+                ended.append(running)
+                if collect:
+                    trace(t, "complete", None, running)
+                    trace(t, "delay", None, running)
             running = None
         if instants and instants[0] <= t and earliest_deadline() <= t:
             # No live deadline lies before t (each one is an event time), so
@@ -404,28 +435,37 @@ def run(config: SimConfig) -> SimMetrics:
             deadline = heapq.heappop(instants)
             late = sorted(tid for tid in buckets.pop(deadline)
                           if live[tid] == deadline)
+            for tid in late:
+                queued[tid] = 0
+            stale += len(late)
             if running is not None and live[running] == deadline:
                 running = None
+                stale -= 1  # the running job has no ready-heap entry
             end_jobs(late, t, True)
         if zero_length:
             end_jobs(zero_length, t, False)
             zero_length.clear()
-        while ready and live[ready[0][3]] != ready[0][4]:
+        while stale and queued[ready[0] & mask] != ready[0]:
             heapq.heappop(ready)
+            stale -= 1
         if ready:
+            # A preempted or sliced job's key lies above the head, so the push
+            # and pop are one heappushpop.
             if running is None:
-                running = heapq.heappop(ready)[3]
+                running = heapq.heappop(ready) & mask
                 running_since = t
-            elif ready[0][0] < period[running]:
-                heapq.heappush(ready, (period[running], t, 0, running, live[running]))
+            elif ready[0] < first_key[running]:
+                key = queued[running] = (first_key[running] + (t << time_shift)
+                                         + running)
                 if collect:
                     trace(t, "preempt", None, running)
-                running = heapq.heappop(ready)[3]
+                running = heapq.heappushpop(ready, key) & mask
                 running_since = t
-            elif (time_slice and ready[0][0] == period[running]
+            elif (time_slice and ready[0] < past_key[running]
                   and t - running_since >= 1):
-                heapq.heappush(ready, (period[running], t, 2, running, live[running]))
-                running = heapq.heappop(ready)[3]
+                key = queued[running] = (first_key[running] + (t << time_shift)
+                                         + (2 << bits) + running)
+                running = heapq.heappushpop(ready, key) & mask
                 running_since = t
 
         # Step: the next event is the earliest of the next tick, the running
@@ -448,10 +488,13 @@ def run(config: SimConfig) -> SimMetrics:
         # so its slice boundary max(running_since + 1, t + 1) is t + 1; one at
         # the job's completion itself has no effect, the job completes first.
         # The rarely true t + 1 < t_next goes first to skip the ready-heap walk.
+        # No waiting job has a shorter period than the running one, so a head
+        # below the next period's keys has an equal period.
         if t + 1 < t_next and time_slice and running is not None:
-            while ready and live[ready[0][3]] != ready[0][4]:
+            while stale and queued[ready[0] & mask] != ready[0]:
                 heapq.heappop(ready)
-            if ready and ready[0][0] == period[running]:
+                stale -= 1
+            if ready and ready[0] < past_key[running]:
                 t_next = t + 1
         cut = t_next > end
         if cut:

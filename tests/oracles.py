@@ -1,20 +1,23 @@
 """Brute-force oracles the tests check the package against.
 
 Nothing in ``chronosim`` depends on these; they enumerate directly what the
-solver and the simulator compute by other means.
+solver and the simulator compute by other means, and ``reference_run``
+re-derives the simulator's loop one time unit at a time.
 """
 
 import math
 from fractions import Fraction
 
+from chronosim.dispatch import DispatcherState, Strategy, delay_task, tick
 from chronosim.errors import UsageError
-from chronosim.model import TaskSet
+from chronosim.model import TaskSet, expected_interrupt_rate, single_timer_mapping
 from chronosim.optimizer import (
     OptimizationProblem,
     OptimizationResult,
     SolverStats,
     _build_result,
 )
+from chronosim.sim import SimConfig, SimMetrics, TimerStats
 
 BRUTE_FORCE_BOUND = 10
 
@@ -85,3 +88,177 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
                 mask |= 1 << i
         group_masks.append(mask)
     return _build_result(problem, group_masks, stats, "brute-force")
+
+
+def reference_run(config: SimConfig) -> SimMetrics:
+    """The simulation of :func:`chronosim.sim.run`, one time unit per step.
+
+    It shares the dispatcher primitives and the result types with the
+    package and re-derives the loop from the ``sim`` module docstring, for a
+    valid configuration.  Each live job is one dict; the scheduler scans the
+    waiting jobs for the least (period, time, kind, task), where kind orders
+    a job preempted at ``time`` (0) before one released then (1) before one
+    whose slice ended then (2).  A job is delayed at its own end instant.  At
+    each instant t >= 1, due interrupts fire in ascending timer order and
+    their releases are admitted in the dispatcher's order; then instant t is
+    settled: the running job completes if its work is done, late jobs are
+    abandoned in ascending task id, zero-length jobs complete, and the
+    scheduler picks.  One unit then goes to the overhead backlog, else to the
+    running job, else to idling.
+    """
+    task_set = config.task_set
+    if config.strategy is Strategy.BASELINE:
+        mapping = single_timer_mapping(task_set, period=config.period_factor)
+    else:
+        mapping = config.mapping
+    state = DispatcherState(task_set, mapping, config.strategy,
+                            check_invariants=config.check_invariants)
+    weights = config.weights
+    tasks = {task.id: task for task in task_set.tasks}
+    per_timer = [TimerStats(id=tc.id, period=tc.period)
+                 for tc in sorted(mapping.used_timers(), key=lambda tc: tc.id)]
+    collect = config.collect_trace
+    events: list | None = [] if collect else None
+    dropped = 0
+
+    def trace(kind: str, timer: int | None, tid: int | None) -> None:
+        nonlocal dropped
+        if not collect:
+            return
+        if len(events) < config.trace_limit:
+            events.append((t, kind, timer, tid))
+        else:
+            dropped += 1
+
+    jobs: dict[int, dict] = {}            # task id -> its live job
+    waiting: dict[int, tuple] = {}        # task id -> key, for jobs off the CPU
+    due_at: dict[int, list[int]] = {}     # deadline -> tasks whose job is due then
+    zero_length: list[int] = []           # jobs released now with no work
+    running: int | None = None
+    running_since = 0
+    retired = completed = 0
+    misses: list[tuple[int, int]] = []
+    pending = busy = idle = overhead = 0
+
+    def release(tid: int) -> None:
+        task = tasks[tid]
+        jobs[tid] = {"released": t, "deadline": t + task.deadline,
+                     "left": task.wcet}
+        if task.wcet == 0:
+            zero_length.append(tid)
+        else:
+            waiting[tid] = (task.period, t, 1, tid)
+            due_at.setdefault(t + task.deadline, []).append(tid)
+        if t > 0:  # the synchronous start is not an interrupt's release
+            trace("release", mapping.assignment[tid], tid)
+
+    def end(tid: int, kind: str) -> None:
+        """Complete or abandon the task's job; retire or delay the task."""
+        nonlocal retired
+        job = jobs.pop(tid)
+        trace(kind, None, tid)
+        task = tasks[tid]
+        # The last job is the one released at releases_limit * period, or
+        # the first after it when that release found the task still live.
+        if (task.releases_limit is not None
+                and job["released"] >= task.releases_limit * task.period):
+            retired += 1
+            trace("retire", None, tid)
+        else:
+            trace("delay", None, tid)
+            delay_task(state, [tid], t)
+
+    def pick() -> None:
+        nonlocal running, running_since
+        running = min(waiting.values())[3]
+        del waiting[running]
+        running_since = t
+
+    t = 0
+    for tid in state.take_ready():
+        release(tid)
+    while True:
+        if running is not None and jobs[running]["left"] == 0:
+            completed += 1
+            end(running, "complete")
+            running = None
+        for tid in sorted(due_at.pop(t, ())):
+            if tid in jobs and jobs[tid]["deadline"] == t:
+                misses.append((t, tid))
+                if tid == running:
+                    running = None
+                else:
+                    del waiting[tid]
+                end(tid, "miss")
+        for tid in zero_length:
+            completed += 1
+            end(tid, "complete")
+        zero_length.clear()
+        if waiting:
+            head = min(waiting.values())
+            if running is None:
+                pick()
+            else:
+                own = tasks[running].period
+                if head[0] < own:
+                    waiting[running] = (own, t, 0, running)
+                    trace("preempt", None, running)
+                    pick()
+                elif config.time_slice and head[0] == own and t > running_since:
+                    waiting[running] = (own, t, 2, running)
+                    pick()
+        if t == config.horizon or (config.horizon is None
+                                   and retired == len(tasks)):
+            break
+        if pending >= config.time_scale:
+            pending -= config.time_scale
+            overhead += 1
+        elif running is not None:
+            jobs[running]["left"] -= 1
+            busy += 1
+        else:
+            idle += 1
+        t += 1
+        for stats in per_timer:
+            if t % stats.period:
+                continue
+            cost_before = state.interrupt_ledger.total(weights)
+            skips_before = len(state.skip_events)
+            released = tick(state, stats.id)
+            if config.overhead_as_time:
+                pending += state.interrupt_ledger.total(weights) - cost_before
+            stats.interrupts += 1
+            stats.required += bool(released)
+            trace("interrupt", stats.id, None)
+            for _, timer, tid in state.skip_events[skips_before:]:
+                trace("skip", timer, tid)
+        for tid in state.take_ready():
+            release(tid)
+
+    total = sum(s.interrupts for s in per_timer)
+    required = sum(s.required for s in per_timer)
+    interrupt_cost = state.interrupt_ledger.total(weights)
+    delay_cost = state.delay_ledger.total(weights)
+    return SimMetrics(
+        strategy=config.strategy.value,
+        per_timer=per_timer,
+        total_interrupts=total,
+        required_interrupts=required,
+        not_required_interrupts=total - required,
+        interrupt_cost=interrupt_cost,
+        delay_cost=delay_cost,
+        total_cost=interrupt_cost + delay_cost,
+        interrupt_counters=state.interrupt_ledger.snapshot(),
+        delay_counters=state.delay_ledger.snapshot(),
+        deadline_misses=len(misses),
+        miss_events=misses,
+        harmonic_skips=list(state.skip_events),
+        jobs_completed=completed,
+        total_time=t,
+        busy_time=busy,
+        idle_time=idle,
+        overhead_time=overhead,
+        expected_rate=expected_interrupt_rate(mapping),
+        events=events,
+        events_dropped=dropped if collect else None,
+    )

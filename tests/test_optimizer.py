@@ -531,6 +531,17 @@ class TestExportMiqcp:
         text = path.read_text()
         assert " 0.2 <= f_1 <= 1" in text
 
+    def test_rate_bound_is_the_largest_float_not_above_one_over_max_period(
+            self, tmp_path):
+        path = tmp_path / "bound.lp"
+        for max_t in range(2, 1001):
+            export_miqcp(OptimizationProblem(periods=(max_t,), m=1), str(path))
+            bound = next(line.split()[0] for line in path.read_text().splitlines()
+                         if line.endswith(" <= f_1 <= 1"))
+            assert Fraction(bound) <= Fraction(1, max_t), max_t
+            above = math.nextafter(float(bound), 1.0)
+            assert Fraction(repr(above)) > Fraction(1, max_t), max_t
+
     def test_nonconvexity_flagged(self, tmp_path):
         path = tmp_path / "flag.lp"
         export_miqcp(OptimizationProblem(periods=(2, 5), m=2), str(path))
