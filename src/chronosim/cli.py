@@ -216,15 +216,18 @@ def cmd_simulate(args) -> int:
     if strategy is not Strategy.BASELINE and mapping is None:
         raise UsageError(f"strategy {strategy.value} requires --mapping")
     factor = args.period_factor
-    if factor > 1:
-        task_set = task_set.scaled(factor)
-        mapping = mapping.scaled(factor) if mapping else None
+    if factor < 1:
+        raise UsageError(f"period_factor must be >= 1, got {factor}")
+    task_set = task_set.scaled(factor)
+    if strategy is Strategy.BASELINE:
+        mapping = model.single_timer_mapping(task_set, period=factor)
+    else:
+        mapping = mapping.scaled(factor)
     config = sim.SimConfig(
         task_set=task_set,
         strategy=strategy,
         mapping=mapping,
         horizon=args.horizon,
-        period_factor=factor,
         overhead_as_time=args.overhead_as_time,
         collect_trace=args.trace is not None,
     )
@@ -334,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one strategy over a task set")
     p.add_argument("task_set", help="task-set JSON file")
-    p.add_argument("--mapping", default=None, help="mapping JSON file")
+    p.add_argument("--mapping", default=None,
+                   help="mapping JSON file (the baseline ignores it)")
     p.add_argument("--strategy", required=True,
                    choices=[s.value for s in Strategy])
     p.add_argument("--horizon", type=int, default=None,

@@ -2,9 +2,9 @@
 
 Four strategies manage the per-timer containers of delayed tasks:
 
-* ``BASELINE``  - a single timer with period 1 and one sorted delayed list;
-  implemented as the sorted-list routine with m=1 so comparisons against the
-  multi-timer strategies isolate the multi-timer effect.
+* ``BASELINE``  - one timer at the period factor and one sorted delayed
+  list; implemented as the sorted-list routine with m=1 so comparisons
+  against the multi-timer strategies isolate the multi-timer effect.
 * ``CHRONOS``   - per-timer lists sorted ascending by next release; the
   interrupt pops the head while it is due and can exit early.
 * ``CHRONOS_CONST`` - unsorted per-timer lists with constant-cost append on
@@ -138,7 +138,7 @@ class _TimerRuntime:
     timer_id: int
     period: int
     tick: int = 0
-    next_release: int = TIME_MAX                            # unread by the slot routine
+    next_release: int = TIME_MAX
     queue: list[int] = field(default_factory=list)          # sorted or append order
     keys: list[int] = field(default_factory=list)           # sorted: next releases
     slot_owners: tuple[int, ...] = ()                       # harmonic, by period rank
@@ -172,7 +172,7 @@ class DispatcherState:
     def __init__(self, task_set: TaskSet, mapping: Mapping, strategy: Strategy,
                  check_invariants: bool = False):
         if strategy is Strategy.BASELINE:
-            # Period 1 at base scale; period-factor sweeps scale it uniformly.
+            # One timer at the period factor (model.single_timer_mapping).
             if len(mapping.used_timers()) != 1:
                 raise ConfigError("the baseline strategy requires a single timer")
         if strategy is Strategy.CHRONOS_HARMONIC:
@@ -416,7 +416,8 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     due no later (one ``sorted_insert_step`` per such entry, i.e. the insert
     position), an unsorted list appends it, a slot array writes its slot.
     Each also costs one ``comparison`` to refresh the timer's cached earliest
-    release.  The charges reach the ledger once per call, with the totals of
+    release; a slot write is charged it too, though no slot routine reads
+    that cache.  The charges reach the ledger once per call, with the totals of
     one call per task; an empty sequence changes nothing.
     """
     tasks = state.tasks
@@ -462,12 +463,10 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
             if entry.delayed:
                 raise InvariantViolation(f"task {tid} is already delayed")
             period = entry.period
-            next_release = entry.next_release = (now // period + 1) * period
+            entry.next_release = (now // period + 1) * period
             ts = entry.timer
             ts.slots[entry.slot] = tid
             entry.delayed = True
-            if next_release < ts.next_release:
-                ts.next_release = next_release
             if check:
                 state._check(ts.timer_id)
         primitive, charge = "slot_write", len(task_ids)

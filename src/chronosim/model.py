@@ -198,7 +198,7 @@ class Mapping:
 
 
 def single_timer_mapping(task_set: TaskSet, period: int = 1) -> Mapping:
-    """All tasks on one timer; the baseline configuration uses period 1."""
+    """All tasks on one timer; the baseline runs one at the period factor."""
     mapping = Mapping(
         timers=(TimerConfig(id=1, period=period),),
         assignment={t.id: 1 for t in task_set.tasks},

@@ -104,9 +104,8 @@ class SimConfig:
     """One simulation run: task set, mapping, strategy, and accounting knobs.
 
     ``horizon=None`` runs until every task has retired (requires finite
-    release limits).  ``period_factor`` (at least 1) documents the uniform
-    scaling already applied to the task set and mapping; the baseline
-    strategy configures its single timer with that period.
+    release limits).  Every strategy runs ``mapping``; for the baseline it is
+    one timer at the period factor (:func:`.model.single_timer_mapping`).
     """
 
     task_set: TaskSet
@@ -114,7 +113,6 @@ class SimConfig:
     mapping: Mapping | None = None
     weights: CostWeights = field(default_factory=CostWeights)
     horizon: int | None = None
-    period_factor: int = 1
     time_slice: bool = True
     overhead_as_time: bool = False
     time_scale: int = 100
@@ -244,17 +242,10 @@ def run(config: SimConfig) -> SimMetrics:
         raise ConfigError("unbounded release limits require a fixed horizon")
     if config.time_scale < 1:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
-    if config.period_factor < 1:
-        raise UsageError(f"period_factor must be >= 1, got {config.period_factor}")
-
-    if config.strategy is Strategy.BASELINE:
-        # Built valid: single_timer_mapping validates its own result.
-        mapping = single_timer_mapping(task_set, period=config.period_factor)
-    else:
-        if config.mapping is None:
-            raise ConfigError(f"strategy {config.strategy.value} requires a mapping")
-        mapping = config.mapping
-        mapping.validate(task_set)
+    mapping = config.mapping
+    if mapping is None:
+        raise ConfigError(f"strategy {config.strategy.value} requires a mapping")
+    mapping.validate(task_set)
 
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)
@@ -746,7 +737,7 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
         try:
             ts_scaled = base.task_set.scaled(factor)
             map_scaled = base.mapping.scaled(factor)
-            ts_scaled.hyperperiod()
+            single = single_timer_mapping(ts_scaled, period=factor)
             # A fixed observation window scales with the periods.
             horizon = None if base.horizon is None else base.horizon * factor
             metrics: dict[Strategy, SimMetrics] = {}
@@ -754,9 +745,8 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
                 cfg = replace(
                     base,
                     task_set=ts_scaled,
-                    mapping=None if strategy is Strategy.BASELINE else map_scaled,
+                    mapping=single if strategy is Strategy.BASELINE else map_scaled,
                     strategy=strategy,
-                    period_factor=factor,
                     horizon=horizon,
                 )
                 metrics[strategy] = run(cfg)
@@ -764,13 +754,8 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
             sched_class = classify(missed)
             reference = metrics.get(Strategy.BASELINE,
                                     metrics[next(iter(metrics))])
-            rate = expected_interrupt_rate(map_scaled)
             for strategy in strategies:
                 m = metrics[strategy]
-                if strategy is Strategy.BASELINE:
-                    normalized = Fraction(1)
-                else:
-                    normalized = rate / Fraction(1, factor)
                 ratio = (Fraction(reference.total_cost, m.total_cost)
                          if m.total_cost else None)
                 fraction = (Fraction(m.total_cost, m.total_time * base.time_scale)
@@ -778,7 +763,7 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
                 rows.append(SweepRow(
                     factor=factor,
                     strategy=m.strategy,
-                    normalized_rate=normalized,
+                    normalized_rate=m.expected_rate * factor,
                     total_interrupts=m.total_interrupts,
                     required_interrupts=m.required_interrupts,
                     not_required_interrupts=m.not_required_interrupts,

@@ -8,9 +8,9 @@ re-derives the simulator's loop one time unit at a time.
 import math
 from fractions import Fraction
 
-from chronosim.dispatch import DispatcherState, Strategy, delay_task, tick
+from chronosim.dispatch import DispatcherState, delay_task, tick
 from chronosim.errors import UsageError
-from chronosim.model import TaskSet, expected_interrupt_rate, single_timer_mapping
+from chronosim.model import TaskSet, expected_interrupt_rate
 from chronosim.optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -107,10 +107,7 @@ def reference_run(config: SimConfig) -> SimMetrics:
     running job, else to idling.
     """
     task_set = config.task_set
-    if config.strategy is Strategy.BASELINE:
-        mapping = single_timer_mapping(task_set, period=config.period_factor)
-    else:
-        mapping = config.mapping
+    mapping = config.mapping
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)
     weights = config.weights

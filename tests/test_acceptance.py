@@ -21,6 +21,7 @@ from chronosim.model import (
     TimerConfig,
     expected_interrupt_rate,
     generate_task_set,
+    single_timer_mapping,
 )
 from chronosim.optimizer import OptimizationProblem, solve
 from chronosim.sim import SimConfig, period_factor_sweep, run
@@ -72,7 +73,8 @@ def test_criterion_1_figure_reproduction():
     with criterion(1, "two-task figure: 10 baseline interrupts vs 7, exact"):
         started = time.monotonic()
         ts = make_task_set([2, 5], releases=5)
-        base = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=10))
+        base = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                             mapping=single_timer_mapping(ts), horizon=10))
         assert base.total_interrupts == 10
         idle = {t for t, _, released in base.interrupt_log if released == 0}
         assert idle == {1, 3, 7, 9}
@@ -148,7 +150,8 @@ def test_criterion_4_release_correctness_oracle():
                              Strategy.CHRONOS_CONST):
                 metrics = run(SimConfig(
                     task_set=ts, strategy=strategy,
-                    mapping=None if strategy is Strategy.BASELINE else mapping,
+                    mapping=(single_timer_mapping(ts)
+                             if strategy is Strategy.BASELINE else mapping),
                     horizon=horizon))
                 assert sorted(metrics.release_trace) == expected, (ts, strategy)
         for _ in range(100):

@@ -69,6 +69,7 @@ class TestFigureScenario:
     def test_baseline_counts_and_not_required_ticks(self):
         ts, _ = two_five_scenario()
         metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts),
                                 horizon=10, check_invariants=True))
         assert metrics.total_interrupts == 10
         assert metrics.not_required_interrupts == 4
@@ -90,7 +91,8 @@ class TestFigureScenario:
 
     def test_interrupt_count_ratio(self):
         ts, mapping = two_five_scenario()
-        base = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=10))
+        base = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                             mapping=single_timer_mapping(ts), horizon=10))
         multi = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                               mapping=mapping, horizon=10))
         assert Fraction(base.total_interrupts, multi.total_interrupts) == Fraction(10, 7)
@@ -104,7 +106,8 @@ class TestReleaseCorrectness:
         for strategy in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST):
             metrics = run(SimConfig(
                 task_set=ts, strategy=strategy,
-                mapping=None if strategy is Strategy.BASELINE else mapping,
+                mapping=(single_timer_mapping(ts) if strategy is Strategy.BASELINE
+                         else mapping),
                 horizon=horizon, check_invariants=True))
             assert sorted(metrics.release_trace) == oracle_trace(ts, horizon)
             assert metrics.deadline_misses == 0
@@ -165,7 +168,7 @@ class TestReleaseCorrectness:
         # synchronous start job at t=0.
         ts = make_task_set([2], releases=5)
         metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
-                                horizon=20))
+                                mapping=single_timer_mapping(ts), horizon=20))
         assert [t for t, _ in metrics.release_trace] == [2, 4, 6, 8, 10]
         # after retirement the timer keeps ticking but releases nothing
         assert metrics.total_interrupts == 20
@@ -173,7 +176,8 @@ class TestReleaseCorrectness:
 
     def test_run_to_retirement_ends_at_last_completion(self):
         ts = make_task_set([2, 5], releases=5)
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts)))
         assert metrics.total_time == 25  # 5th release of the period-5 task
         assert metrics.jobs_completed == 12  # 2 start jobs + 2 * 5 releases
 
@@ -197,7 +201,8 @@ class TestInterruptCountExactness:
 
     def test_required_plus_not_required_is_total(self):
         ts = make_task_set([2, 5], releases=5)
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=10))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts), horizon=10))
         assert (metrics.required_interrupts + metrics.not_required_interrupts
                 == metrics.total_interrupts)
 
@@ -205,20 +210,23 @@ class TestInterruptCountExactness:
 class TestDeadlines:
     def test_wcet_beyond_deadline_misses_every_job(self):
         ts = TaskSet((Task(id=1, wcet=5, period=4, deadline=4, releases_limit=5),))
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts)))
         assert metrics.jobs_completed == 0
         assert metrics.deadline_misses > 0
         assert metrics.deadline_misses == len(metrics.miss_events)
 
     def test_completing_exactly_at_deadline_is_on_time(self):
         ts = TaskSet((Task(id=1, wcet=4, period=4, deadline=4, releases_limit=2),))
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts)))
         assert metrics.deadline_misses == 0
         assert metrics.jobs_completed > 0
 
     def test_abandoned_job_is_re_delayed_to_a_later_period(self):
         ts = TaskSet((Task(id=1, wcet=5, period=4, deadline=4, releases_limit=None),))
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=16))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts), horizon=16))
         # release at t is lost while the late job occupies the task
         assert [t for t, _ in metrics.miss_events] == [4, 12]
         assert [t for t, _ in metrics.release_trace] == [8, 16]
@@ -232,6 +240,7 @@ class TestDeadlines:
             Task(id=3, wcet=0, period=4, deadline=1, releases_limit=2),
         ))
         metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts),
                                 horizon=8, check_invariants=True))
         task3 = [(t, kind) for t, kind, _, tid in metrics.events if tid == 3]
         assert [t for t, kind in task3 if kind == "complete"] == [0, 4, 8]
@@ -265,7 +274,8 @@ class TestEndJobsBatches:
         monkeypatch.setattr(sim, "delay_task", recording_delay_task)
         metrics = run(SimConfig(
             task_set=ts, strategy=strategy,
-            mapping=None if strategy is Strategy.BASELINE else mapping,
+            mapping=(single_timer_mapping(ts) if strategy is Strategy.BASELINE
+                     else mapping),
             horizon=None, check_invariants=True))
         completed = [(t, tid) for t, kind, _, tid in metrics.events
                      if kind == "complete"]
@@ -346,12 +356,26 @@ class TestSimValidation:
         primes = [2, 3, 5, 7, 11, 13, 17, 19]
         ts = make_task_set([p ** 9 for p in primes])
         with pytest.raises(ConfigError):
-            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE, horizon=10))
+            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                          mapping=single_timer_mapping(ts), horizon=10))
 
-    def test_multi_timer_strategy_requires_mapping(self):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_every_strategy_requires_mapping(self, strategy):
         ts = make_task_set([2, 5])
-        with pytest.raises(ConfigError):
-            run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS, horizon=10))
+        with pytest.raises(ConfigError, match="requires a mapping"):
+            run(SimConfig(task_set=ts, strategy=strategy, horizon=10))
+
+    def test_baseline_runs_the_mapping_it_is_given(self):
+        ts = make_task_set([4, 8])
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts, period=4),
+                                horizon=20))
+        assert metrics.total_interrupts == 20 // 4
+        two_timers = Mapping(timers=(TimerConfig(1, 4), TimerConfig(2, 8)),
+                             assignment={1: 1, 2: 2})
+        with pytest.raises(ConfigError, match="single timer"):
+            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                          mapping=two_timers, horizon=20))
 
     @pytest.mark.parametrize("strategies", [
         [], [Strategy.BASELINE, Strategy.CHRONOS, Strategy.BASELINE]])
@@ -365,7 +389,8 @@ class TestSimValidation:
     def test_unbounded_releases_require_horizon(self):
         ts = make_task_set([2, 5], releases=None)
         with pytest.raises(ConfigError):
-            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE))
+            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                          mapping=single_timer_mapping(ts)))
 
 
 class TestOverheadAsTime:
@@ -375,7 +400,8 @@ class TestOverheadAsTime:
         for strategy in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST):
             metrics = run(SimConfig(
                 task_set=ts, strategy=strategy,
-                mapping=None if strategy is Strategy.BASELINE else mapping,
+                mapping=(single_timer_mapping(ts) if strategy is Strategy.BASELINE
+                         else mapping),
                 horizon=500, overhead_as_time=True, time_scale=10,
                 check_invariants=True))
             assert (metrics.busy_time + metrics.idle_time + metrics.overhead_time
@@ -384,7 +410,8 @@ class TestOverheadAsTime:
 
     def test_accounting_mode_off_consumes_no_time(self):
         ts = make_task_set([4, 8], wcet=1, releases=5)
-        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE))
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts)))
         assert metrics.overhead_time == 0
         assert metrics.busy_time + metrics.idle_time == metrics.total_time
 
@@ -392,10 +419,13 @@ class TestOverheadAsTime:
         # Same workload: fine without overhead time, late with it.
         ts = make_task_set([4, 8], wcet=1, releases=None)
         mapping = single_timer_mapping(ts, period=4)
+        single = single_timer_mapping(ts)
         relaxed = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
-                                horizon=800, overhead_as_time=False))
+                                mapping=single, horizon=800,
+                                overhead_as_time=False))
         tight = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
-                              horizon=800, overhead_as_time=True, time_scale=12))
+                              mapping=single, horizon=800,
+                              overhead_as_time=True, time_scale=12))
         multi = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                               mapping=mapping, horizon=800,
                               overhead_as_time=True, time_scale=12))
@@ -823,16 +853,16 @@ def seeded_config(rng):
                       releases))
     ts = tasks_of(*specs)
     strategy = rng.choice(list(Strategy))
-    factor, mapping = 1, None
     if strategy is Strategy.BASELINE:
-        factor = rng.choice(divisors(math.gcd(*ts.periods())))
+        mapping = single_timer_mapping(
+            ts, period=rng.choice(divisors(math.gcd(*ts.periods()))))
     else:
         k = rng.randint(1, 3)
         assignment = {t.id: rng.randint(1, k) for t in ts.tasks}
         mapping = grouped_mapping(ts, k, assignment, rng.choice)
     return SimConfig(
         task_set=ts, strategy=strategy, mapping=mapping, horizon=horizon,
-        period_factor=factor, time_slice=rng.random() < 0.5,
+        time_slice=rng.random() < 0.5,
         overhead_as_time=rng.random() < 0.5,
         time_scale=rng.choice([1, 4, 100]),
         check_invariants=rng.random() < 0.5,
@@ -892,9 +922,9 @@ def sim_configs(draw):
     if harmonic:
         choices.append(Strategy.CHRONOS_HARMONIC)
     strategy = draw(st.sampled_from(choices))
-    factor, mapping = 1, None
     if strategy is Strategy.BASELINE:
-        factor = draw(st.sampled_from(divisors(math.gcd(*ts.periods()))))
+        mapping = single_timer_mapping(
+            ts, period=draw(st.sampled_from(divisors(math.gcd(*ts.periods())))))
     else:
         k = draw(st.integers(min_value=1, max_value=3))
         assignment = {t.id: draw(st.integers(min_value=1, max_value=k))
@@ -902,8 +932,7 @@ def sim_configs(draw):
         mapping = grouped_mapping(ts, k, assignment,
                                   lambda seq: draw(st.sampled_from(seq)))
     return SimConfig(
-        task_set=ts, strategy=strategy, mapping=mapping,
-        period_factor=factor, horizon=horizon,
+        task_set=ts, strategy=strategy, mapping=mapping, horizon=horizon,
         time_slice=draw(st.booleans()), overhead_as_time=draw(st.booleans()),
         time_scale=draw(st.sampled_from([1, 4, 100])),
         trace_limit=draw(st.sampled_from([3, 100_000])))
@@ -1036,9 +1065,8 @@ def preset_configs(preset, pick):
             timers = (single_timer_mapping(ts_scaled, period=factor) if baseline
                       else map_scaled)
             yield factor, strategy, timers, SimConfig(
-                task_set=ts_scaled, strategy=strategy,
-                mapping=None if baseline else map_scaled,
-                horizon=horizon * factor, period_factor=factor,
+                task_set=ts_scaled, strategy=strategy, mapping=timers,
+                horizon=horizon * factor,
                 overhead_as_time=scenario["overhead_as_time"],
                 time_scale=scenario["time_scale"],
                 collect_trace=False, check_invariants=True)
