@@ -26,9 +26,9 @@ primitive.  Each sorted delayed list keeps a parallel list of its entries'
 next releases (plain integers).  A delay bisects that key list with no key
 function and inserts into both lists at the same position; the sorted-list
 interrupt finds its due prefix with one bisection of the keys and removes it
-from both lists.  Checked mode verifies that the two lists agree.  Released
-tasks are appended to the ready list, which ``take_ready`` hands over in
-(period, task id) order.
+from both lists.  Checked mode verifies that the two lists agree.  Each
+routine returns the tasks it released and charges one ``ready_insert`` per
+task; the simulator owns the ready list and orders the releases of an instant.
 
 The per-task and per-timer runtimes are slotted dataclasses, and each task's
 runtime holds a reference to its timer's.  Each state maps its strategy once,
@@ -148,7 +148,6 @@ class _TimerRuntime:
 
 @dataclass(slots=True)
 class _TaskRuntime:
-    task_id: int
     period: int
     timer: _TimerRuntime
     next_release: int = 0
@@ -157,14 +156,12 @@ class _TaskRuntime:
 
 
 class DispatcherState:
-    """Per-timer tick counters and delayed-task containers plus the ready list.
+    """Per-timer tick counters and delayed-task containers.
 
-    Single-threaded by contract; the simulator owns it exclusively.  The
-    ready list collects released tasks; ``take_ready`` hands them over in
-    (period, task id) order, so what the simulator sees does not depend on
-    the order in which timers released tasks at the same instant.  A sorted
-    delayed-list insert finds its position by binary search; the modelled
-    cost charges the position.
+    Single-threaded by contract; the simulator owns it exclusively.  Every
+    task starts ready, that is, in no container: the first ``delay_task`` of a
+    task puts it in one.  A sorted delayed-list insert finds its position by
+    binary search; the modelled cost charges the position.
     The mapping must already be validated against the task set
     (:meth:`Mapping.validate`); :func:`.sim.run` does that once per run.
     """
@@ -186,10 +183,6 @@ class DispatcherState:
         self.check_invariants = check_invariants
         self.interrupt_ledger = OpCostLedger()
         self.delay_ledger = OpCostLedger()
-        # All tasks start ready at time 0 (the synchronous release); the
-        # initial population is not charged to any ledger.
-        self.ready: list[int] = [t.id for t in task_set.tasks]
-        self._ready_key = {t.id: (t.period, t.id) for t in task_set.tasks}
         self.skip_events: list[tuple[int, int, int]] = []  # (tick, timer, task)
         self.tasks: dict[int, _TaskRuntime] = {}
         self.timers: dict[int, _TimerRuntime] = {}
@@ -197,9 +190,7 @@ class DispatcherState:
             self.timers[tc.id] = _TimerRuntime(timer_id=tc.id, period=tc.period)
         for task in task_set.tasks:
             self.tasks[task.id] = _TaskRuntime(
-                task_id=task.id, period=task.period,
-                timer=self.timers[mapping.assignment[task.id]],
-            )
+                period=task.period, timer=self.timers[mapping.assignment[task.id]])
         # The container kind, the one place a strategy picks its routines:
         # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
         # or "slot" arrays (chronos-harmonic).
@@ -214,19 +205,6 @@ class DispatcherState:
                 ts.slots = [None] * len(ordered)
                 for rank, tid in enumerate(ordered):
                     self.tasks[tid].slot = rank
-
-    # -- ready list ------------------------------------------------------
-
-    def take_ready(self) -> list[int]:
-        """Drain the ready list in (period, task id) order.
-
-        The simulator calls it once per instant.  Each release was charged one
-        ``ready_insert`` when the interrupt appended it.
-        """
-        out = self.ready
-        self.ready = []
-        out.sort(key=self._ready_key.__getitem__)
-        return out
 
     # -- invariant checking ----------------------------------------------
 
@@ -316,7 +294,6 @@ def tick_chronos(state: DispatcherState, timer_id: int) -> list[int]:
         tasks = state.tasks
         for tid in released:
             tasks[tid].delayed = False
-        state.ready.extend(released)
     if state.check_invariants:
         state._check(timer_id)
     return released
@@ -353,7 +330,6 @@ def tick_chronos_const(state: DispatcherState, timer_id: int) -> list[int]:
         counts["list_remove"] += len(released)
         counts["ready_insert"] += len(released)
         ts.queue[:] = pending
-        state.ready.extend(released)
         ts.next_release = earliest
     if state.check_invariants:
         state._check(timer_id)
@@ -392,7 +368,6 @@ def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
     counts["comparison"] += inspected
     counts["slot_write"] += len(released)  # one write per released slot
     counts["ready_insert"] += len(released)
-    state.ready.extend(released)
     if state.check_invariants:
         state._check(timer_id)
     return released

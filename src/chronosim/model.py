@@ -326,10 +326,9 @@ def task_set_to_json(task_set: TaskSet) -> dict:
 
 
 def task_set_from_json(obj: dict) -> TaskSet:
-    try:
-        raw = obj["tasks"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError("task-set JSON must contain a 'tasks' array") from exc
+    raw = obj.get("tasks") if isinstance(obj, dict) else None
+    if type(raw) is not list:
+        raise UsageError("task-set JSON must contain a 'tasks' array")
     tasks = []
     for entry in raw:
         try:
@@ -356,10 +355,9 @@ def mapping_to_json(mapping: Mapping) -> dict:
 
 
 def mapping_from_json(obj: dict) -> Mapping:
-    try:
-        raw = obj["timers"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError("mapping JSON must contain a 'timers' array") from exc
+    raw = obj.get("timers") if isinstance(obj, dict) else None
+    if type(raw) is not list:
+        raise UsageError("mapping JSON must contain a 'timers' array")
     timers = []
     assignment: dict[int, int] = {}
     for entry in raw:

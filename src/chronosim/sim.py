@@ -4,11 +4,12 @@ At every event time, interrupts due at that instant fire in ascending timer
 order and release jobs, the running job's completion is processed, deadline
 expiries abandon late jobs, and a preemptive fixed-priority scheduler
 (rate-monotonic, optional round-robin time slice of one unit among equal
-periods) picks the next job.  Jobs released at the same instant enter the
-ready list in a canonical order (period, then task id), so release traces and
-miss sets depend only on the configuration, never on per-strategy list
-layouts.  A job with no work completes at its release instant without
-occupying the CPU.
+periods) picks the next job.  Each interrupt routine returns the tasks it
+released; the simulator collects those of one instant and admits their jobs
+to its ready list in a canonical order (period, then task id), so release
+traces and miss sets depend only on the configuration, never on per-strategy
+list layouts or on which timer released a task.  A job with no work completes
+at its release instant without occupying the CPU.
 
 Overhead accounting: every primitive executed by the interrupt and delay
 routines is charged to ledgers (see :mod:`.dispatch`).  With
@@ -338,7 +339,6 @@ def run(config: SimConfig) -> SimMetrics:
         join ``ended``, to be delayed at the next interrupt instant.  None of
         them is released before it, and the delay finds the same release."""
         nonlocal jobs_completed, retired
-        retiring: set[int] | None = None  # built only when some task retires
         for tid in tids:
             last = live[tid] >= final_deadline[tid]
             live[tid] = -1
@@ -347,17 +347,12 @@ def run(config: SimConfig) -> SimMetrics:
             else:
                 jobs_completed += 1
             if last:
-                if retiring is None:
-                    retiring = set()
-                retiring.add(tid)
+                retired += 1
+            else:
+                ended.append(tid)
             if collect:
                 trace(now, "miss" if missed else "complete", None, tid)
                 trace(now, "retire" if last else "delay", None, tid)
-        if retiring is None:
-            ended.extend(tids)
-        else:
-            retired += len(retiring)
-            ended.extend(tid for tid in tids if tid not in retiring)
 
     def earliest_deadline() -> int:
         """The earliest live deadline (``TIME_MAX`` when none); stale bucket
@@ -373,14 +368,16 @@ def run(config: SimConfig) -> SimMetrics:
             del buckets[instant]
         return TIME_MAX
 
-    def admit_releases(now: int) -> None:
-        """Move dispatcher releases into the ready structure canonically.
+    def admit_releases(now: int, tids: list[int]) -> None:
+        """Release a job of each task in ``tids``, all of them at ``now``.
 
-        ``take_ready`` yields (period, task id) order, which is the ready-heap
-        order of jobs released at one instant; zero-length jobs keep it.
+        ``tids`` is sorted in place into (period, task id) order, the
+        ready-heap order of jobs released at one instant, so nothing depends
+        on which timer released which task; zero-length jobs keep that order.
         """
+        tids.sort(key=released_key.__getitem__)
         now_key = now << time_shift
-        for tid in state.take_ready():
+        for tid in tids:
             deadline = live[tid] = now + rel_deadline[tid]
             work = remaining[tid] = wcet[tid]
             if work == 0:
@@ -396,10 +393,10 @@ def run(config: SimConfig) -> SimMetrics:
                     bucket.append(tid)
             if collect and now > 0:
                 # The synchronous start at t=0 is not an interrupt-driven release.
-                trace(now, "release", state.tasks[tid].timer.timer_id, tid)
+                trace(now, "release", mapping.assignment[tid], tid)
 
     # The synchronous start: every task is ready with its k=0 job.
-    admit_releases(0)
+    admit_releases(0, list(range(1, n_tasks + 1)))
     t = 0
 
     while True:
@@ -517,6 +514,7 @@ def run(config: SimConfig) -> SimMetrics:
                 delay_task(state, ended, last_tick)
                 ended.clear()
             last_tick = t
+            releases: list[int] = []
             for i, tc in enumerate(used_timers):
                 if next_fire[i] != t:
                     continue
@@ -533,14 +531,15 @@ def run(config: SimConfig) -> SimMetrics:
                 stats.interrupts += 1
                 if released:
                     stats.required += 1
+                    releases += released
                 if collect:
                     trace(t, "interrupt", tc.id, None)
                     for _, timer_id, tid in state.skip_events[skips_before:]:
                         trace(t, "skip", timer_id, tid)
                 next_fire[i] += tc.period
             next_tick = min(next_fire)
-            if state.ready:
-                admit_releases(t)
+            if releases:
+                admit_releases(t, releases)
 
     if ended:
         delay_task(state, ended, last_tick)

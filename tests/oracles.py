@@ -100,7 +100,7 @@ def reference_run(config: SimConfig) -> SimMetrics:
     a job preempted at ``time`` (0) before one released then (1) before one
     whose slice ended then (2).  A job is delayed at its own end instant.  At
     each instant t >= 1, due interrupts fire in ascending timer order and
-    their releases are admitted in the dispatcher's order; then instant t is
+    their releases are admitted in (period, task id) order; then instant t is
     settled: the running job completes if its work is done, late jobs are
     abandoned in ascending task id, zero-length jobs complete, and the
     scheduler picks.  One unit then goes to the overhead backlog, else to the
@@ -165,6 +165,10 @@ def reference_run(config: SimConfig) -> SimMetrics:
             trace("delay", None, tid)
             delay_task(state, [tid], t)
 
+    def admit(tids) -> None:
+        for tid in sorted(tids, key=lambda tid: (tasks[tid].period, tid)):
+            release(tid)
+
     def pick() -> None:
         nonlocal running, running_since
         running = min(waiting.values())[3]
@@ -172,8 +176,7 @@ def reference_run(config: SimConfig) -> SimMetrics:
         running_since = t
 
     t = 0
-    for tid in state.take_ready():
-        release(tid)
+    admit(tasks)
     while True:
         if running is not None and jobs[running]["left"] == 0:
             completed += 1
@@ -216,6 +219,7 @@ def reference_run(config: SimConfig) -> SimMetrics:
         else:
             idle += 1
         t += 1
+        releases = []
         for stats in per_timer:
             if t % stats.period:
                 continue
@@ -226,11 +230,11 @@ def reference_run(config: SimConfig) -> SimMetrics:
                 pending += state.interrupt_ledger.total(weights) - cost_before
             stats.interrupts += 1
             stats.required += bool(released)
+            releases += released
             trace("interrupt", stats.id, None)
             for _, timer, tid in state.skip_events[skips_before:]:
                 trace("skip", timer, tid)
-        for tid in state.take_ready():
-            release(tid)
+        admit(releases)
 
     total = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)

@@ -194,7 +194,6 @@ def test_criterion_6_cost_contracts():
             mapping = Mapping(timers=(TimerConfig(1, 6),),
                               assignment={t.id: 1 for t in ts.tasks})
             state = DispatcherState(ts, mapping, Strategy.CHRONOS_CONST)
-            state.take_ready()
             for tid in range(1, count):
                 delay_task(state, [tid], 0)
             before = state.delay_ledger.snapshot()
@@ -210,7 +209,6 @@ def test_criterion_6_cost_contracts():
         mapping = Mapping(timers=(TimerConfig(1, 3),),
                           assignment={t.id: 1 for t in ts.tasks})
         state = DispatcherState(ts, mapping, Strategy.CHRONOS_HARMONIC)
-        state.take_ready()
         for t in ts.tasks:
             delay_task(state, [t.id], 0)
         from chronosim.dispatch import tick_chronos_harmonic
@@ -230,7 +228,6 @@ def test_criterion_6_cost_contracts():
                           assignment={t.id: 1 for t in ts.tasks})
         state = DispatcherState(ts, mapping, Strategy.CHRONOS,
                                 check_invariants=True)
-        state.take_ready()
         ready = set(range(1, len(periods) + 1))
         now = 0
         for _ in range(10_000):

@@ -384,6 +384,23 @@ class TestStrictIntegers:
                      "--out", str(tmp_path / "s.json")]) == 2
         assert "expected a JSON integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [3, None, True])
+    @pytest.mark.parametrize("target", ["optimize", "simulate", "simulate --mapping"])
+    def test_non_array_tasks_or_timers_exit_two(self, tmp_path, capsys, target, value):
+        bad = tmp_path / "bad.json"
+        dump_json({"timers" if target == "simulate --mapping" else "tasks": value},
+                  str(bad))
+        out = ["--out", str(tmp_path / "out.json")]
+        if target == "optimize":
+            argv = ["optimize", str(bad), "--timers", "1"]
+        elif target == "simulate":
+            argv = ["simulate", str(bad), "--strategy", "baseline", "--horizon", "6"]
+        else:
+            argv = ["simulate", self.write_tasks(tmp_path), "--mapping", str(bad),
+                    "--strategy", "chronos", "--horizon", "6"]
+        assert main(argv + out) == 2
+        assert "array" in capsys.readouterr().err
+
     @pytest.mark.parametrize("releases", [None, "missing"])
     def test_null_or_missing_releases_still_accepted(self, tmp_path, releases):
         tasks = tmp_path / "tasks.json"

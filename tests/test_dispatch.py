@@ -30,9 +30,7 @@ def build_state(periods, timer_period, strategy, check=True):
         timers=(TimerConfig(1, timer_period),),
         assignment={t.id: 1 for t in ts.tasks},
     )
-    state = DispatcherState(ts, mapping, strategy, check_invariants=check)
-    state.take_ready()
-    return state
+    return DispatcherState(ts, mapping, strategy, check_invariants=check)
 
 
 def counter_delta(ledger, before):
@@ -317,13 +315,17 @@ class TestInsertContracts:
         ready = list(range(1, len(periods) + 1))
         for op in ops:
             if op == 0 or not ready:
+                # The tick hands back the due prefix of the list, in list order.
+                old_queue = list(queue)
                 before = state.interrupt_ledger.snapshot()
                 released = tick(state, 1)
-                taken = state.take_ready()
-                assert taken == sorted(released, key=lambda t: (periods[t - 1], t))
+                now = state.timers[1].tick
+                assert released == [t for t in old_queue
+                                    if state.tasks[t].next_release <= now]
+                assert queue == old_queue[len(released):]
                 assert counter_delta(state.interrupt_ledger, before).get(
                     "ready_insert", 0) == len(released)
-                ready.extend(taken)
+                ready.extend(released)
                 continue
             tid = ready.pop(op % len(ready))
             old_queue = list(queue)
@@ -366,9 +368,7 @@ class TestBatchContract:
                 assignment={t.id: 2 if t.period > 1 and t.id in on_second else 1
                             for t in ts.tasks},
             )
-        state = DispatcherState(ts, mapping, strategy, check_invariants=True)
-        state.take_ready()
-        return state
+        return DispatcherState(ts, mapping, strategy, check_invariants=True)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     @settings(max_examples=120, deadline=None)
@@ -385,11 +385,9 @@ class TestBatchContract:
                 # Both timers fire at every multiple of their period.
                 for timer_id, timer in batched.timers.items():
                     if now % timer.period == 0:
-                        tick(batched, timer_id)
-                        tick(single, timer_id)
-                released = batched.take_ready()
-                assert single.take_ready() == released
-                ready.extend(released)
+                        released = tick(batched, timer_id)
+                        assert tick(single, timer_id) == released
+                        ready.extend(released)
             batch = data.draw(st.lists(st.sampled_from(ready), unique=True)
                               if ready else st.just([]), label=f"batch at {now}")
             delay_task(batched, batch, now)

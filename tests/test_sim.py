@@ -150,6 +150,25 @@ class TestReleaseCorrectness:
         costs = {m.total_cost for m in results.values()}
         assert len(costs) == 3
 
+    @pytest.mark.parametrize("strategy", [Strategy.CHRONOS, Strategy.CHRONOS_CONST,
+                                          Strategy.CHRONOS_HARMONIC],
+                             ids=lambda s: s.value)
+    def test_releases_of_one_instant_come_in_period_then_task_id_order(
+            self, strategy):
+        # At t = 8, timer 1 fires first and releases task 1 (period 8); timer
+        # 2 then releases tasks 2 (period 4) and 3 (period 8).  Neither timer
+        # order nor task id order is (period, task id) order.
+        ts = make_task_set([8, 4, 8], wcet=1)
+        mapping = Mapping(timers=(TimerConfig(1, 8), TimerConfig(2, 4)),
+                          assignment={1: 1, 2: 2, 3: 2})
+        metrics = run(SimConfig(task_set=ts, strategy=strategy, mapping=mapping,
+                                horizon=16, check_invariants=True))
+        releases = [(t, timer, tid) for t, kind, timer, tid in metrics.events
+                    if kind == "release"]
+        assert releases == [(4, 2, 2), (8, 2, 2), (8, 1, 1), (8, 2, 3),
+                            (12, 2, 2), (16, 2, 2), (16, 1, 1), (16, 2, 3)]
+        assert metrics.deadline_misses == 0
+
     def test_harmonic_skips_coincide_with_deadline_misses(self):
         # A vacant slot at a release boundary means the previous job is still
         # in flight; with implicit deadlines that instant is also the miss.
