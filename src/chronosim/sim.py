@@ -3,7 +3,7 @@
 At every event time, interrupts due at that instant fire in ascending timer
 order and release jobs, the running job's completion is processed, deadline
 expiries abandon late jobs, and a preemptive fixed-priority scheduler
-(rate-monotonic, optional round-robin time slice of one unit among equal
+(rate-monotonic, with a round-robin time slice of one unit among equal
 periods) picks the next job.  Each interrupt routine returns the tasks it
 released; the simulator collects those of one instant and admits their jobs
 to its ready list in a canonical order (period, then task id), so release
@@ -102,19 +102,21 @@ from .model import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: task set, mapping, strategy, and accounting knobs.
+    """One simulation run: task set, strategy, the mapping it runs, and
+    accounting knobs.
 
-    ``horizon=None`` runs until every task has retired (requires finite
-    release limits).  Every strategy runs ``mapping``; for the baseline it is
-    one timer at the period factor (:func:`.model.single_timer_mapping`).
+    Every strategy runs ``mapping``; for the baseline it is one timer at the
+    period factor (:func:`.model.single_timer_mapping`).  ``horizon=None``
+    runs until every task has retired (requires finite release limits).  No
+    field changes the scheduler: rate-monotonic, with a one-unit round-robin
+    slice among equal periods.
     """
 
     task_set: TaskSet
     strategy: Strategy
-    mapping: Mapping | None = None
+    mapping: Mapping
     weights: CostWeights = field(default_factory=CostWeights)
     horizon: int | None = None
-    time_slice: bool = True
     overhead_as_time: bool = False
     time_scale: int = 100
     collect_trace: bool = True
@@ -241,11 +243,19 @@ def run(config: SimConfig) -> SimMetrics:
     if config.horizon is None and any(
             t.releases_limit is None for t in task_set.tasks):
         raise ConfigError("unbounded release limits require a fixed horizon")
+    # TIME_MAX means "never" and "no deadline" below, so every deadline a run
+    # can reach must lie before it.
+    if config.horizon is None:
+        last_deadline = max(t.releases_limit * t.period + t.deadline
+                            for t in task_set.tasks)
+    else:
+        last_deadline = config.horizon + max(t.deadline for t in task_set.tasks)
+    if last_deadline >= TIME_MAX:
+        raise ConfigError(f"deadlines reach {last_deadline}; every deadline "
+                          f"must be below {TIME_MAX}")
     if config.time_scale < 1:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
     mapping = config.mapping
-    if mapping is None:
-        raise ConfigError(f"strategy {config.strategy.value} requires a mapping")
     mapping.validate(task_set)
 
     state = DispatcherState(task_set, mapping, config.strategy,
@@ -292,7 +302,6 @@ def run(config: SimConfig) -> SimMetrics:
     past_key = [(p + 1) << period_shift for p in period]
     released_key = [first_key[tid] | 1 << bits | tid for tid in range(n_tasks + 1)]
     queued = [0] * (n_tasks + 1)  # the key of each task's live ready-heap entry
-    time_slice = config.time_slice
     as_time = config.overhead_as_time
     scale = config.time_scale
     collect = config.collect_trace
@@ -449,8 +458,7 @@ def run(config: SimConfig) -> SimMetrics:
                     trace(t, "preempt", None, running)
                 running = heapq.heappushpop(ready, key) & mask
                 running_since = t
-            elif (time_slice and ready[0] < past_key[running]
-                  and t - running_since >= 1):
+            elif ready[0] < past_key[running] and t - running_since >= 1:
                 key = queued[running] = (first_key[running] + (t << time_shift)
                                          + (2 << bits) + running)
                 running = heapq.heappushpop(ready, key) & mask
@@ -478,7 +486,7 @@ def run(config: SimConfig) -> SimMetrics:
         # The rarely true t + 1 < t_next goes first to skip the ready-heap walk.
         # No waiting job has a shorter period than the running one, so a head
         # below the next period's keys has an equal period.
-        if t + 1 < t_next and time_slice and running is not None:
+        if t + 1 < t_next and running is not None:
             while stale and queued[ready[0] & mask] != ready[0]:
                 heapq.heappop(ready)
                 stale -= 1
@@ -715,16 +723,16 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
     baseline single-timer rate at the same factor, so it is constant across
     factors.  Rows that fail (for example a scaled hyperperiod overflowing)
     are reported as per-factor error entries.  ``strategies`` defaults to
-    :func:`applicable_strategies`; a given list must be nonempty and name no
-    strategy twice, since each row is keyed by factor and strategy.
+    :func:`applicable_strategies`.  Each row is keyed by factor and strategy,
+    so the factors and a given strategy list must be nonempty and repeat
+    nothing.
     """
     factor_list = list(factors)
-    if not factor_list:
-        raise UsageError("factor list must be nonempty")
+    if not factor_list or len(set(factor_list)) < len(factor_list):
+        raise UsageError("factors must be a nonempty list without repeats, got "
+                         f"{factor_list}")
     if any(p < 1 for p in factor_list):
         raise UsageError(f"factors must be >= 1, got {factor_list}")
-    if base.mapping is None:
-        raise UsageError("sweep requires a mapping in the base configuration")
     if strategies is None:
         strategies = applicable_strategies(base.task_set, base.mapping)
     if not strategies or len(set(strategies)) < len(strategies):

@@ -1,10 +1,12 @@
 """Brute-force oracles the tests check the package against.
 
 Nothing in ``chronosim`` depends on these; they enumerate directly what the
-solver and the simulator compute by other means, and ``reference_run``
-re-derives the simulator's loop one time unit at a time.
+solver and the simulator compute by other means, ``reference_run``
+re-derives the simulator's loop one time unit at a time, and ``read_lp`` with
+``miqcp_minimum`` solves the exported mixed-integer model by enumeration.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -88,6 +90,133 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
                 mask |= 1 << i
         group_masks.append(mask)
     return _build_result(problem, group_masks, stats, "brute-force")
+
+
+def _lp_terms(tokens: list[str]) -> list[list]:
+    """``[coefficient, variables]`` per term of an LP expression.
+
+    Tokens are separated by spaces, as ``export_miqcp`` writes them; a
+    bracketed quadratic part followed by ``/ k`` has its terms divided by k.
+    """
+    terms: list[list] = []
+    sign, coef, names = 1, Fraction(1), []
+    group = end = 0
+    tokens = iter(tokens)
+    for tok in tokens:
+        if tok in ("+", "-", "]") and names:
+            terms.append([sign * coef, tuple(names)])
+            sign, coef, names = 1, Fraction(1), []
+        if tok in ("+", "-"):
+            sign = -1 if tok == "-" else 1
+        elif tok == "[":
+            group = len(terms)
+        elif tok == "]":
+            end = len(terms)
+        elif tok == "/":
+            divisor = Fraction(next(tokens))
+            for term in terms[group:end]:
+                term[0] /= divisor
+        elif tok[0].isdigit():
+            coef = Fraction(tok)
+        elif tok != "*":
+            names.append(tok)
+    if names:
+        terms.append([sign * coef, tuple(names)])
+    return terms
+
+
+def read_lp(text: str) -> dict:
+    """The LP subset that ``export_miqcp`` writes, in exact arithmetic.
+
+    Returns ``objective`` (terms), ``rows`` (name -> (terms, sense, rhs)),
+    ``bounds`` (variable -> (lo, hi)), ``generals`` and ``binaries``.  Every
+    number, the decimal rate bound included, is read as a ``Fraction``.
+    """
+    model: dict = {"objective": [], "rows": {}, "bounds": {},
+                   "generals": set(), "binaries": set()}
+    section = None
+    for line in text.splitlines():
+        if line.startswith("\\") or not line.strip():
+            continue
+        if line in ("Minimize", "Subject To", "Bounds", "Generals", "Binaries",
+                    "End"):
+            section = line
+            continue
+        tokens = line.split()
+        if section == "Minimize":
+            model["objective"] = _lp_terms(tokens[1:])  # past "obj:"
+        elif section == "Subject To":
+            name = tokens[0].rstrip(":")
+            model["rows"][name] = (_lp_terms(tokens[1:-2]), tokens[-2],
+                                   Fraction(tokens[-1]))
+        elif section == "Bounds":
+            lo, _, var, _, hi = tokens
+            model["bounds"][var] = (Fraction(lo), Fraction(hi))
+        elif section == "Generals":
+            model["generals"].update(tokens)
+        elif section == "Binaries":
+            model["binaries"].update(tokens)
+    return model
+
+
+def lp_value(terms: list[list], point: dict) -> Fraction:
+    return sum((coef * math.prod(point[v] for v in names)
+                for coef, names in terms), Fraction(0))
+
+
+def lp_feasible(model: dict, point: dict) -> bool:
+    """Whether ``point`` meets every row, bound and integrality of ``model``."""
+    for terms, sense, rhs in model["rows"].values():
+        value = lp_value(terms, point)
+        if not (value <= rhs if sense == "<=" else
+                value >= rhs if sense == ">=" else value == rhs):
+            return False
+    if any(not lo <= point[var] <= hi for var, (lo, hi) in model["bounds"].items()):
+        return False
+    if any(point[var] not in (0, 1) for var in model["binaries"]):
+        return False
+    return all(Fraction(point[var]).denominator == 1 for var in model["generals"])
+
+
+def lp_point(periods, timer_periods, assignment) -> dict:
+    """The one point of the exported model with these timer periods and this
+    assignment (``assignment[i]`` is period i's timer, from 1): f_j = 1 / P_j,
+    d_i = T_i / P_j, w_i_j = P_j * m_i_j, and u_j = 1 iff timer j has a task."""
+    point: dict = {}
+    for j, p in enumerate(timer_periods, start=1):
+        point[f"P_{j}"] = p
+        point[f"f_{j}"] = Fraction(1, p)
+        point[f"u_{j}"] = int(j in assignment)
+    for i, (t_i, a) in enumerate(zip(periods, assignment), start=1):
+        point[f"d_{i}"] = Fraction(t_i, timer_periods[a - 1])
+        for j, p in enumerate(timer_periods, start=1):
+            point[f"m_{i}_{j}"] = int(a == j)
+            point[f"w_{i}_{j}"] = p if a == j else 0
+    return point
+
+
+def miqcp_minimum(problem: OptimizationProblem, model: dict) -> Fraction | None:
+    """The least objective of ``model`` over its feasible points (None if none).
+
+    Every vector of timer periods in [1, maxT]^m and every assignment of the
+    periods to timers is tried.  The rows leave no other freedom: a feasible
+    point has binary m and u and integer P, assign_once makes m an
+    assignment, and rate_def, the product linearization, divisor and
+    timer_used rows then force f, w, d and u to the values :func:`lp_point`
+    derives, so no feasible point is missed.
+    """
+    periods = problem.periods
+    best = None
+    for timer_periods in itertools.product(range(1, problem.max_period + 1),
+                                           repeat=problem.m):
+        for assignment in itertools.product(range(1, problem.m + 1),
+                                            repeat=len(periods)):
+            point = lp_point(periods, timer_periods, assignment)
+            if lp_feasible(model, point):
+                value = lp_value(model["objective"], point)
+                if best is None or value < best:
+                    best = value
+    return best
 
 
 def reference_run(config: SimConfig) -> SimMetrics:
@@ -204,7 +333,7 @@ def reference_run(config: SimConfig) -> SimMetrics:
                     waiting[running] = (own, t, 0, running)
                     trace("preempt", None, running)
                     pick()
-                elif config.time_slice and head[0] == own and t > running_since:
+                elif head[0] == own and t > running_since:
                     waiting[running] = (own, t, 2, running)
                     pick()
         if t == config.horizon or (config.horizon is None

@@ -257,6 +257,23 @@ class TestSimulate:
             f"warning: trace {trace} stops at 100000 events; "
             "44 later event(s) dropped\n")
 
+    def test_horizon_reaching_time_max_exit_three(self, tmp_path, capsys):
+        # Seven periods end exactly at 2**63 - 1, the simulator's "never".
+        period = (2 ** 63 - 1) // 7
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [{"id": 1, "period": period, "wcet": 1,
+                              "releases": None}]}, str(tasks))
+        mapping = tmp_path / "mapping.json"
+        dump_json({"timers": [{"id": 1, "period": period, "tasks": [1]}]},
+                  str(mapping))
+        for horizon in (2 ** 63 - 1, 2 ** 63 - 2):
+            rc = main(["simulate", str(tasks), "--mapping", str(mapping),
+                       "--strategy", "chronos", "--horizon", str(horizon),
+                       "--out", str(tmp_path / "m.json")])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "deadline" in err and "Traceback" not in err
+
     def test_multi_timer_strategy_without_mapping_is_input_error(self, tmp_path):
         tasks, _ = self.write_two_five(tmp_path)
         rc = main(["simulate", tasks, "--strategy", "chronos",
@@ -469,6 +486,14 @@ class TestStrictScenario:
         err = capsys.readouterr().err
         assert "strategies" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("factors", [[2, 2, 2], [1, 15, 15]])
+    def test_repeated_factors_exit_two(self, tmp_path, capsys, scenario_file,
+                                       factors):
+        bad = self.scenario(tmp_path, ("factors",), factors)
+        assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "factors must be a nonempty list without repeats" in (
+            capsys.readouterr().err)
 
     def test_negative_cost_weight_exit_two(self, tmp_path, capsys, scenario_file):
         bad = self.scenario(tmp_path, ("weights",),

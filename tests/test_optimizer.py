@@ -21,7 +21,14 @@ from chronosim.optimizer import (
     export_miqcp,
     solve,
 )
-from oracles import brute_force_reference
+from oracles import (
+    brute_force_reference,
+    lp_feasible,
+    lp_point,
+    lp_value,
+    miqcp_minimum,
+    read_lp,
+)
 
 
 def random_problem(rng, max_n=8, max_period=30, max_m=4):
@@ -488,6 +495,9 @@ class TestResultRoundTrip:
         assert obj["timers_used"] == result.timers_used
 
 
+MIQCP_INSTANCES = 40
+
+
 class TestExportMiqcp:
     def test_variable_and_constraint_counts_for_two_by_two(self, tmp_path):
         path = tmp_path / "model.lp"
@@ -547,6 +557,30 @@ class TestExportMiqcp:
         export_miqcp(OptimizationProblem(periods=(2, 5), m=2), str(path))
         header = path.read_text().splitlines()[:6]
         assert any("non-convex" in line for line in header)
+
+    def test_model_minimum_is_the_solver_objective(self, tmp_path):
+        # The exported model, read back in exact arithmetic and minimized by
+        # enumeration, has solve's optimum, and solve's mapping is one of its
+        # feasible points.  The single period 11 is a maxT whose rate bound
+        # once rounded up past 1/11, which cut the optimal point off.
+        rng = random.Random(1905)
+        problems = [OptimizationProblem(periods=(11,), m=1)]
+        problems += [random_problem(rng, max_n=3, max_period=12, max_m=2)
+                     for _ in range(MIQCP_INSTANCES)]
+        path = tmp_path / "model.lp"
+        for problem in problems:
+            export_miqcp(problem, str(path))
+            model = read_lp(path.read_text())
+            result = solve(problem)
+            assert miqcp_minimum(problem, model) == result.objective, problem
+            timers = result.mapping.timers
+            timer_periods = ([tc.period for tc in timers]
+                             + [1] * (problem.m - len(timers)))
+            assignment = [result.mapping.assignment[i]
+                          for i in range(1, len(problem.periods) + 1)]
+            point = lp_point(problem.periods, timer_periods, assignment)
+            assert lp_feasible(model, point), problem
+            assert lp_value(model["objective"], point) == result.objective
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
