@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields as dataclass_fields
@@ -368,9 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call uses, built on the first call.
+
+    Sharing one parser across calls keeps them independent: ``parse_args``
+    builds a fresh ``Namespace`` each time, the ``func`` defaults are constant
+    functions, ``prog`` is fixed, and argparse reads the terminal width when
+    it formats help or usage, not when the parser is built.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -99,6 +99,10 @@ from .model import (
     single_timer_mapping,
 )
 
+# Most interrupts one run may take.  Far above every shipped preset, it turns
+# a configuration that would loop for years into a configuration error.
+INTERRUPT_LIMIT = 10**8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -257,6 +261,14 @@ def run(config: SimConfig) -> SimMetrics:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
     mapping = config.mapping
     mapping.validate(task_set)
+    # Every interrupt instant is a loop step, so a run that could take more
+    # interrupts than the limit is refused rather than left running.  A run
+    # to retirement ends by its last deadline.
+    last_instant = last_deadline if config.horizon is None else config.horizon
+    interrupts = sum(last_instant // tc.period for tc in mapping.used_timers())
+    if interrupts > INTERRUPT_LIMIT:
+        raise ConfigError(f"the run would take up to {interrupts} interrupts "
+                          f"by time {last_instant}; the limit is {INTERRUPT_LIMIT}")
 
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chronosim
+from chronosim import cli
 from chronosim.cli import PRESETS, main
 from chronosim.model import dump_json, load_json, task_set_from_json
 from chronosim.optimizer import DEFAULT_NODE_BUDGET
@@ -273,6 +274,18 @@ class TestSimulate:
             assert rc == 3
             err = capsys.readouterr().err
             assert "deadline" in err and "Traceback" not in err
+
+    def test_interrupt_limit_exit_three(self, tmp_path, capsys):
+        # The baseline's one timer ticks every unit: about 2**61 interrupts.
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [{"id": 1, "period": 7, "wcet": 1,
+                              "releases": None}]}, str(tasks))
+        rc = main(["simulate", str(tasks), "--strategy", "baseline",
+                   "--horizon", str(2 ** 61), "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "limit" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_multi_timer_strategy_without_mapping_is_input_error(self, tmp_path):
         tasks, _ = self.write_two_five(tmp_path)
@@ -624,6 +637,62 @@ class TestMalformedFiles:
         path.write_text("factor,strategy\n1," + "x" * 200_000 + "\n")
         assert main(["report", str(path)]) == 2
         assert "malformed sweep CSV" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call's outcome
+    depends on the calls made before it."""
+
+    SEQUENCE = [
+        ["--help"],
+        ["optimize", "tasks.json", "--out", "result.json"],  # no --timers
+        ["optimize", "tasks.json", "--timers", "2", "--out", "result.json",
+         "--export-lp", "model.lp"],
+        ["sweep", "--preset", "harmonic_single", "--out", "sweep.csv"],
+        ["optimize", "tasks.json", "--timers", "1", "--out", "result.json"],
+    ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """Exit code, stdout, stderr and the ``--out`` file of one call."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse exits on --help and usage errors
+            rc = exc.code
+        captured = capsys.readouterr()
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        data = read(out) if out is not None and out.exists() else None
+        return rc, captured.out, captured.err, data
+
+    def test_calls_in_one_process_match_calls_on_a_fresh_parser(
+            self, tmp_path, monkeypatch, capsys):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        outcomes, build_counts = {}, {}
+        for name in ("shared", "fresh"):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            TestSimulate().write_two_five(work)
+            cli._parser.cache_clear()
+            del builds[:]
+            outcomes[name] = []
+            for argv in self.SEQUENCE:
+                if name == "fresh":
+                    cli._parser.cache_clear()
+                outcomes[name].append(self.outcome(argv, capsys))
+            build_counts[name] = len(builds)
+        assert build_counts == {"shared": 1, "fresh": len(self.SEQUENCE)}
+        assert outcomes["shared"] == outcomes["fresh"]
+        assert [rc for rc, *_ in outcomes["shared"]] == [0, 2, 0, 0, 0]
+        # The last call drops the --export-lp of the optimize call before it.
+        assert "solver model" not in outcomes["shared"][-1][1]
 
 
 class TestStdlibOnly:

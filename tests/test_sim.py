@@ -467,6 +467,30 @@ class TestTimeLimit:
         assert "deadline" in table.rows[2].error
 
 
+class TestInterruptLimit:
+    """A run that could take more than ``INTERRUPT_LIMIT`` interrupts is
+    refused before its loop starts.  Only refusals are tested: a run near the
+    limit takes minutes."""
+
+    # The baseline's one timer ticks every unit: about 2**61 interrupts.
+    HORIZON = 2 ** 61
+
+    def config(self):
+        ts = make_task_set([7], wcet=1, releases=None)
+        return SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                         mapping=single_timer_mapping(ts), horizon=self.HORIZON,
+                         collect_trace=False)
+
+    def test_run_past_the_limit_is_config_error(self):
+        with pytest.raises(ConfigError, match=f"up to {self.HORIZON} interrupts"):
+            run(self.config())
+
+    def test_sweep_reports_the_factor_as_an_error_row(self):
+        table = period_factor_sweep(self.config(), [1], [Strategy.BASELINE])
+        assert [row.factor for row in table.rows] == [1]
+        assert f"limit is {sim.INTERRUPT_LIMIT}" in table.rows[0].error
+
+
 class TestOverheadAsTime:
     def test_busy_idle_overhead_conserve_total_time(self):
         ts = make_task_set([4, 8], wcet=1, releases=None)
