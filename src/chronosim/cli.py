@@ -1,10 +1,11 @@
 """Command-line front end: generate, optimize, simulate, sweep, report.
 
-Exit codes: 0 success, 2 bad input, 3 inconsistent configuration, 4 internal
-error.  ``optimize`` additionally exits 5 when the mapping is not proven
-optimal: the partition search ran out of its node budget, and the mapping is
-the best partition it assembled from the states it evaluated.  Scenario files
-plus a seed fully determine every output byte.
+Exit codes: 0 success, 2 bad input, 3 inconsistent configuration (a task set
+past the solver's fixed limits included), 4 internal error.  Every mapping is
+proven optimal: the partition search covers only the divisibility-minimal
+periods, since a timer covering a period covers its multiples, and prunes by
+a Lagrangian bound on the timer limit.  Scenario files plus a seed fully
+determine every output byte.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
-EXIT_HEURISTIC = 5
 
 
 def _load_scenario(args) -> dict:
@@ -205,7 +205,7 @@ def cmd_optimize(args) -> int:
     for tc in result.mapping.used_timers():
         print(f"  timer {tc.id}: period {tc.period}, "
               f"{len(result.mapping.tasks_of(tc.id))} task(s)")
-    return EXIT_OK if result.method == "exact" else EXIT_HEURISTIC
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:

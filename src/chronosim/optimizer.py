@@ -6,28 +6,26 @@ expected interrupt rate (sum of 1/GCD over groups).  Ties are broken by fewer
 timers used, then by the lexicographically smallest assignment vector (groups
 numbered in order of their first period, periods in ascending order).
 
-The solver searches partitions with a memoized subset DP over
-(remaining-set, timers-left) rather than the raw mixed-integer model: setting
-a timer period below the group GCD can never win because 1/P is minimized by
-the largest common divisor, and absorbing every remaining multiple of a
-group's GCD into that group never increases the objective, the timer count,
-or the lexicographic rank of the assignment.  Both dominance lemmas are
-validated against the brute-force enumerator in the test suite.  The search
-compares one integer per state, ``rate * (m + 1) + timers``, in place of
-rational sums of 1/GCD: the rate is scaled by lcm(periods), which every group
-GCD divides, and a state uses at most m timers, so the comparison is exact
-and carries the fewer-timers tie-break.  The rational objective is built
-once from the chosen groups.  The search computes no GCD: a table built once
-holds, for each divisor d of each period, the periods d divides and the
-scaled rate of one timer at period d, and each candidate group takes its
-value from the largest divisor that cuts it, which is its GCD (the argument
-is in :meth:`_PartitionSearch.groups`).  The search runs under a node budget.
-A state reached after the budget is spent is not expanded; its value is its
-whole remaining set on one timer.  So the search always finishes with a
-feasible partition: the proven optimum, reported as exact, when the search
-completed, and otherwise the best partition assembled from the states it
-evaluated, reported as heuristic.  The literal mixed-integer model is still
-available through :func:`export_miqcp` for external validation.
+The solver searches covers, not the raw mixed-integer model: at most ``m``
+timer periods such that every period is a multiple of one of them.  A cover
+is a partition (give each period one timer that divides it; the group GCD is
+a multiple of that timer's period, so no worse), and a timer below the GCD
+of its periods never wins, so the candidates are the periods' divisors.  A
+period with a proper divisor among the periods is covered by any timer that
+covers that divisor, so only the divisibility-minimal periods are searched.
+The search compares one integer per cover, ``rate * (m + 1) + timers``: the
+rate is scaled by lcm(periods), which every candidate divides, and a cover
+uses at most m timers, so the comparison is exact and carries the
+fewer-timers tie-break.  It is a depth-first branch and bound, memoizing an
+exact value or a proven lower bound per (uncovered set U, timers left k).
+It prunes with a Lagrangian relaxation of the timer limit: for any lam >= 0,
+a cover of U by at most k timers has a rate of at least the sum over e in U
+of the least (1/d + lam) / |c| over the candidates holding e, with c the
+candidate's cut of U and d its period, less lam * k.  The tie-break then
+walks the divisor-closed groups of the lowest remaining period in order of
+preference and takes the first whose rest still reaches the optimum, which a
+search bounded by that optimum decides.  The mixed-integer model itself is
+available through :func:`export_miqcp`.
 """
 
 from __future__ import annotations
@@ -36,12 +34,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .model import (
     Mapping, Task, TaskSet, TimerConfig, mapping_to_json, rational_to_json,
 )
 
-DEFAULT_NODE_BUDGET = 20_000
+NODE_LIMIT = 500_000        # states one solve may expand
+DIVISOR_LIMIT = 4_000_000   # trial divisions one solve may make
+BOUND_MARGIN = 1e-9         # relative slack on the float lower bound
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class OptimizationProblem:
 
 @dataclass
 class SolverStats:
-    nodes: int = 0      # distinct search states explored
-    subsets: int = 0    # candidate groups / partitions evaluated
+    nodes: int = 0      # search states expanded, the tie-break walk's included
+    subsets: int = 0    # candidate groups tried
 
 
 @dataclass
@@ -87,7 +87,7 @@ class OptimizationResult:
     objective: Fraction
     timers_used: int
     stats: SolverStats
-    method: str                       # "exact" | "heuristic"
+    method: str                       # "exact"
     groups: tuple[tuple[int, ...], ...]  # period groups in canonical order
 
     def to_json(self) -> dict:
@@ -100,134 +100,135 @@ class OptimizationResult:
         }
 
 
-class _PartitionSearch:
-    """Memoized DP over (remaining period bitmask, timers left).
+class _CoverSearch:
+    """The table holds, per period, one ``(mask, value, rate)`` triple per
+    distinct mask among its divisors d, at the largest such d (the GCD of the
+    mask's periods), in ascending order of d: the periods d divides,
+    ``lcm * (m + 1) // d + 1`` and 1/d."""
 
-    A state's value is one integer, ``rate * (m + 1) + timers``.  The rate is
-    exact and scaled by L = lcm(periods): a group with GCD g adds L // g,
-    which is exact because g divides every member and so divides L.  Scaling
-    by L > 0 keeps order and equality, and since a state never uses more than
-    m timers, integer order is the order of ``(rate, timers)`` pairs, which
-    is the rational objective with its fewer-timers tie-break.
-
-    The memo holds one dict per timers-left, keyed by mask; ``memo[0]`` holds
-    only the empty set, at value 0.  The candidate table holds, per period,
-    one ``(divisor mask, L * (m + 1) // d + 1)`` pair for each divisor d of
-    the period, in ascending divisor order: the periods d divides, and the
-    value of one timer at period d.  :meth:`groups` reads a state's groups
-    and their values off this table, with no GCD computed.
-    """
-
-    def __init__(self, periods: tuple[int, ...], m: int, node_budget: int):
-        self.n = len(periods)
+    def __init__(self, periods: tuple[int, ...], m: int):
+        self.periods = periods
         self.m = m
-        self.node_budget = node_budget
         self.stats = SolverStats()
-        self._memo: list[dict[int, int]] = [{0: 0}] + [{} for _ in range(m)]
-        scale = math.lcm(*periods) * (m + 1)
-        divisors_of = [_divisors(p) for p in periods]
+        self.scale = scale = math.lcm(*periods) * (m + 1)
+        self._memo: dict[tuple[int, int], tuple[int, bool]] = {}
         divisor_masks: dict[int, int] = {}
-        for i, divs in enumerate(divisors_of):
-            for d in divs:
+        for i, p in enumerate(periods):
+            for d in _divisors(p):
                 divisor_masks[d] = divisor_masks.get(d, 0) | 1 << i
-        self._candidates = [
-            tuple((divisor_masks[d], scale // d + 1) for d in divs)
-            for divs in divisors_of
-        ]
+        largest: dict[int, int] = {}
+        for d in sorted(divisor_masks, reverse=True):
+            largest.setdefault(divisor_masks[d], d)
+        self._table: list[list[tuple[int, int, float]]] = [[] for _ in periods]
+        for mask, d in reversed(largest.items()):
+            entry = (mask, scale // d + 1, 1 / d)
+            for i in _members(mask):
+                self._table[i].append(entry)
+        self._multiples = [divisor_masks[p] for p in periods]   # each with itself
 
-    def groups(self, mask: int) -> dict[int, int]:
-        """The candidate groups of ``mask``, each with its one-timer value.
+    def groups(self, mask: int) -> list[tuple[int, int]]:
+        """The divisor-closed groups holding the lowest period of ``mask``,
+        each with its one-timer value: the table masks of that period cut to
+        ``mask``, each at its GCD.  Of two groups, the one holding the lowest
+        period in which they differ comes first, so ``mask`` itself does."""
+        cuts = {entry[0] & mask: entry[1]
+                for entry in self._table[(mask & -mask).bit_length() - 1]}
+        width = len(self.periods)
+        return [(group, cuts[group]) for group in sorted(
+            cuts, key=lambda group: f"{group:0{width}b}"[::-1], reverse=True)]
 
-        Every divisor-closed group containing the lowest period of ``mask`` is
-        a divisor mask of that period cut down to ``mask``.  The keys are the
-        distinct groups in order of the first divisor that cuts each, which
-        fixes the search's node and subset counts and where the budget runs
-        out; the first is ``mask`` itself, cut by divisor 1.  A later divisor
-        overwrites an earlier one that cut the same group, so each group keeps
-        the value of the largest divisor that cuts it, and that divisor is the
-        group's GCD g.  g divides the lowest period, so it is a candidate.  g
-        cuts exactly the group: every member is a multiple of g, and a period
-        of ``mask`` that g divides is divided by the divisor d that cut the
-        group (d divides every member, so d divides g), so it is a member.
-        And every divisor that cuts the group divides all of its members, so
-        it divides g.
-        """
-        return {divisor_mask & mask: value for divisor_mask, value
-                in self._candidates[(mask & -mask).bit_length() - 1]}
+    def best(self, mask: int, timers_left: int, limit: int, floor: int = 0) -> int:
+        """The least value of ``mask`` on ``timers_left`` timers if it is at
+        most ``limit``, else a proven lower bound above it.  ``floor`` is a
+        proven lower bound: a cover at ``floor`` ends the search."""
+        minimal = 0
+        while mask:   # in ascending order, each minimal period drops its multiples
+            low = mask & -mask
+            minimal |= low
+            mask &= ~self._multiples[low.bit_length() - 1]
+        return self._search(minimal, min(timers_left, minimal.bit_count()), limit, floor)
 
-    def best(self, mask: int, timers_left: int) -> int:
-        """Best value found for ``mask`` on at most ``timers_left`` timers.
-
-        Counts one node.  The caller has found ``(mask, timers_left)`` missing
-        from the memo, with ``mask`` nonempty and ``timers_left`` already cut
-        to ``1 <= timers_left <= popcount(mask)``.  Every such state is
-        feasible: the whole of ``mask`` on one timer always is.  Once the node
-        budget is spent, a new state is not expanded: its value is that one
-        group, and ``stats.nodes`` stays at ``node_budget + 1``.  So every
-        memo value is the value of a feasible partition, and it is the
-        minimum whenever the search completed.  Each candidate group's value
-        comes from :meth:`groups`; only the rest is searched.
-        """
+    def _search(self, uncovered: int, timers_left: int, limit: int, floor: int) -> int:
+        """:meth:`best` on divisibility-minimal periods; one node unless the
+        memo answers.  lam is the rate ``limit`` allows, over twice the timers
+        left.  The bound is a float sum, so it prunes only past a relative
+        margin.  The search branches on the uncovered period in the fewest
+        distinct cuts, trying its cuts by rate per covered period."""
+        key = (uncovered, timers_left)
+        known = self._memo.get(key)
+        if known is not None:
+            value, exact = known
+            if exact or value > limit:
+                return value
+            floor = max(floor, value)
         stats = self.stats
-        groups = self.groups(mask)
-        best = groups.pop(mask)   # the whole of ``mask`` on one timer
-        if stats.nodes >= self.node_budget:
-            stats.nodes = self.node_budget + 1
-            stats.subsets += 1
-            self._memo[timers_left][mask] = best
-            return best
         stats.nodes += 1
-        stats.subsets += len(groups) + 1
-        if timers_left > 1:   # else any smaller group leaves periods untimed
-            memo = self._memo
-            below = timers_left - 1
-            for sub, value in groups.items():
-                rest = mask ^ sub
-                left = rest.bit_count()
-                if left > below:
-                    left = below
-                rest_value = memo[left].get(rest)
-                if rest_value is None:
-                    rest_value = self.best(rest, left)
-                value += rest_value
-                if value < best:
-                    best = value
-        self._memo[timers_left][mask] = best
-        return best
+        if stats.nodes > NODE_LIMIT:
+            raise ConfigError(f"the partition search passed {NODE_LIMIT} states "
+                              f"on {len(self.periods)} periods")
+        if timers_left == 1:
+            periods = (self.periods[i] for i in _members(uncovered))
+            self._memo[key] = (self.scale // math.gcd(*periods) + 1, True)
+            return self._memo[key][0]
+        reach = max(limit, 0) / self.scale
+        lam = reach / (2 * timers_left)
+        bound = -lam * timers_left
+        fewest: dict[int, tuple[int, int, float]] = {}
+        for i in _members(uncovered):
+            # The last write per cut is its largest divisor, the cheapest.
+            cuts = {entry[0] & uncovered: entry for entry in self._table[i]}
+            bound += min([(rate + lam) / cut.bit_count()
+                          for cut, (_, _, rate) in cuts.items()])
+            if not fewest or len(cuts) < len(fewest):
+                fewest = cuts
+        if bound > reach * (1 + BOUND_MARGIN):
+            self._memo[key] = (limit + 1, False)
+            return limit + 1
+        best = low = None
+        for cut, (_, value, _) in sorted(
+                fewest.items(), key=lambda item: item[1][2] / item[0].bit_count()):
+            stats.subsets += 1
+            rest = uncovered ^ cut
+            total = value
+            if rest and value <= limit:
+                total += self._search(rest, min(timers_left - 1, rest.bit_count()),
+                                      limit - value, floor - value)
+            if total <= limit:
+                best = limit = total
+                if total <= floor:
+                    break
+                limit -= 1
+            elif low is None or total < low:
+                low = total
+        self._memo[key] = (low, False) if best is None else (best, True)
+        return self._memo[key][0]
 
     def reconstruct(self) -> list[int]:
-        """Search from the full set, then walk the memoized states to the groups.
-
-        Among candidate groups achieving a state's value, the winner is the
-        one containing the earliest period at which the memberships differ.
-        Every state the walk visits was memoized by the search, so the walk
-        adds no node, and every group's value is known from the table.  A
-        candidate whose rest the search never evaluated (a candidate of a
-        state left unexpanded by a budget cut, or a nonempty rest with no
-        timer left) is skipped.  An unexpanded state's value is its whole
-        mask, which comes first and wins every tie.
-        """
-        memo = self._memo
-        mask = (1 << self.n) - 1
-        timers_left = min(self.m, self.n)
-        target = self.best(mask, timers_left)
-        groups: list[int] = []
+        """The optimum's groups: at each step the first of :meth:`groups`
+        whose rest reaches the remaining target.  The target is a lower bound
+        on every rest, so each check stops at its first cover at the target."""
+        mask = (1 << len(self.periods)) - 1
+        timers_left = min(self.m, len(self.periods))
+        target = self.best(mask, timers_left, self.scale // math.gcd(*self.periods) + 1)
+        chosen: list[int] = []
         while mask:
-            chosen = None
-            for sub, value in self.groups(mask).items():
-                rest = mask ^ sub
-                rest_value = memo[min(timers_left - 1, rest.bit_count())].get(rest)
-                if rest_value is None or value + rest_value != target:
-                    continue
-                # The lowest period in exactly one of the two groups decides.
-                if chosen is None or (differ := sub ^ chosen) & -differ & sub:
-                    chosen, chosen_value = sub, value
-            assert chosen is not None
-            groups.append(chosen)
-            target -= chosen_value
-            mask ^= chosen
+            for group, value in self.groups(mask):
+                self.stats.subsets += 1
+                rest, goal = mask ^ group, target - value
+                if rest == goal == 0 or rest and goal > 0 and timers_left > 1 and \
+                        self.best(rest, timers_left - 1, goal, goal) == goal:
+                    break
+            chosen.append(group)
+            mask, target = rest, goal
             timers_left = min(timers_left - 1, mask.bit_count())
-        return groups
+        return chosen
+
+
+def _members(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _divisors(value: int) -> tuple[int, ...]:
@@ -278,22 +279,21 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
     )
 
 
-def solve(problem: OptimizationProblem,
-          node_budget: int = DEFAULT_NODE_BUDGET) -> OptimizationResult:
+def solve(problem: OptimizationProblem) -> OptimizationResult:
     """Minimal-rate partition of the distinct periods into at most ``m`` groups.
 
-    Runs the divisor-closed partition search under ``node_budget``.  When the
-    search completes, the result is the proven optimum and its method is
-    ``"exact"``.  When the budget runs out (``stats.nodes`` is then
-    ``node_budget + 1``), every state reached after that point counts its
-    whole remaining set as one group, so the result is the best partition
-    the search can assemble from what it evaluated, never worse than the
-    single-group mapping, and its method is ``"heuristic"``.
+    The result is the proven optimum with its tie-break, and its method is
+    ``"exact"``.  Raises :class:`ConfigError` when the periods' divisors are
+    too costly to enumerate or the search passes ``NODE_LIMIT`` states.
     """
-    search = _PartitionSearch(problem.periods, problem.m, node_budget)
+    work = sum(math.isqrt(p) for p in problem.periods)
+    if work > DIVISOR_LIMIT:
+        raise ConfigError(f"enumerating the divisors of {len(problem.periods)} "
+                          f"periods takes {work} trial divisions; the limit is "
+                          f"{DIVISOR_LIMIT}")
+    search = _CoverSearch(problem.periods, problem.m)
     group_masks = search.reconstruct()
-    method = "heuristic" if search.stats.nodes > node_budget else "exact"
-    return _build_result(problem, group_masks, search.stats, method)
+    return _build_result(problem, group_masks, search.stats, "exact")
 
 
 # ---------------------------------------------------------------------------

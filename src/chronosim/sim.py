@@ -99,8 +99,9 @@ from .model import (
     single_timer_mapping,
 )
 
-# Most interrupts one run may take.  Far above every shipped preset, it turns
-# a configuration that would loop for years into a configuration error.
+# Most interrupts plus round-robin slice steps one run may take.  Far above
+# every shipped preset, it turns a configuration that would loop for years
+# into a configuration error.
 INTERRUPT_LIMIT = 10**8
 
 
@@ -261,14 +262,19 @@ def run(config: SimConfig) -> SimMetrics:
         raise UsageError(f"time_scale must be >= 1, got {config.time_scale}")
     mapping = config.mapping
     mapping.validate(task_set)
-    # Every interrupt instant is a loop step, so a run that could take more
-    # interrupts than the limit is refused rather than left running.  A run
-    # to retirement ends by its last deadline.
+    # Every interrupt instant is a loop step, and so is every unit of work
+    # sliced round-robin among tasks of equal period, so a run that could
+    # take more steps than the limit is refused rather than left running.  A
+    # run to retirement ends by its last deadline.
     last_instant = last_deadline if config.horizon is None else config.horizon
     interrupts = sum(last_instant // tc.period for tc in mapping.used_timers())
-    if interrupts > INTERRUPT_LIMIT:
+    sharing = Counter(t.period for t in task_set.tasks)
+    slices = sum(t.wcet * (last_instant // t.period + 1)
+                 for t in task_set.tasks if sharing[t.period] > 1)
+    if interrupts + slices > INTERRUPT_LIMIT:
         raise ConfigError(f"the run would take up to {interrupts} interrupts "
-                          f"by time {last_instant}; the limit is {INTERRUPT_LIMIT}")
+                          f"and {slices} slice steps by time {last_instant}; "
+                          f"the limit is {INTERRUPT_LIMIT}")
 
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)

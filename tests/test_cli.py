@@ -5,16 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import chronosim
-from chronosim import cli
+from chronosim import cli, optimizer
 from chronosim.cli import PRESETS, main
 from chronosim.model import dump_json, load_json, task_set_from_json
-from chronosim.optimizer import DEFAULT_NODE_BUDGET
 
 
 @pytest.fixture
@@ -98,8 +98,8 @@ class TestOptimize:
         used = [t for t in obj["timers"] if t["tasks"]]
         assert len(used) == 1 and used[0]["period"] == 1
 
-    def test_heuristic_solve_exit_five(self, tmp_path):
-        # Divisor-rich periods: the partition search exhausts its node budget.
+    @staticmethod
+    def divisor_rich_tasks(tmp_path):
         periods = [p for p in range(60, 351)
                    if sum(1 for d in range(1, p + 1) if p % d == 0) >= 12][:48]
         assert len(periods) == 48
@@ -108,12 +108,16 @@ class TestOptimize:
             {"id": i + 1, "period": p, "wcet": 0}
             for i, p in enumerate(periods)
         ]}, str(tasks))
+        return tasks, periods
+
+    def test_heuristic_solve_exit_five(self, tmp_path):
+        # Divisor-rich periods, the hard kind: still solved exactly, exit 0.
+        tasks, periods = self.divisor_rich_tasks(tmp_path)
         out = tmp_path / "mapping.json"
         assert main(["optimize", str(tasks), "--timers", "10",
-                     "--out", str(out)]) == 5
+                     "--out", str(out)]) == 0
         obj = load_json(str(out))
-        assert obj["method"] == "heuristic"
-        assert obj["stats"]["nodes"] > DEFAULT_NODE_BUDGET
+        assert obj["method"] == "exact"
         used = [t for t in obj["timers"] if t["tasks"]]
         assert 1 <= len(used) <= 10
         period_of = {i + 1: p for i, p in enumerate(periods)}
@@ -121,6 +125,32 @@ class TestOptimize:
         assert assigned == sorted(period_of)
         assert all(period_of[task] % t["period"] == 0
                    for t in used for task in t["tasks"])
+
+    def test_search_past_the_node_limit_exit_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(optimizer, "NODE_LIMIT", 10)
+        tasks, _ = self.divisor_rich_tasks(tmp_path)
+        out = tmp_path / "mapping.json"
+        assert main(["optimize", str(tasks), "--timers", "10",
+                     "--out", str(out)]) == 3
+        assert "passed 10 states" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_costly_divisors_exit_three_at_once(self, tmp_path, capsys):
+        # Ten products of two primes just below 2**31: trial division up to
+        # their square roots would take minutes, so they are refused first.
+        primes = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+                  2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+                  2147483423)
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [
+            {"id": i + 1, "period": p * q, "wcet": 0}
+            for i, (p, q) in enumerate(zip(primes, primes[1:]))
+        ]}, str(tasks))
+        start = time.perf_counter()
+        assert main(["optimize", str(tasks), "--timers", "4",
+                     "--out", str(tmp_path / "mapping.json")]) == 3
+        assert time.perf_counter() - start < 5
+        assert f"limit is {optimizer.DIVISOR_LIMIT}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_every_preset_optimizes_exactly(self, tmp_path, preset):

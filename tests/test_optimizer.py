@@ -1,4 +1,4 @@
-"""Budgeted solver vs brute force, budget-cut guarantees, and the model export."""
+"""Exact solver vs brute force and a MILP, its work and limits, and the model export."""
 
 import hashlib
 import json
@@ -15,9 +15,8 @@ from chronosim.model import (
     Task, TaskSet, expected_interrupt_rate, mapping_from_json, rational_from_json,
 )
 from chronosim.optimizer import (
-    DEFAULT_NODE_BUDGET,
     OptimizationProblem,
-    _PartitionSearch,
+    _CoverSearch,
     export_miqcp,
     solve,
 )
@@ -93,6 +92,15 @@ class TestSolveExact:
         assert assignment[1] == assignment[3]
         assert set(assignment) == {1, 2, 3}
         result.mapping.validate(ts)
+
+    def test_completes_beyond_twenty_periods(self):
+        # All multiples of four bases; optimum is one timer per base.
+        periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
+        assert len(periods) > 20
+        result = solve(OptimizationProblem(periods=tuple(periods), m=4))
+        assert result.method == "exact"
+        assert result.objective == Fraction(886, 1155)
+        assert sorted(tc.period for tc in result.mapping.used_timers()) == [3, 5, 7, 11]
 
     def test_divisor_witnesses_mirror_period_ratio(self):
         ts = TaskSet((Task.implicit(1, 0, 6), Task.implicit(2, 0, 12)))
@@ -194,65 +202,6 @@ class TestExactMatchesBruteForce:
             assert expected_interrupt_rate(result.mapping) == result.objective
 
 
-class TestBudgetCut:
-    """The search's result when it runs out of its node budget."""
-
-    def test_coprime_triple_falls_back_to_single_group(self):
-        # Splitting off {2} leaves {3, 5} unexpanded on one gcd-1 timer:
-        # 1/2 + 1 > 1, so the single gcd-1 group wins.
-        result = solve(OptimizationProblem(periods=(2, 3, 5), m=3), node_budget=1)
-        assert result.method == "heuristic"
-        assert result.objective == Fraction(1)
-        assert result.timers_used == 1
-
-    def test_two_coprime_periods_match_exact(self):
-        result = solve(OptimizationProblem(periods=(2, 5), m=2), node_budget=2)
-        assert result.method == "exact"
-        assert result.stats.nodes <= 2
-        assert result.objective == Fraction(7, 10)
-
-    def test_never_worse_than_single_group(self):
-        result = solve(OptimizationProblem(periods=(6, 10, 15), m=3), node_budget=1)
-        assert result.method == "heuristic"
-        assert result.objective <= Fraction(1)  # gcd of all three is 1
-
-    def test_matches_exact_wherever_exact_runs(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            problem = random_problem(rng)
-            exact = solve(problem)
-            assert exact.method == "exact"
-            for budget in (1, 4):
-                budgeted = solve(problem, node_budget=budget)
-                assert budgeted.objective >= exact.objective, problem
-                if budgeted.method == "exact":
-                    assert budgeted.stats.nodes <= budget
-                    assert result_shape(budgeted) == result_shape(exact), problem
-                else:
-                    assert budgeted.stats.nodes > budget
-                    assert budgeted.objective <= Fraction(
-                        1, math.gcd(*problem.periods)), problem
-
-    def test_completes_beyond_twenty_periods(self):
-        # All multiples of four bases; optimum is one timer per base.
-        periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
-        assert len(periods) > 20
-        result = solve(OptimizationProblem(periods=tuple(periods), m=4))
-        assert result.method == "exact"
-        assert result.objective == Fraction(886, 1155)
-        assert sorted(tc.period for tc in result.mapping.used_timers()) == [3, 5, 7, 11]
-
-    def test_budget_exhaustion_returns_a_feasible_partition(self):
-        periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
-        result = solve(
-            OptimizationProblem(periods=tuple(periods), m=4), node_budget=1)
-        assert result.method == "heuristic"
-        assert result.stats.nodes > 1
-        # Still valid and never worse than the single-group mapping.
-        assert result.objective <= Fraction(1, math.gcd(*periods))
-        assert result.timers_used <= 4
-
-
 class TestHugeLcm:
     # The twelve largest primes below 2**16: three hubs, nine spokes.
     HUBS = (65521, 65519, 65497)
@@ -282,18 +231,20 @@ class TestHugeLcm:
 
 
 class TestSearchWorkPins:
-    """The search's work, node for node, on one exact and one budgeted run.
+    """The search's work, node for node, and the mappings it returns.
 
-    Node and subset counts depend on the order in which candidate groups are
-    tried, and the budgeted result depends on where the budget runs out, so a
-    change to the search's arithmetic must leave all of them as they are.
+    Node and subset counts depend on the order in which states and candidate
+    groups are tried, so a change to the search's arithmetic must leave them
+    as they are.  The ``budget_exhausted`` instances are the benchmark's hard
+    class: a plain memoized partition DP does not finish them within 20,000
+    states.
     """
 
     def test_four_base_forty_periods(self):
         periods = sorted({b * r for b in (3, 5, 7, 11) for r in range(1, 11)})
         result = solve(OptimizationProblem(periods=tuple(periods), m=4))
         assert result.method == "exact"
-        assert (result.stats.nodes, result.stats.subsets) == (4, 7)
+        assert (result.stats.nodes, result.stats.subsets) == (4, 13)
         assert result.objective == Fraction(886, 1155)
         assert result.groups == (
             (3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 42, 45, 63, 66, 99),
@@ -305,9 +256,8 @@ class TestSearchWorkPins:
     def test_budget_exhausted_divisor_rich_periods(self):
         periods = divisor_rich(60, 350, 12)[:48]
         result = solve(OptimizationProblem(periods=tuple(periods), m=10))
-        assert result.method == "heuristic"
-        assert (result.stats.nodes, result.stats.subsets) == (
-            DEFAULT_NODE_BUDGET + 1, 137661)
+        assert result.method == "exact"
+        assert (result.stats.nodes, result.stats.subsets) == (614, 1442)
         assert result.objective == Fraction(3283919, 15315300)
         assert result.groups == (
             (60, 72, 84, 90, 96, 108, 120, 126, 132, 144, 150, 156, 168, 180,
@@ -316,13 +266,13 @@ class TestSearchWorkPins:
             (160, 320), (200,), (220,), (224,), (260,), (308,), (315,), (340,),
         )
 
-    # Per timer budget m: the objective and groups of the budgeted search.
+    # Per timer budget m: the objective and groups of the search.
     PARTITION_SHAPED = {
         10: (Fraction(370526659631, 705705354900), (
-            (75, 330, 345, 390, 840, 990), (98, 539, 882, 980),
-            (99, 108, 144, 306, 351, 369, 477, 486, 702, 837), (200, 208, 232,
-             244, 316, 424, 440, 496, 512, 548, 624, 656, 692, 800, 848, 852,
-             964), (273, 546), (418, 646), (425, 575, 725), (518, 777), (618,),
+            (75, 200, 425, 575, 725, 800), (98, 539, 882, 980),
+            (99, 108, 144, 306, 351, 369, 477, 486, 702, 837, 990), (208, 232,
+             244, 316, 424, 440, 496, 512, 548, 624, 656, 692, 840, 848, 852,
+             964), (273, 546), (330, 345, 390), (418, 646), (518, 777), (618,),
             (714,),
         )),
         11: (Fraction(1274732651577443, 2244716820880380), (
@@ -345,34 +295,48 @@ class TestSearchWorkPins:
     }
 
     @pytest.mark.parametrize("m, n, work", [
-        (10, 48, (DEFAULT_NODE_BUDGET + 1, 99281)),
-        (11, 64, (DEFAULT_NODE_BUDGET + 1, 100122)),
-        (12, 80, (DEFAULT_NODE_BUDGET + 1, 91532)),
+        (10, 48, (796, 1854)),
+        (11, 64, (749, 1768)),
+        (12, 80, (1342, 2920)),
     ])
     def test_budget_exhausted_partition_shaped(self, m, n, work):
-        # Shaped like the benchmark's budget-exhausted instances: 48-80
-        # periods from the integers in [60, 1000] with at least six divisors.
+        # Shaped like the benchmark's hard instances: 48-80 periods from the
+        # integers in [60, 1000] with at least six divisors.
         periods = partition_shaped(m, n)
         result = solve(OptimizationProblem(periods=tuple(periods), m=m))
-        assert result.method == "heuristic"
+        assert result.method == "exact"
         assert (result.stats.nodes, result.stats.subsets) == work
         assert (result.objective, result.groups) == self.PARTITION_SHAPED[m]
 
     def test_budget_sweep_digest(self):
-        # Small budgets: where the search stops, what it counts, and which
-        # groups win.
+        # Timer budgets 1 to 6 on small random sets: what the search counts
+        # and which groups win.
         rng = random.Random(11)
         digest = hashlib.sha256()
         for _ in range(50):
             n = rng.randint(1, 20)
-            problem = OptimizationProblem(
-                periods=tuple(rng.sample(range(1, 201), n)), m=rng.randint(1, 6))
-            for budget in (1, 2, 4, 16, 64, 256):
-                r = solve(problem, node_budget=budget)
+            periods = tuple(rng.sample(range(1, 201), n))
+            for m in range(1, 7):
+                r = solve(OptimizationProblem(periods=periods, m=m))
                 digest.update(repr(
                     (r.method, r.stats.nodes, r.stats.subsets, r.groups)).encode())
         assert digest.hexdigest() == (
-            "c54f1eb083c1362342bbccdfce5760233d9fb1d22a42708402b84db8b40a1b0a")
+            "daec9519442d96638650874a53edf9ee3960900005b43888aaecd802280f80fb")
+
+    def test_mid_size_mappings_digest(self):
+        # The timers of 300 instances of 8-32 periods, half from [2, 240]
+        # and half from the integers in [12, 600] with six divisors or more,
+        # pinned from a memoized partition DP that completed on all of them.
+        rich = divisor_rich(12, 600, 6)
+        rng = random.Random(2026)
+        digest = hashlib.sha256()
+        for i in range(300):
+            pool = rich if i % 2 else range(2, 241)
+            periods = tuple(rng.sample(pool, rng.randint(8, 32)))
+            result = solve(OptimizationProblem(periods=periods, m=rng.randint(1, 8)))
+            digest.update(json.dumps(result.to_json()["timers"]).encode())
+        assert digest.hexdigest() == (
+            "a3311b6e5fd9f19dcb86e00f92b2ccd2be1b3717d83c76cefc5ca11da82cd411")
 
 
 def milp_divisors(periods, m):
@@ -417,42 +381,33 @@ class TestMilpOracle:
 
     def test_exact_solve_matches_the_milp_optimum(self):
         # Periods in [2, 120] that are multiples of two to four small bases,
-        # so most optima use several timers; only instances that ``solve``
-        # completes (method "exact") are checked.
+        # so most optima use several timers.
         rng = random.Random(9)
-        checked = 0
-        for _ in range(200):
+        for _ in range(30):
             bases = rng.sample(range(2, 13), rng.randint(2, 4))
             pool = [p for p in range(2, 121) if any(p % b == 0 for b in bases)]
             problem = OptimizationProblem(
                 periods=tuple(rng.sample(pool, rng.randint(11, min(24, len(pool))))),
                 m=rng.randint(2, 6))
             result = solve(problem)
-            if result.method != "exact":
-                continue
+            assert result.method == "exact"
             chosen = milp_divisors(problem.periods, problem.m)
             assert sorted(chosen) == list(problem.periods)
             assert len(set(chosen.values())) <= problem.m
             assert sum(Fraction(1, g) for g in set(chosen.values())) == \
                 result.objective, problem
-            checked += 1
-            if checked == 30:
-                break
-        assert checked == 30
-
 
     def test_budget_cut_solve_near_the_milp_optimum(self):
-        # Budget-cut instances shaped like the benchmark's hard class, and
-        # the divisor-rich one: the search's best partition within its
-        # node budget stays within 15% of the MILP optimum.
+        # Instances shaped like the benchmark's hard class, and the
+        # divisor-rich one: the search reaches the MILP optimum.
         instances = [(partition_shaped(10, 48), 10), (partition_shaped(12, 80), 12),
                      (divisor_rich(60, 350, 12)[:48], 10)]
         for periods, m in instances:
             result = solve(OptimizationProblem(periods=tuple(periods), m=m))
-            assert result.method == "heuristic"
+            assert result.method == "exact"
             chosen = milp_divisors(sorted(periods), m)
             optimum = sum(Fraction(1, g) for g in set(chosen.values()))
-            assert result.objective <= Fraction(115, 100) * optimum, (m, optimum)
+            assert result.objective == optimum, (m, optimum)
 
 
 class TestCandidateTable:
@@ -461,33 +416,36 @@ class TestCandidateTable:
     @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=12),
            st.integers(min_value=1, max_value=4), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_groups_in_first_cut_order_with_gcd_values(self, period_set, m, data):
+    def test_groups_in_preference_order_with_gcd_values(self, period_set, m, data):
         periods = tuple(sorted(period_set))
         mask = data.draw(st.integers(min_value=1, max_value=(1 << len(periods)) - 1))
-        groups = _PartitionSearch(periods, m, node_budget=1).groups(mask)
+        groups = _CoverSearch(periods, m).groups(mask)
         members = [i for i in range(len(periods)) if mask >> i & 1]
         lowest = periods[members[0]]
-        # The group each divisor of the lowest period cuts, in divisor order.
-        cuts = [sum(1 << i for i in members if periods[i] % d == 0)
-                for d in range(1, lowest + 1) if lowest % d == 0]
-        assert list(groups) == list(dict.fromkeys(cuts))
-        assert next(iter(groups)) == mask
+        # The group each divisor of the lowest period cuts.
+        cuts = {sum(1 << i for i in members if periods[i] % d == 0)
+                for d in range(1, lowest + 1) if lowest % d == 0}
+        assert sorted(group for group, _ in groups) == sorted(cuts)
+        assert groups[0][0] == mask
+        # Of two groups, the one holding the lowest period in which they
+        # differ comes first.
+        for (first, _), (second, _) in zip(groups, groups[1:]):
+            differ = first ^ second
+            assert differ & -differ & first
         scale = math.lcm(*periods) * (m + 1)
-        for group, value in groups.items():
+        for group, value in groups:
             group_periods = [p for i, p in enumerate(periods) if group >> i & 1]
             assert value == scale // math.gcd(*group_periods) + 1
 
 
 class TestResultRoundTrip:
-    """``optimize`` results survive their JSON form on both solver paths."""
+    """``optimize`` results survive their JSON form."""
 
     @given(st.sets(st.integers(min_value=1, max_value=200), min_size=1, max_size=14),
-           st.integers(min_value=1, max_value=5),
-           st.sampled_from([1, DEFAULT_NODE_BUDGET]))
+           st.integers(min_value=1, max_value=5))
     @settings(max_examples=120, deadline=None)
-    def test_mapping_objective_and_timer_count(self, period_set, m, budget):
-        result = solve(OptimizationProblem(periods=tuple(period_set), m=m),
-                       node_budget=budget)
+    def test_mapping_objective_and_timer_count(self, period_set, m):
+        result = solve(OptimizationProblem(periods=tuple(period_set), m=m))
         obj = json.loads(json.dumps(result.to_json()))
         assert mapping_from_json(obj) == result.mapping
         assert rational_from_json(obj["objective"]) == result.objective

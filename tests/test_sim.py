@@ -468,8 +468,8 @@ class TestTimeLimit:
 
 
 class TestInterruptLimit:
-    """A run that could take more than ``INTERRUPT_LIMIT`` interrupts is
-    refused before its loop starts.  Only refusals are tested: a run near the
+    """A run that could take more than ``INTERRUPT_LIMIT`` interrupts and
+    round-robin slice steps is refused before its loop starts.  Only refusals are tested: a run near the
     limit takes minutes."""
 
     # The baseline's one timer ticks every unit: about 2**61 interrupts.
@@ -489,6 +489,17 @@ class TestInterruptLimit:
         table = period_factor_sweep(self.config(), [1], [Strategy.BASELINE])
         assert [row.factor for row in table.rows] == [1]
         assert f"limit is {sim.INTERRUPT_LIMIT}" in table.rows[0].error
+
+    def test_round_robin_slice_steps_count_toward_the_limit(self):
+        # One interrupt, but the two equal-period tasks share 2**42 units of
+        # work, sliced one unit per step.
+        period = 2 ** 41
+        ts = make_task_set([period, period], wcet=2 ** 40, releases=None)
+        config = SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
+                           mapping=single_timer_mapping(ts, period=period),
+                           horizon=period, collect_trace=False)
+        with pytest.raises(ConfigError, match=f"up to 1 interrupts and {2 ** 42} slice"):
+            run(config)
 
 
 class TestOverheadAsTime:
