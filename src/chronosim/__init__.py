@@ -9,14 +9,10 @@ overhead reduction.
 from .dispatch import (
     CostWeights,
     DispatcherState,
-    OpCostLedger,
     Strategy,
     TIME_MAX,
     delay_task,
     tick,
-    tick_chronos,
-    tick_chronos_const,
-    tick_chronos_harmonic,
 )
 from .errors import ChronosimError, ConfigError, InvariantViolation, UsageError
 from .model import (
@@ -54,7 +50,6 @@ __all__ = [
     "GenerationSpec",
     "InvariantViolation",
     "Mapping",
-    "OpCostLedger",
     "OptimizationProblem",
     "OptimizationResult",
     "SimConfig",
@@ -76,7 +71,4 @@ __all__ = [
     "single_timer_mapping",
     "solve",
     "tick",
-    "tick_chronos",
-    "tick_chronos_const",
-    "tick_chronos_harmonic",
 ]

@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from dataclasses import fields as dataclass_fields
-from fractions import Fraction
 from importlib import resources
 
 from . import model, optimizer, sim
@@ -30,6 +29,23 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
+# The keys a scenario may hold, at the top level, in ``generation`` and in a
+# ``horizon`` object; any other key is a misspelling, rejected with exit 2.
+SCENARIO_KEYS = frozenset((
+    "name", "generation", "tasks", "timers", "strategies", "factors",
+    "overhead_as_time", "time_scale", "steady_state", "horizon",
+    "fixed_timer_period", "weights"))
+GENERATION_KEYS = frozenset((
+    "base_periods", "factor_range", "n_tasks", "period_factor", "seed",
+    "workload", "harmonic"))
+HORIZON_KEYS = frozenset(("max_period_multiple",))
+
+
+def _check_keys(obj: dict, allowed: frozenset, where: str) -> None:
+    unknown = set(obj) - allowed
+    if unknown:
+        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
+
 
 def _load_scenario(args) -> dict:
     if getattr(args, "preset", None):
@@ -37,13 +53,15 @@ def _load_scenario(args) -> dict:
             raise UsageError(f"unknown preset {args.preset!r}; choose from {PRESETS}")
         text = resources.files("chronosim").joinpath(
             "presets", f"{args.preset}.json").read_text(encoding="utf-8")
-        return json.loads(text)
-    if getattr(args, "scenario", None):
+        scenario = json.loads(text)
+    elif getattr(args, "scenario", None):
         scenario = model.load_json(args.scenario)
         if not isinstance(scenario, dict):
             raise UsageError(f"scenario {args.scenario} must be a JSON object")
-        return scenario
-    raise UsageError("a scenario file or --preset is required")
+    else:
+        raise UsageError("a scenario file or --preset is required")
+    _check_keys(scenario, SCENARIO_KEYS, "scenario")
+    return scenario
 
 
 def _json_bool(value: object) -> bool:
@@ -66,6 +84,8 @@ def _generation_spec(scenario: dict, seed_override: int | None) -> model.Generat
     gen = scenario.get("generation")
     if gen is None:
         raise UsageError("scenario has no 'generation' section")
+    if isinstance(gen, dict):
+        _check_keys(gen, GENERATION_KEYS, "generation")
     try:
         return model.GenerationSpec(
             base_periods=tuple(model._json_int(b) for b in gen["base_periods"]),
@@ -139,6 +159,7 @@ def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
         return None
     try:
         if isinstance(raw, dict):
+            _check_keys(raw, HORIZON_KEYS, "horizon")
             return model._json_int(raw["max_period_multiple"]) * max(task_set.periods())
         return model._json_int(raw)
     except (KeyError, TypeError) as exc:
@@ -153,26 +174,6 @@ def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
                    releases_limit=None)
         for t in task_set.tasks
     ))
-
-
-def _sweep_row(row: dict) -> sim.SweepRow:
-    """The columns of one sweep CSV row that the summary reads.
-
-    An overhead ratio must be positive and representable as a float: the
-    summary takes its logarithm and prints it as a float.
-    """
-    try:
-        ratio = Fraction(row["overhead_ratio"]) if row["overhead_ratio"] else None
-        if ratio is not None and not float(ratio) > 0:
-            raise ValueError("overhead_ratio is not positive")
-        return sim.SweepRow(
-            factor=int(row["factor"]),
-            strategy=row["strategy"],
-            overhead_ratio=ratio,
-            schedulable_class=row["schedulable_class"],
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"malformed sweep row: {row!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def cmd_report(args) -> int:
     """Recompute the overhead-reduction summary from an existing sweep CSV."""
     try:
         with open(args.sweep, "r", encoding="utf-8") as fh:
-            table = sim.SweepTable([_sweep_row(row) for row in csv.DictReader(fh)])
+            table = sim.SweepTable.from_csv(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {args.sweep}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -1,9 +1,9 @@
-"""Tick-interrupt routines and task-delay paths over explicit dispatcher state.
+"""Tick interrupt handler and task-delay path over explicit dispatcher state.
 
 Four strategies manage the per-timer containers of delayed tasks:
 
 * ``BASELINE``  - one timer at the period factor and one sorted delayed
-  list; implemented as the sorted-list routine with m=1 so comparisons
+  list; implemented as the sorted-list container with m=1 so comparisons
   against the multi-timer strategies isolate the multi-timer effect.
 * ``CHRONOS``   - per-timer lists sorted ascending by next release; the
   interrupt pops the head while it is due and can exit early.
@@ -13,41 +13,45 @@ Four strategies manage the per-timer containers of delayed tasks:
   order for harmonic groups; a vacant slot at release time flags a potential
   deadline miss.
 
-Every primitive the routines execute is charged to an operation ledger:
-one ``interrupt`` entry/exit per interrupt, one ``tick_increment`` per
-counter update, one ``comparison`` per examined guard/list entry/slot,
+Every primitive the routines execute is charged to a counter: one
+``interrupt`` entry/exit per interrupt, one ``tick_increment`` per counter
+update, one ``comparison`` per examined guard/list entry/slot,
 ``list_remove``/``list_append``/``slot_write``/``ready_insert`` per
 structural update, and one ``sorted_insert_step`` per entry a sorted-list
 insert passes, which equals the insert position.  Costs are abstract counts;
 weights are applied at reporting time.
 
-The routines add to the ledger's ``counts`` in place, with no method call per
-primitive.  Each sorted delayed list keeps a parallel list of its entries'
-next releases (plain integers).  A delay bisects that key list with no key
-function and inserts into both lists at the same position; the sorted-list
-interrupt finds its due prefix with one bisection of the keys and removes it
-from both lists.  Checked mode verifies that the two lists agree.  Each
-routine returns the tasks it released and charges one ``ready_insert`` per
-task; the simulator owns the ready list and orders the releases of an instant.
+The counters are two plain dicts on the state, ``interrupt_counts`` and
+``delay_counts``, keyed by :data:`COUNTERS` in that order; the routines add to
+them in place, with no method call per primitive.  :meth:`CostWeights.cost` is
+the one weighted sum of such a dict.  Each sorted delayed list keeps a
+parallel list of its entries' next releases (plain integers).  A delay bisects
+that key list with no key function and inserts into both lists at the same
+position; the sorted-list interrupt finds its due prefix with one bisection of
+the keys and removes it from both lists.  Checked mode verifies that the two
+lists agree.
 
-The per-task and per-timer runtimes are slotted dataclasses, and each task's
-runtime holds a reference to its timer's.  Each state maps its strategy once,
-at construction, to a container kind (``"sorted"``, ``"append"`` or
-``"slot"``); ``tick`` and ``delay_task`` branch on that kind once per call
-and never test the strategy.  ``delay_task`` has one loop per kind.  It takes
-the whole ordered batch of jobs that ended since the last interrupt instant
-and charges the ledger once per batch, with the same totals as one call per
-job.  Each interrupt routine likewise counts in locals and charges the ledger
-once per interrupt.  The simulator passes that instant as
+There are two routines, ``tick`` and ``delay_task``.  Each state maps its
+strategy once, at construction, to a container kind (``"sorted"``,
+``"append"`` or ``"slot"``); both routines branch on that kind once per call
+and never test the strategy.  ``tick`` returns the tasks it released; the
+simulator owns the ready list and orders the releases of an instant.
+``delay_task`` takes the whole ordered batch of jobs that ended since the
+last interrupt instant and charges the counters once per batch, with the
+same totals as one call per job.  The simulator passes that instant as
 ``now``: no task's release lies strictly between two interrupt instants (each
 timer fires at every multiple of its period, which divides its tasks'
 periods), so each job's next release is the same as at its own end, and no
 routine reads a container between two interrupts.
+
+The per-task and per-timer runtimes are slotted dataclasses, and each task's
+runtime holds a reference to its timer's.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -76,6 +80,19 @@ class Strategy(enum.Enum):
         )
 
 
+# The counter names, in the key order of every counter dict.
+COUNTERS = (
+    "interrupt",
+    "tick_increment",
+    "comparison",
+    "list_remove",
+    "sorted_insert_step",
+    "list_append",
+    "slot_write",
+    "ready_insert",
+)
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Unit weights for the abstract cost model.
@@ -101,36 +118,18 @@ class CostWeights:
             if getattr(self, f.name) < 0:
                 raise UsageError(f"cost weight {f.name} must be >= 0, "
                                  f"got {getattr(self, f.name)}")
+        # The weight of each counter, in COUNTERS order; not a field.
+        object.__setattr__(self, "_by_counter",
+                           tuple(self.weight_of(c) for c in COUNTERS))
 
     def weight_of(self, counter: str) -> int:
         if counter == "interrupt":
             return self.interrupt_entry_exit
         return getattr(self, counter)
 
-
-COUNTERS = (
-    "interrupt",
-    "tick_increment",
-    "comparison",
-    "list_remove",
-    "sorted_insert_step",
-    "list_append",
-    "slot_write",
-    "ready_insert",
-)
-
-
-@dataclass
-class OpCostLedger:
-    """Non-negative counters per primitive; total = sum(counter * weight)."""
-
-    counts: dict[str, int] = field(default_factory=lambda: {c: 0 for c in COUNTERS})
-
-    def total(self, weights: CostWeights) -> int:
-        return sum(count * weights.weight_of(name) for name, count in self.counts.items())
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.counts)
+    def cost(self, counts: dict[str, int]) -> int:
+        """sum(count * weight) over a counter dict keyed in COUNTERS order."""
+        return sum(map(operator.mul, counts.values(), self._by_counter))
 
 
 @dataclass(slots=True)
@@ -181,8 +180,8 @@ class DispatcherState:
                         f"{sorted(set(periods))}"
                     )
         self.check_invariants = check_invariants
-        self.interrupt_ledger = OpCostLedger()
-        self.delay_ledger = OpCostLedger()
+        self.interrupt_counts = dict.fromkeys(COUNTERS, 0)
+        self.delay_counts = dict.fromkeys(COUNTERS, 0)
         self.skip_events: list[tuple[int, int, int]] = []  # (tick, timer, task)
         self.tasks: dict[int, _TaskRuntime] = {}
         self.timers: dict[int, _TimerRuntime] = {}
@@ -191,7 +190,7 @@ class DispatcherState:
         for task in task_set.tasks:
             self.tasks[task.id] = _TaskRuntime(
                 period=task.period, timer=self.timers[mapping.assignment[task.id]])
-        # The container kind, the one place a strategy picks its routines:
+        # The container kind, the one place a strategy picks its containers:
         # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
         # or "slot" arrays (chronos-harmonic).
         self.container = {Strategy.CHRONOS_CONST: "append",
@@ -209,15 +208,15 @@ class DispatcherState:
     # -- invariant checking ----------------------------------------------
 
     def _check(self, timer_id: int) -> None:
-        """Checked mode only; the routines call it when ``check_invariants``."""
+        """Checked mode only; both routines call it when ``check_invariants``."""
         ts = self.timers[timer_id]
         if ts.tick % ts.period != 0:
             raise InvariantViolation(
                 f"timer {timer_id}: tick {ts.tick} is not a multiple of {ts.period}"
             )
         if self.container == "slot":
-            # The slot routine reads no cached release: it relies on each
-            # occupied slot holding its own task, due after the last tick.
+            # ``tick`` reads no cached release of a slot array: it relies on
+            # each occupied slot holding its own task, due after the last tick.
             for owner, occupant in zip(ts.slot_owners, ts.slots):
                 if occupant is not None and (
                         occupant != owner
@@ -248,73 +247,71 @@ class DispatcherState:
 
 
 # ---------------------------------------------------------------------------
-# Interrupt routines
+# Interrupt handler
 # ---------------------------------------------------------------------------
 
 def tick(state: DispatcherState, timer_id: int) -> list[int]:
-    """Execute one tick interrupt of the given timer for the state's container."""
-    container = state.container
-    if container == "sorted":
-        return tick_chronos(state, timer_id)
-    if container == "append":
-        return tick_chronos_const(state, timer_id)
-    return tick_chronos_harmonic(state, timer_id)
+    """Execute one tick interrupt of the given timer; return the released tasks.
 
-
-def tick_chronos(state: DispatcherState, timer_id: int) -> list[int]:
-    """Sorted-list interrupt: pop due heads, stop at the first pending task.
-
-    The due heads are the prefix of release keys no later than the tick, found
-    by one bisection; the charges are those of popping them one by one: one
+    Every interrupt pays its entry/exit and one tick increment.  A slot array
+    releases its slots in period order until one is not due, one comparison
+    per inspected slot; a due slot that is vacant means the task is still
+    ready, so it is skipped and recorded as a potential-deadline-miss
+    observation.  It has no early-exit guard: the slot with the smallest
+    period is due at every interrupt of a properly configured timer.  A list
+    pays one comparison for the guard against its cached next release and
+    stops there unless a task is due.  A sorted list then pops its due heads,
+    the prefix of release keys no later than the tick, found by one
+    bisection; the charges are those of popping them one by one: one
     comparison per due head plus one for the first pending head, if any.
     With an empty list the cached next release is parked at the maximum
-    sentinel so later interrupts always exit early.
+    sentinel so later interrupts always exit early.  An unsorted list instead
+    inspects every entry once, rebuilds the cached next release while
+    walking, and keeps the order of the entries it does not release.
     """
     ts = state.timers[timer_id]
-    counts = state.interrupt_ledger.counts
+    counts = state.interrupt_counts
     counts["interrupt"] += 1
     counts["tick_increment"] += 1
-    counts["comparison"] += 1  # early-exit guard
     ts.tick += ts.period
+    tick_ = ts.tick
+    tasks = state.tasks
+    container = state.container
     released: list[int] = []
-    if ts.tick >= ts.next_release:
+    if container == "slot":
+        slots = ts.slots
+        inspected = 0  # period-divisibility inspections
+        for rank, slot_period in enumerate(ts.slot_periods):
+            inspected += 1
+            if tick_ % slot_period != 0:
+                break
+            occupant = slots[rank]
+            if occupant is None:
+                state.skip_events.append((tick_, timer_id, ts.slot_owners[rank]))
+                continue
+            slots[rank] = None
+            tasks[occupant].delayed = False
+            released.append(occupant)
+        counts["comparison"] += inspected
+        counts["slot_write"] += len(released)  # one write per released slot
+    elif tick_ < ts.next_release:
+        counts["comparison"] += 1  # the early-exit guard
+    elif container == "sorted":
         keys = ts.keys
-        due = bisect_right(keys, ts.tick)
+        due = bisect_right(keys, tick_)
         if due < len(keys):
-            counts["comparison"] += due + 1
+            counts["comparison"] += due + 2  # guard, due heads, pending head
             ts.next_release = keys[due]
         else:
-            counts["comparison"] += due
+            counts["comparison"] += due + 1  # guard, due heads
             ts.next_release = TIME_MAX
         counts["list_remove"] += due
-        counts["ready_insert"] += due
         released = ts.queue[:due]
         del ts.queue[:due]
         del keys[:due]
-        tasks = state.tasks
         for tid in released:
             tasks[tid].delayed = False
-    if state.check_invariants:
-        state._check(timer_id)
-    return released
-
-
-def tick_chronos_const(state: DispatcherState, timer_id: int) -> list[int]:
-    """Unsorted-list interrupt: when due, inspect every entry exactly once.
-
-    The cached next release is rebuilt while walking; released entries leave
-    the list and the rest keep their order.
-    """
-    ts = state.timers[timer_id]
-    counts = state.interrupt_ledger.counts
-    counts["interrupt"] += 1
-    counts["tick_increment"] += 1
-    counts["comparison"] += 1  # early-exit guard
-    ts.tick += ts.period
-    released: list[int] = []
-    if ts.tick >= ts.next_release:
-        tick_ = ts.tick
-        tasks = state.tasks
+    else:
         pending: list[int] = []
         earliest = TIME_MAX
         for tid in ts.queue:
@@ -326,47 +323,10 @@ def tick_chronos_const(state: DispatcherState, timer_id: int) -> list[int]:
             else:
                 entry.delayed = False
                 released.append(tid)
-        counts["comparison"] += len(ts.queue)  # one inspection per entry
+        counts["comparison"] += 1 + len(ts.queue)  # guard, one per entry
         counts["list_remove"] += len(released)
-        counts["ready_insert"] += len(released)
         ts.queue[:] = pending
         ts.next_release = earliest
-    if state.check_invariants:
-        state._check(timer_id)
-    return released
-
-
-def tick_chronos_harmonic(state: DispatcherState, timer_id: int) -> list[int]:
-    """Slot-array interrupt: release slots in period order until one is not due.
-
-    A due slot that is vacant means the task is still ready; it is skipped
-    and recorded as a potential-deadline-miss observation.  There is no
-    early-exit guard: the slot with the smallest period is due at every
-    interrupt of a properly configured timer.
-    """
-    ts = state.timers[timer_id]
-    ts.tick += ts.period
-    tick_ = ts.tick
-    slots = ts.slots
-    tasks = state.tasks
-    released: list[int] = []
-    inspected = 0  # period-divisibility inspections
-    for rank, slot_period in enumerate(ts.slot_periods):
-        inspected += 1
-        if tick_ % slot_period != 0:
-            break
-        occupant = slots[rank]
-        if occupant is None:
-            state.skip_events.append((tick_, timer_id, ts.slot_owners[rank]))
-            continue
-        slots[rank] = None
-        tasks[occupant].delayed = False
-        released.append(occupant)
-    counts = state.interrupt_ledger.counts
-    counts["interrupt"] += 1
-    counts["tick_increment"] += 1
-    counts["comparison"] += inspected
-    counts["slot_write"] += len(released)  # one write per released slot
     counts["ready_insert"] += len(released)
     if state.check_invariants:
         state._check(timer_id)
@@ -391,9 +351,9 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     due no later (one ``sorted_insert_step`` per such entry, i.e. the insert
     position), an unsorted list appends it, a slot array writes its slot.
     Each also costs one ``comparison`` to refresh the timer's cached earliest
-    release; a slot write is charged it too, though no slot routine reads
-    that cache.  The charges reach the ledger once per call, with the totals of
-    one call per task; an empty sequence changes nothing.
+    release; a slot write is charged it too, though a slot array's cache is
+    never read.  The charges reach the counters once per call, with the totals
+    of one call per task; an empty sequence changes nothing.
     """
     tasks = state.tasks
     check = state.check_invariants
@@ -445,6 +405,6 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
             if check:
                 state._check(ts.timer_id)
         primitive, charge = "slot_write", len(task_ids)
-    counts = state.delay_ledger.counts
+    counts = state.delay_counts
     counts["comparison"] += len(task_ids)
     counts[primitive] += charge

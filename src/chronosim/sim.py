@@ -4,7 +4,7 @@ At every event time, interrupts due at that instant fire in ascending timer
 order and release jobs, the running job's completion is processed, deadline
 expiries abandon late jobs, and a preemptive fixed-priority scheduler
 (rate-monotonic, with a round-robin time slice of one unit among equal
-periods) picks the next job.  Each interrupt routine returns the tasks it
+periods) picks the next job.  Each interrupt returns the tasks it
 released; the simulator collects those of one instant and admits their jobs
 to its ready list in a canonical order (period, then task id), so release
 traces and miss sets depend only on the configuration, never on per-strategy
@@ -12,7 +12,7 @@ list layouts or on which timer released a task.  A job with no work completes
 at its release instant without occupying the CPU.
 
 Overhead accounting: every primitive executed by the interrupt and delay
-routines is charged to ledgers (see :mod:`.dispatch`).  With
+routines is charged to counters (see :mod:`.dispatch`).  With
 ``overhead_as_time`` enabled, interrupt-path cost additionally consumes CPU
 time at ``time_scale`` cost units per time unit: whole time units are spent
 on overhead before any job work proceeds, which is what can make dense tick
@@ -48,7 +48,7 @@ exact: every timer period divides its tasks' periods and the timer fires at
 each of its multiples, so no release of any task lies strictly between two
 interrupt instants, and each job's next release is the one it had when it
 ended.  Only interrupts read the delayed containers, and the inserts keep
-their order, so positions, ledgers and skips are those of delaying each job as
+their order, so positions, counters and skips are those of delaying each job as
 it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
@@ -75,7 +75,6 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -279,8 +278,7 @@ def run(config: SimConfig) -> SimMetrics:
     state = DispatcherState(task_set, mapping, config.strategy,
                             check_invariants=config.check_invariants)
     weights = config.weights
-    interrupt_counts = state.interrupt_ledger.counts
-    counter_weights = tuple(weights.weight_of(c) for c in interrupt_counts)
+    interrupt_counts = state.interrupt_counts
     used_timers = sorted(mapping.used_timers(), key=lambda tc: tc.id)
     per_timer = [TimerStats(id=tc.id, period=tc.period) for tc in used_timers]
     next_fire = [tc.period for tc in used_timers]  # parallel to used_timers
@@ -342,7 +340,7 @@ def run(config: SimConfig) -> SimMetrics:
     ended: list[int] = []
     last_tick = 0
 
-    charged_cost = 0  # interrupt-ledger total already added to pending_cost
+    charged_cost = 0  # interrupt cost already added to pending_cost
     pending_cost = 0
     busy_time = 0
     idle_time = 0
@@ -546,13 +544,6 @@ def run(config: SimConfig) -> SimMetrics:
                     continue
                 skips_before = len(state.skip_events)
                 released = tick(state, tc.id)
-                if as_time:
-                    # Only interrupts charge the interrupt ledger, so the growth
-                    # of its total since the last interrupt is this tick's cost.
-                    total = sum(map(operator.mul, interrupt_counts.values(),
-                                    counter_weights))
-                    pending_cost += total - charged_cost
-                    charged_cost = total
                 stats = per_timer[i]
                 stats.interrupts += 1
                 if released:
@@ -564,6 +555,14 @@ def run(config: SimConfig) -> SimMetrics:
                         trace(t, "skip", timer_id, tid)
                 next_fire[i] += tc.period
             next_tick = min(next_fire)
+            if as_time:
+                # Only interrupts charge interrupt_counts, so the growth of
+                # its cost since the last instant is this instant's cost.  It
+                # is charged once every due timer has fired, which is exact:
+                # pending_cost is read only when the run advances.
+                total = weights.cost(interrupt_counts)
+                pending_cost += total - charged_cost
+                charged_cost = total
             if releases:
                 admit_releases(t, releases)
 
@@ -572,8 +571,8 @@ def run(config: SimConfig) -> SimMetrics:
     total_time = t
     total_interrupts = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)
-    interrupt_cost = state.interrupt_ledger.total(weights)
-    delay_cost = state.delay_ledger.total(weights)
+    interrupt_cost = weights.cost(interrupt_counts)
+    delay_cost = weights.cost(state.delay_counts)
     return SimMetrics(
         strategy=config.strategy.value,
         per_timer=per_timer,
@@ -583,8 +582,8 @@ def run(config: SimConfig) -> SimMetrics:
         interrupt_cost=interrupt_cost,
         delay_cost=delay_cost,
         total_cost=interrupt_cost + delay_cost,
-        interrupt_counters=state.interrupt_ledger.snapshot(),
-        delay_counters=state.delay_ledger.snapshot(),
+        interrupt_counters=dict(interrupt_counts),
+        delay_counters=dict(state.delay_counts),
         deadline_misses=len(miss_events),
         miss_events=miss_events,
         harmonic_skips=list(state.skip_events),
@@ -719,6 +718,31 @@ class SweepTable:
         writer.writerow(SWEEP_CSV_COLUMNS)
         writer.writerows([_csv_value(getattr(row, c)) for c in SWEEP_CSV_COLUMNS]
                          for row in self.rows)
+
+    @classmethod
+    def from_csv(cls, fh: TextIO) -> SweepTable:
+        """Read back a sweep CSV, keeping the columns the summary reads.
+
+        An overhead ratio must be positive and representable as a float: the
+        summary takes its logarithm and prints it as a float.
+        """
+        rows = []
+        for row in csv.DictReader(fh):
+            try:
+                ratio = (Fraction(row["overhead_ratio"]) if row["overhead_ratio"]
+                         else None)
+                if ratio is not None and not float(ratio) > 0:
+                    raise ValueError("overhead_ratio is not positive")
+                rows.append(SweepRow(
+                    factor=int(row["factor"]),
+                    strategy=row["strategy"],
+                    overhead_ratio=ratio,
+                    schedulable_class=row["schedulable_class"],
+                ))
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    ZeroDivisionError) as exc:
+                raise UsageError(f"malformed sweep row: {row!r}") from exc
+        return cls(rows)
 
 
 def applicable_strategies(task_set: TaskSet, mapping: Mapping) -> list[Strategy]:

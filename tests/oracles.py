@@ -352,11 +352,11 @@ def reference_run(config: SimConfig) -> SimMetrics:
         for stats in per_timer:
             if t % stats.period:
                 continue
-            cost_before = state.interrupt_ledger.total(weights)
+            cost_before = weights.cost(state.interrupt_counts)
             skips_before = len(state.skip_events)
             released = tick(state, stats.id)
             if config.overhead_as_time:
-                pending += state.interrupt_ledger.total(weights) - cost_before
+                pending += weights.cost(state.interrupt_counts) - cost_before
             stats.interrupts += 1
             stats.required += bool(released)
             releases += released
@@ -367,8 +367,8 @@ def reference_run(config: SimConfig) -> SimMetrics:
 
     total = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)
-    interrupt_cost = state.interrupt_ledger.total(weights)
-    delay_cost = state.delay_ledger.total(weights)
+    interrupt_cost = weights.cost(state.interrupt_counts)
+    delay_cost = weights.cost(state.delay_counts)
     return SimMetrics(
         strategy=config.strategy.value,
         per_timer=per_timer,
@@ -378,8 +378,8 @@ def reference_run(config: SimConfig) -> SimMetrics:
         interrupt_cost=interrupt_cost,
         delay_cost=delay_cost,
         total_cost=interrupt_cost + delay_cost,
-        interrupt_counters=state.interrupt_ledger.snapshot(),
-        delay_counters=state.delay_ledger.snapshot(),
+        interrupt_counters=dict(state.interrupt_counts),
+        delay_counters=dict(state.delay_counts),
         deadline_misses=len(misses),
         miss_events=misses,
         harmonic_skips=list(state.skip_events),

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from chronosim.dispatch import DispatcherState, Strategy, delay_task, tick_chronos
+from chronosim.dispatch import DispatcherState, Strategy, delay_task, tick
 from chronosim.model import (
     GenerationSpec,
     Mapping,
@@ -196,9 +196,9 @@ def test_criterion_6_cost_contracts():
             state = DispatcherState(ts, mapping, Strategy.CHRONOS_CONST)
             for tid in range(1, count):
                 delay_task(state, [tid], 0)
-            before = state.delay_ledger.snapshot()
+            before = dict(state.delay_counts)
             delay_task(state, [count], 0)
-            after = state.delay_ledger.snapshot()
+            after = dict(state.delay_counts)
             deltas.add(tuple(sorted(
                 (k, after[k] - before[k]) for k in after if after[k] != before[k])))
         assert len(deltas) == 1
@@ -211,11 +211,10 @@ def test_criterion_6_cost_contracts():
         state = DispatcherState(ts, mapping, Strategy.CHRONOS_HARMONIC)
         for t in ts.tasks:
             delay_task(state, [t.id], 0)
-        from chronosim.dispatch import tick_chronos_harmonic
         for _ in range(64):
-            before = state.interrupt_ledger.snapshot()
-            released = tick_chronos_harmonic(state, 1)
-            after = state.interrupt_ledger.snapshot()
+            before = dict(state.interrupt_counts)
+            released = tick(state, 1)
+            after = dict(state.interrupt_counts)
             assert after["comparison"] - before["comparison"] <= len(chain)
             for tid in released:
                 delay_task(state, [tid], state.timers[1].tick)
@@ -237,7 +236,7 @@ def test_criterion_6_cost_contracts():
                 ready.discard(tid)
             else:
                 now += 2
-                ready.update(tick_chronos(state, 1))
+                ready.update(tick(state, 1))
             keys = [state.tasks[t].next_release for t in state.timers[1].queue]
             assert keys == sorted(keys)
 

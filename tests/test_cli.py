@@ -549,6 +549,23 @@ class TestStrictScenario:
                            {"interrupt_entry_exit": 0, "comparison": 0})
         assert main(["sweep", ok, "--out", str(tmp_path / "s.csv")]) == 0
 
+    # (path to a misspelled key, the section the message names)
+    UNKNOWN_KEYS = [(("timer",), "scenario"),
+                    (("generation", "n_task"), "generation"),
+                    (("horizon", "max_period_multiples"), "horizon")]
+
+    @pytest.mark.parametrize("path,where", UNKNOWN_KEYS,
+                             ids=[where for _, where in UNKNOWN_KEYS])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, scenario_file, path,
+                                  where):
+        bad = self.scenario(tmp_path, path, 5)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", bad, "--out", str(out)]) == 2
+        assert f"unknown {where} keys: [{path[-1]!r}]" in capsys.readouterr().err
+        assert not out.exists()
+        if where != "horizon":  # generate reads no horizon
+            assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
+
     @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_still_load(self, tmp_path, preset):
         assert main(["generate", "--preset", preset,
@@ -653,7 +670,7 @@ class TestMalformedFiles:
         assert main(["report", str(path)]) == 2
         assert "malformed sweep CSV" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ratio", ["0", "-2", "1e400"])
+    @pytest.mark.parametrize("ratio", ["0", "-2", "1e400", "1/0"])
     def test_report_on_ratio_not_a_positive_float_exit_two(self, tmp_path, capsys,
                                                              ratio):
         path = tmp_path / "sweep.csv"

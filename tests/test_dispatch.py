@@ -1,4 +1,4 @@
-"""Hand-traced interrupt routines, delay paths, and cost-ledger contracts."""
+"""Hand-traced interrupts, delay paths, and cost-counter contracts."""
 
 import random
 
@@ -12,9 +12,6 @@ from chronosim.dispatch import (
     Strategy,
     delay_task,
     tick,
-    tick_chronos,
-    tick_chronos_const,
-    tick_chronos_harmonic,
 )
 from chronosim.errors import ConfigError, InvariantViolation
 from chronosim.model import Mapping, Task, TaskSet, TimerConfig
@@ -33,8 +30,8 @@ def build_state(periods, timer_period, strategy, check=True):
     return DispatcherState(ts, mapping, strategy, check_invariants=check)
 
 
-def counter_delta(ledger, before):
-    after = ledger.snapshot()
+def counter_delta(counts, before):
+    after = dict(counts)
     return {k: after[k] - before[k] for k in after if after[k] != before[k]}
 
 
@@ -44,11 +41,11 @@ class TestTickChronos:
         state = build_state([2, 4], 2, Strategy.CHRONOS)
         delay_task(state, [1], 0)
         delay_task(state, [2], 0)
-        before = state.interrupt_ledger.snapshot()
-        released = tick_chronos(state, 1)
+        before = dict(state.interrupt_counts)
+        released = tick(state, 1)
         assert released == [1]
         assert state.timers[1].next_release == 4
-        delta = counter_delta(state.interrupt_ledger, before)
+        delta = counter_delta(state.interrupt_counts, before)
         # guard + two head inspections; one removal; one ready insertion
         assert delta == {"interrupt": 1, "tick_increment": 1, "comparison": 3,
                          "list_remove": 1, "ready_insert": 1}
@@ -57,18 +54,18 @@ class TestTickChronos:
         state = build_state([2], 2, Strategy.CHRONOS)
         assert state.timers[1].next_release == TIME_MAX
         state.timers[1].tick = 2
-        before = state.interrupt_ledger.snapshot()
-        released = tick_chronos(state, 1)
+        before = dict(state.interrupt_counts)
+        released = tick(state, 1)
         assert released == []
         # guard comparison only: the sentinel guarantees the early exit
-        assert counter_delta(state.interrupt_ledger, before) == {
+        assert counter_delta(state.interrupt_counts, before) == {
             "interrupt": 1, "tick_increment": 1, "comparison": 1}
 
     def test_emptying_the_list_parks_the_sentinel(self):
         state = build_state([10], 5, Strategy.CHRONOS)
         delay_task(state, [1], 0)  # next release 10
         state.timers[1].tick = 5
-        released = tick_chronos(state, 1)
+        released = tick(state, 1)
         assert released == [1]
         assert state.timers[1].next_release == TIME_MAX
 
@@ -78,7 +75,7 @@ class TestTickChronos:
         delay_task(state, [2], 0)
         state.timers[1].queue.reverse()  # corrupt the order
         with pytest.raises(InvariantViolation):
-            tick_chronos(state, 1)
+            tick(state, 1)
 
 
 class TestTickChronosConst:
@@ -94,22 +91,22 @@ class TestTickChronosConst:
     def test_full_scan_releases_and_rebuilds_minimum(self):
         state = self.setup_list()
         state.timers[1].tick = 3
-        before = state.interrupt_ledger.snapshot()
-        released = tick_chronos_const(state, 1)
+        before = dict(state.interrupt_counts)
+        released = tick(state, 1)
         assert released == [1]
         assert state.timers[1].next_release == 9
-        delta = counter_delta(state.interrupt_ledger, before)
+        delta = counter_delta(state.interrupt_counts, before)
         # one guard comparison plus one inspection per list entry
         assert delta["comparison"] - 1 == 3
         assert delta["list_remove"] == 1
 
     def test_early_exit_inspects_nothing(self):
         state = self.setup_list()  # earliest next release is 6
-        before = state.interrupt_ledger.snapshot()
-        released = tick_chronos_const(state, 1)  # tick 0 -> 3, below 6
+        before = dict(state.interrupt_counts)
+        released = tick(state, 1)  # tick 0 -> 3, below 6
         assert released == []
         # guard only: no entry of the list is inspected
-        assert counter_delta(state.interrupt_ledger, before) == {
+        assert counter_delta(state.interrupt_counts, before) == {
             "interrupt": 1, "tick_increment": 1, "comparison": 1}
 
     def test_releases_all_when_everything_due(self):
@@ -117,7 +114,7 @@ class TestTickChronosConst:
         delay_task(state, [1], 0)  # next 12
         delay_task(state, [2], 0)  # next 9
         state.timers[1].tick = 9
-        released = tick_chronos_const(state, 1)
+        released = tick(state, 1)
         assert sorted(released) == [1, 2]
         assert state.timers[1].next_release == TIME_MAX
 
@@ -136,27 +133,27 @@ class TestTickChronosHarmonic:
 
     def test_first_tick_releases_only_smallest_period(self):
         state = self.build_chain()
-        released = tick_chronos_harmonic(state, 1)  # tick 3: 3 mod 6 != 0 breaks
+        released = tick(state, 1)  # tick 3: 3 mod 6 != 0 breaks
         assert released == [1]
 
     def test_releases_prefix_of_due_slots(self):
         state = self.build_chain()
-        tick_chronos_harmonic(state, 1)           # tick 3
+        tick(state, 1)           # tick 3
         delay_task(state, [1], 3)                 # back into its slot, next 6
-        before = state.interrupt_ledger.snapshot()
-        released = tick_chronos_harmonic(state, 1)  # tick 6
+        before = dict(state.interrupt_counts)
+        released = tick(state, 1)  # tick 6
         assert released == [1, 2]                 # break at 6 mod 12 != 0
-        delta = counter_delta(state.interrupt_ledger, before)
+        delta = counter_delta(state.interrupt_counts, before)
         assert delta["comparison"] == 3           # slots 1..3 inspected
         assert delta["slot_write"] == 2
 
     def test_vacant_slot_skipped_and_flagged(self):
         state = self.build_chain()
-        tick_chronos_harmonic(state, 1)   # tick 3 releases tau1
-        tick_chronos_harmonic(state, 1)   # tick 6: tau1 slot vacant -> skip; tau2 due
+        tick(state, 1)   # tick 3 releases tau1
+        tick(state, 1)   # tick 6: tau1 slot vacant -> skip; tau2 due
         delay_task(state, [2], 6)
-        tick_chronos_harmonic(state, 1)   # tick 9: tau1 slot vacant -> skip
-        released = tick_chronos_harmonic(state, 1)  # tick 12
+        tick(state, 1)   # tick 9: tau1 slot vacant -> skip
+        released = tick(state, 1)  # tick 12
         assert released == [2, 3]
         flagged = [(t, task) for t, _, task in state.skip_events]
         assert (6, 1) in flagged and (9, 1) in flagged and (12, 1) in flagged
@@ -166,20 +163,20 @@ class TestTickChronosHarmonic:
         slots = state.timers[1].slots
         slots[1], slots[2] = slots[2], slots[1]   # tau2 and tau3 swap slots
         with pytest.raises(InvariantViolation, match="the slot of task 2 holds task 3"):
-            tick_chronos_harmonic(state, 1)
+            tick(state, 1)
 
     def test_slotted_task_already_due_detected_in_checked_mode(self):
         state = self.build_chain()
         state.tasks[2].next_release = 3           # due at tick 3, yet slot 1 is not
         with pytest.raises(InvariantViolation, match="holds task 2, due at 3"):
-            tick_chronos_harmonic(state, 1)
+            tick(state, 1)
 
     def test_inspections_bounded_by_group_size(self):
         state = self.build_chain()
         for _ in range(32):
-            before = state.interrupt_ledger.snapshot()
-            released = tick_chronos_harmonic(state, 1)
-            delta = counter_delta(state.interrupt_ledger, before)
+            before = dict(state.interrupt_counts)
+            released = tick(state, 1)
+            delta = counter_delta(state.interrupt_counts, before)
             assert delta["comparison"] <= 3
             for tid in released:
                 delay_task(state, [tid], state.timers[1].tick)
@@ -212,9 +209,9 @@ class TestTickBaseline:
             tick(state, 1)
         # never re-delayed: every further tick exits on the sentinel
         for _ in range(8):
-            before = state.interrupt_ledger.snapshot()
+            before = dict(state.interrupt_counts)
             assert tick(state, 1) == []
-            assert counter_delta(state.interrupt_ledger, before)["comparison"] == 1
+            assert counter_delta(state.interrupt_counts, before)["comparison"] == 1
         assert state.timers[1].next_release == TIME_MAX
 
 
@@ -251,18 +248,18 @@ class TestDelayTask:
             st = build_state(periods, 6, Strategy.CHRONOS_CONST)
             for tid in range(1, count):
                 delay_task(st, [tid], 0)
-            before = st.delay_ledger.snapshot()
+            before = dict(st.delay_counts)
             delay_task(st, [count], 0)
-            deltas.add(tuple(sorted(counter_delta(st.delay_ledger, before).items())))
+            deltas.add(tuple(sorted(counter_delta(st.delay_counts, before).items())))
         assert len(deltas) == 1  # identical charge at lengths 1, 10, and 100
 
     def test_sorted_insert_charges_traversal_steps(self):
         state = build_state([6, 12, 18], 6, Strategy.CHRONOS)
         delay_task(state, [1], 0)   # next 6, empty list: 0 steps
         delay_task(state, [2], 0)   # next 12, after one entry: 1 step
-        before = state.delay_ledger.snapshot()
+        before = dict(state.delay_counts)
         delay_task(state, [3], 0)   # next 18, after two entries: 2 steps
-        assert counter_delta(state.delay_ledger, before)["sorted_insert_step"] == 2
+        assert counter_delta(state.delay_counts, before)["sorted_insert_step"] == 2
         assert state.timers[1].queue == [1, 2, 3]
 
     def test_sorted_insert_cost_at_most_linear_in_list_length(self):
@@ -271,9 +268,9 @@ class TestDelayTask:
         state = build_state(periods, 6, Strategy.CHRONOS)
         for tid in rng.sample(range(1, 31), 30):
             length = len(state.timers[1].queue)
-            before = state.delay_ledger.snapshot()
+            before = dict(state.delay_counts)
             delay_task(state, [tid], 0)
-            steps = counter_delta(state.delay_ledger, before).get(
+            steps = counter_delta(state.delay_counts, before).get(
                 "sorted_insert_step", 0)
             assert steps <= length
 
@@ -292,7 +289,7 @@ class TestSortedOrderProperty:
                 ready.discard(tid)
             else:
                 now += 2
-                for tid in tick_chronos(state, 1):
+                for tid in tick(state, 1):
                     ready.add(tid)
             queue = state.timers[1].queue
             keys = [state.tasks[t].next_release for t in queue]
@@ -317,24 +314,24 @@ class TestInsertContracts:
             if op == 0 or not ready:
                 # The tick hands back the due prefix of the list, in list order.
                 old_queue = list(queue)
-                before = state.interrupt_ledger.snapshot()
+                before = dict(state.interrupt_counts)
                 released = tick(state, 1)
                 now = state.timers[1].tick
                 assert released == [t for t in old_queue
                                     if state.tasks[t].next_release <= now]
                 assert queue == old_queue[len(released):]
-                assert counter_delta(state.interrupt_ledger, before).get(
+                assert counter_delta(state.interrupt_counts, before).get(
                     "ready_insert", 0) == len(released)
                 ready.extend(released)
                 continue
             tid = ready.pop(op % len(ready))
             old_queue = list(queue)
-            before = state.delay_ledger.snapshot()
+            before = dict(state.delay_counts)
             delay_task(state, [tid], state.timers[1].tick)
             due = state.tasks[tid].next_release
             no_later = sum(1 for t in old_queue
                            if state.tasks[t].next_release <= due)
-            assert counter_delta(state.delay_ledger, before).get(
+            assert counter_delta(state.delay_counts, before).get(
                 "sorted_insert_step", 0) == no_later
             assert queue == old_queue[:no_later] + [tid] + old_queue[no_later:]
 
@@ -344,8 +341,8 @@ def state_snapshot(state):
     timers = {j: (ts.tick, ts.next_release, list(ts.queue), list(ts.keys),
                   list(ts.slots)) for j, ts in state.timers.items()}
     tasks = {tid: (e.next_release, e.delayed) for tid, e in state.tasks.items()}
-    return (timers, tasks, state.delay_ledger.snapshot(),
-            state.interrupt_ledger.snapshot(), list(state.skip_events))
+    return (timers, tasks, dict(state.delay_counts),
+            dict(state.interrupt_counts), list(state.skip_events))
 
 
 class TestBatchContract:
