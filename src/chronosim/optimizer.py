@@ -10,9 +10,10 @@ The solver searches covers, not the raw mixed-integer model: at most ``m``
 timer periods such that every period is a multiple of one of them.  A cover
 is a partition (give each period one timer that divides it; the group GCD is
 a multiple of that timer's period, so no worse), and a timer below the GCD
-of its periods never wins, so the candidates are the periods' divisors.  A
-period with a proper divisor among the periods is covered by any timer that
-covers that divisor, so only the divisibility-minimal periods are searched.
+of its periods never wins, so the candidates are the periods' divisors that
+are the GCD of all the periods they divide.  A period with a proper divisor
+among the periods is covered by any timer that covers that divisor, so only
+the divisibility-minimal periods are searched.
 The search compares one integer per cover, ``rate * (m + 1) + timers``: the
 rate is scaled by lcm(periods), which every candidate divides, and a cover
 uses at most m timers, so the comparison is exact and carries the
@@ -21,11 +22,18 @@ exact value or a proven lower bound per (uncovered set U, timers left k).
 It prunes with a Lagrangian relaxation of the timer limit: for any lam >= 0,
 a cover of U by at most k timers has a rate of at least the sum over e in U
 of the least (1/d + lam) / |c| over the candidates holding e, with c the
-candidate's cut of U and d its period, less lam * k.  The tie-break then
-walks the divisor-closed groups of the lowest remaining period in order of
-preference and takes the first whose rest still reaches the optimum, which a
-search bounded by that optimum decides.  The mixed-integer model itself is
-available through :func:`export_miqcp`.
+candidate's cut of U and d its period, less lam * k.  The float sum adds
+-lam * k first, then one least term per period of U in ascending order.  A
+period's least term is taken over all its candidates, not over its distinct
+cuts only: of two candidates with the same cut, the larger d has the smaller
+rate, and IEEE rounding is monotone, so both minima are the same float.  The
+search branches on the first period of U in the fewest distinct cuts and
+tries its cuts by rate per covered period, each cut at its largest d; equal
+rates go in order of the least candidate that makes the cut.  The tie-break
+then walks the divisor-closed groups of the lowest remaining period in order
+of preference and takes the first whose rest still reaches the optimum,
+which a search bounded by that optimum decides.  The mixed-integer model
+itself is available through :func:`export_miqcp`.
 """
 
 from __future__ import annotations
@@ -150,10 +158,8 @@ class _CoverSearch:
 
     def _search(self, uncovered: int, timers_left: int, limit: int, floor: int) -> int:
         """:meth:`best` on divisibility-minimal periods; one node unless the
-        memo answers.  lam is the rate ``limit`` allows, over twice the timers
-        left.  The bound is a float sum, so it prunes only past a relative
-        margin.  The search branches on the uncovered period in the fewest
-        distinct cuts, trying its cuts by rate per covered period."""
+        memo answers.  The bound is a float sum, so it prunes only past a
+        relative margin on the rate ``limit`` allows."""
         key = (uncovered, timers_left)
         known = self._memo.get(key)
         if known is not None:
@@ -170,23 +176,12 @@ class _CoverSearch:
             periods = (self.periods[i] for i in _members(uncovered))
             self._memo[key] = (self.scale // math.gcd(*periods) + 1, True)
             return self._memo[key][0]
-        reach = max(limit, 0) / self.scale
-        lam = reach / (2 * timers_left)
-        bound = -lam * timers_left
-        fewest: dict[int, tuple[int, int, float]] = {}
-        for i in _members(uncovered):
-            # The last write per cut is its largest divisor, the cheapest.
-            cuts = {entry[0] & uncovered: entry for entry in self._table[i]}
-            bound += min([(rate + lam) / cut.bit_count()
-                          for cut, (_, _, rate) in cuts.items()])
-            if not fewest or len(cuts) < len(fewest):
-                fewest = cuts
-        if bound > reach * (1 + BOUND_MARGIN):
+        bound, fewest = self._relax(uncovered, timers_left, limit)
+        if bound > max(limit, 0) / self.scale * (1 + BOUND_MARGIN):
             self._memo[key] = (limit + 1, False)
             return limit + 1
         best = low = None
-        for cut, (_, value, _) in sorted(
-                fewest.items(), key=lambda item: item[1][2] / item[0].bit_count()):
+        for cut, (_, value, _) in self._branch(uncovered, fewest):
             stats.subsets += 1
             rest = uncovered ^ cut
             total = value
@@ -202,6 +197,42 @@ class _CoverSearch:
                 low = total
         self._memo[key] = (low, False) if best is None else (best, True)
         return self._memo[key][0]
+
+    def _relax(self, uncovered: int, timers_left: int, limit: int) -> tuple[float, int]:
+        """The Lagrangian bound on the rate of covering ``uncovered`` by
+        ``timers_left`` timers, and the member to branch on: the first in the
+        fewest distinct cuts.  lam is the rate ``limit`` allows, over twice
+        the timers left.  A member's least term is taken over all its table
+        entries; the module docstring says why that is the least over its
+        distinct cuts."""
+        lam = max(limit, 0) / self.scale / (2 * timers_left)
+        table = self._table
+        bound = -lam * timers_left
+        fewest = count = 0
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            cuts = {}
+            least = math.inf
+            for mask, _, rate in table[i]:
+                cut = mask & uncovered
+                cuts[cut] = None
+                term = (rate + lam) / cut.bit_count()
+                if term < least:
+                    least = term
+            bound += least
+            if not count or len(cuts) < count:
+                fewest, count = i, len(cuts)
+        return bound, fewest
+
+    def _branch(self, uncovered: int, i: int) -> list[tuple[int, tuple[int, int, float]]]:
+        """Period i's distinct cuts of ``uncovered``, each with the table
+        entry of its largest divisor (the last write), by rate per covered
+        period."""
+        cuts = {entry[0] & uncovered: entry for entry in self._table[i]}
+        return sorted(cuts.items(), key=lambda item: item[1][2] / item[0].bit_count())
 
     def reconstruct(self) -> list[int]:
         """The optimum's groups: at each step the first of :meth:`groups`
@@ -320,16 +351,20 @@ def export_miqcp(problem: OptimizationProblem, path: str) -> None:
     linearization, leaving one quadratic row per task.  The rate definition
     f_j * P_j = 1 stays a quadratic equality, which makes the model
     non-convex; a solver with nonconvex QCQP support is required.
+
+    The model has min(m, n) timers, as the search does: each of the n
+    distinct periods rides one timer, so a timer beyond the n-th is never
+    used and the optimum is the same.  The header still states the budget m.
     """
     periods = problem.periods
     n = len(periods)
-    m = problem.m
+    m = min(problem.m, n)
     max_t = problem.max_period
     f_lower = _rate_lower_bound(max_t) if max_t > 1 else "1"
 
     lines: list[str] = []
     lines.append("\\ Tick-interrupt minimization: partition tasks over timers")
-    lines.append(f"\\ periods={list(periods)} timers={m}")
+    lines.append(f"\\ periods={list(periods)} timers={problem.m}")
     lines.append("\\ The rate_def_* rows are quadratic equalities (non-convex);")
     lines.append("\\ solve with a nonconvex-capable MIQCP solver.")
     lines.append("Minimize")

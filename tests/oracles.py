@@ -92,6 +92,38 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
     return _build_result(problem, group_masks, stats, "brute-force")
 
 
+def cover_state(periods: tuple[int, ...], m: int, uncovered: int,
+                timers_left: int, limit: int) -> tuple[float, list[tuple[int, int]]]:
+    """The Lagrangian bound and the branch of one cover-search state, as the
+    ``optimizer`` module docstring states them.
+
+    For each period e of ``uncovered`` in ascending order, every candidate d
+    of e (a divisor of e that is the GCD of all the periods it divides) is
+    tried in ascending order and cuts ``uncovered`` to the periods it
+    divides; a cut keeps its largest d.  The bound is -lam * timers_left plus,
+    per e, the least (1/d + lam) / |cut| over e's distinct cuts, with lam the
+    rate ``limit`` allows (``limit`` / (lcm(periods) * (m + 1))) over twice
+    the timers left.  The branch is the cut dict of the first period in the
+    fewest distinct cuts, sorted by (1/d) / |cut|, as (cut, value) pairs with
+    value = lcm(periods) * (m + 1) // d + 1.
+    """
+    scale = math.lcm(*periods) * (m + 1)
+    lam = max(limit, 0) / scale / (2 * timers_left)
+    members = [i for i in range(len(periods)) if uncovered >> i & 1]
+    bound = -lam * timers_left
+    fewest: dict[int, int] | None = None
+    for e in members:
+        cuts: dict[int, int] = {}
+        for d in range(1, periods[e] + 1):
+            if periods[e] % d == 0 and d == math.gcd(*(p for p in periods if p % d == 0)):
+                cuts[sum(1 << i for i in members if periods[i] % d == 0)] = d
+        bound += min((1 / d + lam) / cut.bit_count() for cut, d in cuts.items())
+        if fewest is None or len(cuts) < len(fewest):
+            fewest = cuts
+    branch = sorted(fewest.items(), key=lambda item: 1 / item[1] / item[0].bit_count())
+    return bound, [(cut, scale // d + 1) for cut, d in branch]
+
+
 def _lp_terms(tokens: list[str]) -> list[list]:
     """``[coefficient, variables]`` per term of an LP expression.
 
@@ -164,18 +196,28 @@ def lp_value(terms: list[list], point: dict) -> Fraction:
                 for coef, names in terms), Fraction(0))
 
 
+def _row_holds(row: tuple, point: dict) -> bool:
+    terms, sense, rhs = row
+    value = lp_value(terms, point)
+    if sense == "<=":
+        return value <= rhs
+    return value >= rhs if sense == ">=" else value == rhs
+
+
 def lp_feasible(model: dict, point: dict) -> bool:
     """Whether ``point`` meets every row, bound and integrality of ``model``."""
-    for terms, sense, rhs in model["rows"].values():
-        value = lp_value(terms, point)
-        if not (value <= rhs if sense == "<=" else
-                value >= rhs if sense == ">=" else value == rhs):
-            return False
+    if not all(_row_holds(row, point) for row in model["rows"].values()):
+        return False
     if any(not lo <= point[var] <= hi for var, (lo, hi) in model["bounds"].items()):
         return False
     if any(point[var] not in (0, 1) for var in model["binaries"]):
         return False
     return all(Fraction(point[var]).denominator == 1 for var in model["generals"])
+
+
+def lp_timers(model: dict) -> int:
+    """The number of timers in ``model``: its P_j variables."""
+    return sum(1 for var in model["bounds"] if var.startswith("P_"))
 
 
 def lp_point(periods, timer_periods, assignment) -> dict:
@@ -195,24 +237,62 @@ def lp_point(periods, timer_periods, assignment) -> dict:
     return point
 
 
-def miqcp_minimum(problem: OptimizationProblem, model: dict) -> Fraction | None:
+def _free_points(model: dict, forced: dict):
+    """The points that keep ``forced``'s P, f and m and take u, w and d
+    anywhere in their bounds, each row checked as soon as its variables are
+    set (u, then w, then d)."""
+    names = sorted((var for var in forced if var[0] in "uwd"),
+                   key=lambda var: "uwd".index(var[0]))
+    position = {var: k for k, var in enumerate(names)}
+    due: list[list] = [[] for _ in names]
+    for row in model["rows"].values():
+        last = max((position[var] for _, row_vars in row[0] for var in row_vars
+                    if var in position), default=None)
+        if last is not None:
+            due[last].append(row)
+    point = {var: x for var, x in forced.items() if var not in position}
+
+    def extend(k: int):
+        if k == len(names):
+            yield dict(point)
+            return
+        lo, hi = (0, 1) if names[k] in model["binaries"] else model["bounds"][names[k]]
+        for x in range(int(lo), int(hi) + 1):
+            point[names[k]] = x
+            if all(_row_holds(row, point) for row in due[k]):
+                yield from extend(k + 1)
+        del point[names[k]]
+
+    return extend(0)
+
+
+def miqcp_minimum(problem: OptimizationProblem, model: dict,
+                  free: bool = False) -> Fraction | None:
     """The least objective of ``model`` over its feasible points (None if none).
 
-    Every vector of timer periods in [1, maxT]^m and every assignment of the
-    periods to timers is tried.  The rows leave no other freedom: a feasible
-    point has binary m and u and integer P, assign_once makes m an
-    assignment, and rate_def, the product linearization, divisor and
-    timer_used rows then force f, w, d and u to the values :func:`lp_point`
-    derives, so no feasible point is missed.
+    Every vector of timer periods in [1, maxT]^t, with t the model's timers,
+    and every assignment of the periods to timers is tried.  The rows leave
+    no other freedom: a feasible point has binary m and u and integer P,
+    assign_once makes m an assignment, and rate_def, the product
+    linearization, divisor and timer_used rows then force f, w, d and u to
+    the values :func:`lp_point` derives, so no feasible point is missed.
+    With ``free``, u, w and d are enumerated over their bounds as well, and
+    a feasible point other than the forced one fails an assertion.  That
+    walk checks each row once its variables are set, but can still visit
+    (maxT + 1)^(n t) values of w per P and m, so keep n, t and maxT small.
     """
     periods = problem.periods
+    timers = lp_timers(model)
     best = None
     for timer_periods in itertools.product(range(1, problem.max_period + 1),
-                                           repeat=problem.m):
-        for assignment in itertools.product(range(1, problem.m + 1),
+                                           repeat=timers):
+        for assignment in itertools.product(range(1, timers + 1),
                                             repeat=len(periods)):
-            point = lp_point(periods, timer_periods, assignment)
-            if lp_feasible(model, point):
+            forced = lp_point(periods, timer_periods, assignment)
+            for point in _free_points(model, forced) if free else [forced]:
+                if not lp_feasible(model, point):
+                    continue
+                assert point == forced, f"the rows leave {point} feasible"
                 value = lp_value(model["objective"], point)
                 if best is None or value < best:
                     best = value

@@ -183,6 +183,22 @@ class TestOptimize:
                      "--export-lp", str(lp)]) == 0
         assert lp.read_text().startswith("\\ Tick-interrupt minimization")
 
+    def test_export_lp_with_a_huge_budget_is_quick(self, tmp_path):
+        # The model holds min(m, n) timers, as many as the search uses; the
+        # header still states the budget.
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [{"id": 1, "period": 6, "wcet": 0},
+                             {"id": 2, "period": 10, "wcet": 0}]}, str(tasks))
+        lp = tmp_path / "model.lp"
+        start = time.perf_counter()
+        assert main(["optimize", str(tasks), "--timers", str(10**18),
+                     "--out", str(tmp_path / "m.json"),
+                     "--export-lp", str(lp)]) == 0
+        assert time.perf_counter() - start < 5
+        text = lp.read_text()
+        assert f"timers={10**18}" in text
+        assert " 1 <= P_2 <= 10" in text and "P_3" not in text
+
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

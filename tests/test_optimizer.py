@@ -22,8 +22,10 @@ from chronosim.optimizer import (
 )
 from oracles import (
     brute_force_reference,
+    cover_state,
     lp_feasible,
     lp_point,
+    lp_timers,
     lp_value,
     miqcp_minimum,
     read_lp,
@@ -438,6 +440,30 @@ class TestCandidateTable:
             assert value == scale // math.gcd(*group_periods) + 1
 
 
+class TestStateKernel:
+    """One search state's bound and branch against ``oracles.cover_state``,
+    a transcription of the module docstring that scans divisors directly."""
+
+    @given(st.sets(st.integers(min_value=1, max_value=500), min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bound_bit_for_bit_and_branch_in_order(self, period_set, m, data):
+        periods = tuple(sorted(period_set))
+        search = _CoverSearch(periods, m)
+        uncovered = data.draw(
+            st.integers(min_value=1, max_value=(1 << len(periods)) - 1), "uncovered")
+        timers_left = data.draw(
+            st.integers(min_value=1, max_value=uncovered.bit_count()), "timers_left")
+        limit = data.draw(
+            st.integers(min_value=-search.scale, max_value=2 * search.scale), "limit")
+        bound, fewest = search._relax(uncovered, timers_left, limit)
+        expected_bound, expected_branch = cover_state(
+            periods, m, uncovered, timers_left, limit)
+        assert bound.hex() == expected_bound.hex()
+        assert [(cut, entry[1]) for cut, entry in search._branch(uncovered, fewest)] \
+            == expected_branch
+
+
 class TestResultRoundTrip:
     """``optimize`` results survive their JSON form."""
 
@@ -520,9 +546,13 @@ class TestExportMiqcp:
         # The exported model, read back in exact arithmetic and minimized by
         # enumeration, has solve's optimum, and solve's mapping is one of its
         # feasible points.  The single period 11 is a maxT whose rate bound
-        # once rounded up past 1/11, which cut the optimal point off.
+        # once rounded up past 1/11, which cut the optimal point off.  On the
+        # smallest instances u, w and d are enumerated too, so a row that
+        # stops forcing them (a dropped w_ub_p, a looser timer_used_le) fails.
         rng = random.Random(1905)
         problems = [OptimizationProblem(periods=(11,), m=1)]
+        problems += [OptimizationProblem(periods=(a, b), m=2)
+                     for b in range(2, 7) for a in range(1, b)]
         problems += [random_problem(rng, max_n=3, max_period=12, max_m=2)
                      for _ in range(MIQCP_INSTANCES)]
         path = tmp_path / "model.lp"
@@ -530,10 +560,11 @@ class TestExportMiqcp:
             export_miqcp(problem, str(path))
             model = read_lp(path.read_text())
             result = solve(problem)
-            assert miqcp_minimum(problem, model) == result.objective, problem
+            free = len(problem.periods) <= 2 and problem.max_period <= 6
+            assert miqcp_minimum(problem, model, free) == result.objective, problem
             timers = result.mapping.timers
             timer_periods = ([tc.period for tc in timers]
-                             + [1] * (problem.m - len(timers)))
+                             + [1] * (lp_timers(model) - len(timers)))
             assignment = [result.mapping.assignment[i]
                           for i in range(1, len(problem.periods) + 1)]
             point = lp_point(problem.periods, timer_periods, assignment)
