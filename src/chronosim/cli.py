@@ -170,8 +170,7 @@ def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
     """Steady-state runs observe the repeating release pattern over a fixed
     window instead of letting tasks retire mid-run."""
     return model.TaskSet(tuple(
-        model.Task(id=t.id, wcet=t.wcet, period=t.period, deadline=t.deadline,
-                   releases_limit=None)
+        model.Task(t.id, t.wcet, t.period, t.deadline, None)
         for t in task_set.tasks
     ))
 

@@ -294,7 +294,7 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
     if task_set is None:
         # One placeholder task per distinct period keeps the mapping concrete.
         task_set = TaskSet(tuple(
-            Task.implicit(i + 1, wcet=0, period=p)
+            Task.implicit(i + 1, 0, p)
             for i, p in enumerate(periods)
         ))
     assignment = {t.id: period_to_timer[t.period] for t in task_set.tasks}

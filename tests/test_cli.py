@@ -424,6 +424,79 @@ class TestPinnedPresetSweeps:
                 hashlib.sha256(stdout).hexdigest()) == PINNED_PRESET_SWEEPS[preset]
 
 
+# SHA-256 of ``generate --preset P`` and of ``optimize`` on its output with
+# four timers (mapping JSON, stdout), all written in the working directory.
+# "low@1600" is the low preset's generation at 1600 tasks and seed 42.
+PINNED_GENERATE_OPTIMIZE = {
+    "low": ("bda5bc1f0cea12969d8912a7b9f692d8d64915179399fead0c67049681b77ea3",
+            "721e7797e321a6621392191ee1de54bb6823b21cd075b2869d4941ac0486557b",
+            "e275b3bb90fb6bd525f774df2d61455f8a70f9257a02aa561b4e98f41fd29f0c"),
+    "high": ("d52755f47a089f9db0666d3f5afc347f7885b4bf503242677c7aae18e992feba",
+             "721e7797e321a6621392191ee1de54bb6823b21cd075b2869d4941ac0486557b",
+             "e275b3bb90fb6bd525f774df2d61455f8a70f9257a02aa561b4e98f41fd29f0c"),
+    "harmonic_single": (
+        "8345591fb22e412910eec26b4732549879c4cfd680090150c29657fb5c6673d8",
+        "eeac50cba8e8b52fc4296ff899acc9a20390185709083cbb04ac2e829d64abd9",
+        "94fd2802f2c730119bc51f3adec949b7be5ae946f23dcda3cca7894c44608989"),
+    "harmonic_low": (
+        "81c517cb80c48986c0c57d566d77dfda23e843670a259ab7067d0fe3e9972d09",
+        "6f89e7369d0e3169f8a88b51d14a57f2ba7ed6342affc323d86186a81153fac8",
+        "d51cbc06d7f70603e927cd2c3f7c9f4661d7d672c7c256cccc06b8e1fb99fb65"),
+    "harmonic_high": (
+        "72eb60fbd4d8fb257a6e67ac29fcf34642bb3efddadef2529db04e6ad48099df",
+        "6f89e7369d0e3169f8a88b51d14a57f2ba7ed6342affc323d86186a81153fac8",
+        "d51cbc06d7f70603e927cd2c3f7c9f4661d7d672c7c256cccc06b8e1fb99fb65"),
+    "low@1600": (
+        "d1a2f58262d80ba418b3e020013d0708c2edc8920d96008778fe6201091e4573",
+        "4bf7cb9759a8a1b4d5916c53241ae685fc7ed1fae3f7fc04e1702271016696d9",
+        "30307d722f45ca0b57f8db7a483798814a0128c3b199a380c0ed7f4c62753a13"),
+}
+
+
+def generate_1600_tasks(path):
+    """Write the low preset's generation at 1600 tasks and seed 42 to ``path``."""
+    scenario = json.loads(resources.files("chronosim").joinpath(
+        "presets", "low.json").read_text(encoding="utf-8"))
+    scenario["generation"]["n_tasks"] = 1600
+    scenario_path = Path(path).with_name("scenario-1600.json")
+    dump_json({"generation": scenario["generation"]}, str(scenario_path))
+    return main(["generate", str(scenario_path), "--seed", "42", "--out", str(path)])
+
+
+class TestPinnedGenerateOptimize:
+    """The task sets ``generate`` writes and the mappings ``optimize`` finds
+    for them stay byte-identical."""
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_GENERATE_OPTIMIZE))
+    def test_outputs_match_the_pin(self, tmp_path, monkeypatch, capsys, preset):
+        monkeypatch.chdir(tmp_path)
+        if preset == "low@1600":
+            assert generate_1600_tasks("tasks.json") == 0
+        else:
+            assert main(["generate", "--preset", preset, "--out", "tasks.json"]) == 0
+        capsys.readouterr()
+        assert main(["optimize", "tasks.json", "--timers", "4",
+                     "--out", "mapping.json"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        outputs = (read(tmp_path / "tasks.json"), read(tmp_path / "mapping.json"),
+                   stdout)
+        assert tuple(hashlib.sha256(data).hexdigest()
+                     for data in outputs) == PINNED_GENERATE_OPTIMIZE[preset]
+
+    def test_a_repeated_id_is_named_without_listing_every_id(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.json"
+        assert generate_1600_tasks(tasks) == 0
+        obj = load_json(str(tasks))
+        obj["tasks"][99]["id"] = 5
+        dump_json(obj, str(tasks))
+        capsys.readouterr()
+        assert main(["optimize", str(tasks), "--timers", "4",
+                     "--out", str(tmp_path / "mapping.json")]) == 2
+        err = capsys.readouterr().err
+        assert "task ids must be unique and dense 1..1600; repeated [5]; missing [100]" in err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+
+
 BAD_INTEGERS = [1.9, 6.0, "6", True]
 
 

@@ -1,12 +1,15 @@
 """Domain types, number-theoretic utilities, and the task-set generator."""
 
 import json
+import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronosim import cli
 from chronosim.errors import ConfigError, UsageError
 from chronosim.model import (
     GenerationSpec,
@@ -63,6 +66,20 @@ class TestTask:
         with pytest.raises(UsageError):
             TaskSet((Task.implicit(1, 0, 2), Task.implicit(1, 0, 4)))
 
+    @pytest.mark.parametrize("ids, found", [
+        ([1, 1], "repeated [1]; missing [2]"),
+        ([2, 9], "outside 1..2 [9]; missing [1]"),
+        ([1] * 8, "repeated [1]; missing [2, 3, 4, 5, 6, ...] (7 in all)"),
+        (list(range(10, 18)) * 2,
+         "repeated [10, 11, 12, 13, 14, ...] (8 in all); outside 1..16 [17]; "
+         "missing [1, 2, 3, 4, 5, ...] (9 in all)"),
+    ])
+    def test_id_error_names_a_few_repeated_and_missing_ids(self, ids, found):
+        with pytest.raises(UsageError) as exc:
+            TaskSet(tuple(Task.implicit(i, 0, 2) for i in ids))
+        assert str(exc.value) == (
+            f"task ids must be unique and dense 1..{len(ids)}; {found}")
+
     def test_hyperperiod(self):
         assert make_task_set([2, 5]).hyperperiod() == 10
         assert make_task_set([3, 6, 12]).hyperperiod() == 12
@@ -77,6 +94,98 @@ class TestTask:
         ts = make_task_set([2, 5]).scaled(3)
         assert ts.periods() == (6, 15)
         assert [t.deadline for t in ts.tasks] == [6, 15]
+
+
+VALID_FIELDS = dict(id=1, wcet=1, period=4, deadline=4, releases_limit=5)
+
+# (field, bad value, the message every build path raises for it)
+INVALID_FIELDS = [
+    ("id", 0, "task id must be >= 1, got 0"),
+    ("period", 0, "task 1: period must be >= 1, got 0"),
+    ("wcet", -1, "task 1: wcet must be >= 0, got -1"),
+    ("deadline", 0,
+     "task 1: deadline must satisfy 1 <= D <= period, got D=0, period=4"),
+    ("deadline", 5,
+     "task 1: deadline must satisfy 1 <= D <= period, got D=5, period=4"),
+    ("releases_limit", 0, "task 1: releases_limit must be >= 1 or None, got 0"),
+]
+
+
+def unchecked_task_set(fields):
+    """A stand-in task set holding one task that was never validated, for the
+    paths that rebuild the tasks of an existing set."""
+    return SimpleNamespace(tasks=(SimpleNamespace(**fields),))
+
+
+def from_json(fields):
+    entry = {"id": fields["id"], "wcet": fields["wcet"], "period": fields["period"],
+             "deadline": fields["deadline"], "releases": fields["releases_limit"]}
+    (task,) = task_set_from_json({"tasks": [entry]}).tasks
+    return task
+
+
+# Every way the package builds a task, with the fields it cannot set.
+TASK_BUILDERS = {
+    "keywords": (lambda f: Task(**f), ()),
+    "positional": (lambda f: Task(*f.values()), ()),
+    "implicit": (lambda f: Task.implicit(f["id"], f["wcet"], f["period"],
+                                         f["releases_limit"]), ("deadline",)),
+    "scaled": (lambda f: TaskSet.scaled(unchecked_task_set(f), 1).tasks[0], ()),
+    "from_json": (from_json, ()),
+    "strip_release_limits": (
+        lambda f: cli._strip_release_limits(unchecked_task_set(f)).tasks[0],
+        ("releases_limit",)),
+    "_make": (lambda f: Task._make(f.values()), ()),
+    "_replace": (lambda f: Task(**VALID_FIELDS)._replace(**f), ()),
+}
+
+
+class TestTaskContract:
+    """Whatever type ``Task`` is, every path that builds one validates it, and
+    a task is immutable, equal and hashed by value, with a dataclass-style
+    repr."""
+
+    @pytest.mark.parametrize("builder, field, value, message", [
+        (builder, *case) for builder in sorted(TASK_BUILDERS)
+        for case in INVALID_FIELDS if case[0] not in TASK_BUILDERS[builder][1]])
+    def test_every_build_path_rejects_each_invalid_field(self, builder, field,
+                                                         value, message):
+        fields = {**VALID_FIELDS, field: value}
+        if builder == "implicit" and field == "period":
+            fields["deadline"] = value
+        with pytest.raises(UsageError) as exc:
+            TASK_BUILDERS[builder][0](fields)
+        if builder == "from_json":
+            assert str(exc.value).startswith("malformed task entry: {")
+            assert str(exc.value).endswith(f" ({message})")
+        else:
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("builder", sorted(TASK_BUILDERS))
+    def test_every_build_path_builds_the_same_task(self, builder):
+        # Fields every path can express: implicit deadline, no release limit.
+        fields = {**VALID_FIELDS, "wcet": 0, "releases_limit": None}
+        task = TASK_BUILDERS[builder][0](fields)
+        assert type(task) is Task
+        assert task == Task(**fields)
+
+    def test_fields_cannot_be_set_or_added(self):
+        task = Task(**VALID_FIELDS)
+        for name in (*VALID_FIELDS, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(task, name, 2)
+        assert task == Task(**VALID_FIELDS)
+
+    def test_equal_by_value_and_hashed_alike(self):
+        a, b = Task(**VALID_FIELDS), Task(*VALID_FIELDS.values())
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, Task.implicit(1, 1, 4)}) == 1
+        assert a != Task(**{**VALID_FIELDS, "releases_limit": None})
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_repr(self):
+        assert repr(Task(2, 0, 6, 3, None)) == (
+            "Task(id=2, wcet=0, period=6, deadline=3, releases_limit=None)")
 
 
 class TestMapping:
@@ -287,6 +396,29 @@ class TestSerialization:
             task_set_from_json({"tasks": [{"id": 1}]})
         with pytest.raises(UsageError):
             task_set_from_json({})
+
+    @pytest.mark.parametrize("entry, reason", [
+        ([], "'list' object has no attribute 'get'"),
+        (None, "'NoneType' object has no attribute 'get'"),
+        ({"wcet": 0, "period": 6}, "'id'"),
+        # A field's type is checked before the next field is looked up.
+        ({"id": "1", "period": 6}, "expected a JSON integer, got '1'"),
+        ({"id": 1, "wcet": 0}, "'period'"),
+        ({"id": 1, "wcet": 0, "period": "6"}, "expected a JSON integer, got '6'"),
+        ({"id": 1, "wcet": 0, "period": 6, "deadline": None},
+         "expected a JSON integer, got None"),
+        ({"id": 1, "wcet": 0.0, "period": 6, "releases": True},
+         "expected a JSON integer, got 0.0"),
+        ({"id": 1, "wcet": 0, "period": 6, "releases": True},
+         "expected a JSON integer, got True"),
+        ({"id": True, "wcet": 0, "period": 6}, "expected a JSON integer, got True"),
+        ({"id": 1, "wcet": 0, "period": 0, "deadline": 6.5},
+         "expected a JSON integer, got 6.5"),
+    ])
+    def test_malformed_task_entry_names_its_first_fault(self, entry, reason):
+        with pytest.raises(UsageError) as exc:
+            task_set_from_json({"tasks": [{"id": 1, "wcet": 0, "period": 6}, entry]})
+        assert str(exc.value) == f"malformed task entry: {entry!r} ({reason})"
 
     def test_mapping_round_trip(self):
         mapping = Mapping(
