@@ -2,7 +2,8 @@
 
 Nothing in ``chronosim`` depends on these; they enumerate directly what the
 solver and the simulator compute by other means, ``reference_run``
-re-derives the simulator's loop one time unit at a time, and ``read_lp`` with
+re-derives the simulator's loop one time unit at a time, ``SpecDispatcher``
+re-derives the dispatcher's charges one primitive at a time, and ``read_lp`` with
 ``miqcp_minimum`` solves the exported mixed-integer model by enumeration.
 """
 
@@ -10,9 +11,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from chronosim.dispatch import DispatcherState, delay_task, tick
+from chronosim.dispatch import (
+    COUNTERS,
+    TIME_MAX,
+    DispatcherState,
+    Strategy,
+    delay_task,
+    tick,
+)
 from chronosim.errors import UsageError
-from chronosim.model import TaskSet, expected_interrupt_rate
+from chronosim.model import Mapping, TaskSet, expected_interrupt_rate
 from chronosim.optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -299,13 +307,114 @@ def miqcp_minimum(problem: OptimizationProblem, model: dict,
     return best
 
 
-def reference_run(config: SimConfig) -> SimMetrics:
+class SpecDispatcher:
+    """The dispatcher of the ``dispatch`` module docstring, one primitive at
+    a time, for a valid configuration.
+
+    Each routine does literally what that docstring describes and charges
+    each primitive as it executes it.  A list timer keeps its delayed tasks
+    in a list and a cached earliest release: the sorted strategies walk the
+    list to insert and pop due heads, chronos-const appends and scans every
+    entry.  A harmonic timer keeps a slot array in (period, task id) order.
+    Nothing here is derived state, so checked mode has nothing to check.
+    """
+
+    def __init__(self, task_set: TaskSet, mapping: Mapping, strategy: Strategy,
+                 check_invariants: bool = False):
+        self.strategy = strategy
+        self.interrupt_counts = dict.fromkeys(COUNTERS, 0)
+        self.delay_counts = dict.fromkeys(COUNTERS, 0)
+        self.skip_events: list[tuple[int, int, int]] = []
+        self.period = {task.id: task.period for task in task_set.tasks}
+        self.timer_of = dict(mapping.assignment)
+        self.timer_period = {tc.id: tc.period for tc in mapping.timers}
+        self.ticks = dict.fromkeys(self.timer_period, 0)
+        self.release: dict[int, int] = {}              # delayed task -> next release
+        self.delayed = {j: [] for j in self.timer_period}  # list timers
+        self.earliest = dict.fromkeys(self.timer_period, TIME_MAX)
+        self.slots = {j: [[self.period[t], t, False] for t in sorted(
+            tids, key=lambda t: (self.period[t], t))]
+            for j, tids in mapping.groups().items()}     # harmonic timers
+
+    def tick(self, timer_id: int) -> list[int]:
+        counts = self.interrupt_counts
+        counts["interrupt"] += 1
+        counts["tick_increment"] += 1
+        self.ticks[timer_id] += self.timer_period[timer_id]
+        now = self.ticks[timer_id]
+        released: list[int] = []
+        if self.strategy is Strategy.CHRONOS_HARMONIC:
+            for slot in self.slots[timer_id]:
+                counts["comparison"] += 1
+                if now % slot[0] != 0:
+                    break
+                if not slot[2]:
+                    self.skip_events.append((now, timer_id, slot[1]))
+                    continue
+                slot[2] = False
+                counts["slot_write"] += 1
+                released.append(slot[1])
+        else:
+            counts["comparison"] += 1                      # the guard
+            if now < self.earliest[timer_id]:
+                return released
+            entries = self.delayed[timer_id]
+            if self.strategy is Strategy.CHRONOS_CONST:
+                for tid in list(entries):                  # the full scan
+                    counts["comparison"] += 1
+                    if self.release[tid] <= now:
+                        entries.remove(tid)
+                        counts["list_remove"] += 1
+                        released.append(tid)
+            else:
+                while entries:                             # pop due heads
+                    counts["comparison"] += 1
+                    if self.release[entries[0]] > now:
+                        break
+                    counts["list_remove"] += 1
+                    released.append(entries.pop(0))
+            self.earliest[timer_id] = min(
+                (self.release[t] for t in entries), default=TIME_MAX)
+        counts["ready_insert"] += len(released)
+        return released
+
+    def delay_task(self, task_ids, now: int) -> None:
+        counts = self.delay_counts
+        for tid in task_ids:
+            period, timer_id = self.period[tid], self.timer_of[tid]
+            release = self.release[tid] = (now // period + 1) * period
+            counts["comparison"] += 1              # refresh the cached earliest
+            self.earliest[timer_id] = min(self.earliest[timer_id], release)
+            entries = self.delayed[timer_id]
+            if self.strategy is Strategy.CHRONOS_HARMONIC:
+                next(slot for slot in self.slots[timer_id] if slot[1] == tid)[2] = True
+                counts["slot_write"] += 1
+            elif self.strategy is Strategy.CHRONOS_CONST:
+                entries.append(tid)
+                counts["list_append"] += 1
+            else:
+                position = 0                       # walk past entries due no later
+                while (position < len(entries)
+                       and self.release[entries[position]] <= release):
+                    position += 1
+                    counts["sorted_insert_step"] += 1
+                entries.insert(position, tid)
+
+
+# A dispatcher for ``reference_run``: its state type, ``tick`` and ``delay_task``.
+PACKAGE_DISPATCHER = (DispatcherState, tick, delay_task)
+SPEC_DISPATCHER = (SpecDispatcher, SpecDispatcher.tick, SpecDispatcher.delay_task)
+
+
+def reference_run(config: SimConfig, dispatcher=PACKAGE_DISPATCHER) -> SimMetrics:
     """The simulation of :func:`chronosim.sim.run`, one time unit per step.
 
-    It shares the dispatcher primitives and the result types with the
-    package and re-derives the loop from the ``sim`` module docstring, for a
-    valid configuration.  Each live job is one dict; the scheduler scans the
-    waiting jobs for the least (period, time, kind, task), where kind orders
+    It shares the result types with the package and re-derives the loop from
+    the ``sim`` module docstring, for a valid configuration.  ``dispatcher``
+    is a (state type, ``tick``, ``delay_task``) triple: the package's by
+    default, or :data:`SPEC_DISPATCHER`.  Each live job is one dict; the
+    scheduler scans the waiting jobs for the least (period, time, kind, task),
+    where kind orders
     a job preempted at ``time`` (0) before one released then (1) before one
     whose slice ended then (2).  A job is delayed at its own end instant.  At
     each instant t >= 1, due interrupts fire in ascending timer order and
@@ -317,8 +426,9 @@ def reference_run(config: SimConfig) -> SimMetrics:
     """
     task_set = config.task_set
     mapping = config.mapping
-    state = DispatcherState(task_set, mapping, config.strategy,
-                            check_invariants=config.check_invariants)
+    make_state, tick, delay_task = dispatcher
+    state = make_state(task_set, mapping, config.strategy,
+                       check_invariants=config.check_invariants)
     weights = config.weights
     tasks = {task.id: task for task in task_set.tasks}
     per_timer = [TimerStats(id=tc.id, period=tc.period)

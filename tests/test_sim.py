@@ -36,7 +36,7 @@ from chronosim.sim import (
     write_metrics_csv,
     write_trace_csv,
 )
-from oracles import reference_run
+from oracles import SPEC_DISPATCHER, reference_run
 
 
 def make_task_set(periods, wcet=0, releases=None):
@@ -1256,4 +1256,22 @@ class TestReferenceSimulator:
         for factor, strategy, _, config in preset_configs(preset, lambda _: (1, 15)):
             config = dataclasses.replace(config, collect_trace=True)
             assert run(config) == reference_run(config), (
+                preset, factor, strategy.value)
+
+
+class TestSpecDispatcher:
+    """``sim.run`` against ``reference_run`` over ``oracles.SpecDispatcher``,
+    which charges every primitive as the ``dispatch`` module docstring
+    describes it.  ``reference_run`` over the package's dispatcher shares any
+    wrong charge of ``dispatch``; this differential does not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=sim_configs())
+    def test_random_runs_agree_field_for_field(self, config):
+        assert run(config) == reference_run(config, SPEC_DISPATCHER)
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_presets_agree_at_factors_1_and_15(self, preset):
+        for factor, strategy, _, config in preset_configs(preset, lambda _: (1, 15)):
+            assert run(config) == reference_run(config, SPEC_DISPATCHER), (
                 preset, factor, strategy.value)
