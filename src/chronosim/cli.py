@@ -23,6 +23,8 @@ from .dispatch import CostWeights, Strategy
 from .errors import ChronosimError, ConfigError, UsageError
 
 PRESETS = ("low", "high", "harmonic_single", "harmonic_low", "harmonic_high")
+# Most factors a scenario's [first, last] range may span; the presets use 15.
+MAX_FACTORS = 10_000
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,6 +133,10 @@ def _factors(scenario: dict) -> list[int]:
     except TypeError as exc:
         raise UsageError(f"malformed factors entry: {raw!r} ({exc})") from exc
     if len(factors) == 2 and factors[0] <= factors[1]:
+        count = factors[1] - factors[0] + 1
+        if count > MAX_FACTORS:
+            raise UsageError(f"factor range {factors[0]}..{factors[1]} spans {count} "
+                             f"factors; at most {MAX_FACTORS} are allowed")
         return list(range(factors[0], factors[1] + 1))
     return factors
 

@@ -123,7 +123,7 @@ class TaskSet:
             raise UsageError(f"no task with id {task_id}") from None
 
     def periods(self) -> tuple[int, ...]:
-        return tuple(t.period for t in self.tasks)
+        return tuple(period for _, _, period, _, _ in self.tasks)
 
     def distinct_periods(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.periods())))
@@ -211,18 +211,18 @@ class Mapping:
     def validate(self, task_set: TaskSet) -> None:
         """Check the divisibility and completeness invariants against a task set."""
         assigned = set(self.assignment)
-        expected = {t.id for t in task_set.tasks}
+        expected = {task_id for task_id, _, _, _, _ in task_set.tasks}
         if assigned != expected:
             raise UsageError(
                 f"every task must be assigned to exactly one timer; "
                 f"missing={sorted(expected - assigned)}, unknown={sorted(assigned - expected)}"
             )
-        for task in task_set.tasks:
-            timer = self.timer_by_id(self.assignment[task.id])
-            if task.period % timer.period != 0:
+        for task_id, _, period, _, _ in task_set.tasks:
+            timer = self.timer_by_id(self.assignment[task_id])
+            if period % timer.period != 0:
                 raise UsageError(
                     f"timer period {timer.period} does not divide period "
-                    f"{task.period} of task {task.id}"
+                    f"{period} of task {task_id}"
                 )
 
     def scaled(self, factor: int) -> "Mapping":
@@ -356,9 +356,9 @@ def task_set_to_json(task_set: TaskSet) -> dict:
     ``"releases": null`` marks a task that never retires.
     """
     return {"tasks": [
-        {"id": t.id, "period": t.period, "wcet": t.wcet, "deadline": t.deadline,
-         "releases": t.releases_limit}
-        for t in task_set.tasks
+        {"id": task_id, "period": period, "wcet": wcet, "deadline": deadline,
+         "releases": releases}
+        for task_id, wcet, period, deadline, releases in task_set.tasks
     ]}
 
 

@@ -297,7 +297,8 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
             Task.implicit(i + 1, 0, p)
             for i, p in enumerate(periods)
         ))
-    assignment = {t.id: period_to_timer[t.period] for t in task_set.tasks}
+    assignment = {task_id: period_to_timer[period]
+                  for task_id, _, period, _, _ in task_set.tasks}
     mapping = Mapping(timers=tuple(timers), assignment=assignment)
     mapping.validate(task_set)
     return OptimizationResult(

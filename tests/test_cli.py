@@ -14,6 +14,7 @@ import pytest
 import chronosim
 from chronosim import cli, optimizer
 from chronosim.cli import PRESETS, main
+from chronosim.errors import UsageError
 from chronosim.model import dump_json, load_json, task_set_from_json
 
 
@@ -626,6 +627,21 @@ class TestStrictScenario:
         assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
         assert "factors must be a nonempty list without repeats" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("last", [10**10, 10**20])
+    def test_huge_factor_range_exit_two(self, tmp_path, capsys, scenario_file, last):
+        # Refused before the range is built: 10**20 factors overflow a list
+        # index and 10**10 exhaust memory.
+        bad = self.scenario(tmp_path, ("factors",), [1, last])
+        assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"spans {last} factors; at most 10000 are allowed" in err
+        assert "Traceback" not in err
+
+    def test_factor_range_at_the_limit_is_kept(self):
+        assert len(cli._factors({"factors": [1, cli.MAX_FACTORS]})) == cli.MAX_FACTORS
+        with pytest.raises(UsageError, match="spans 10001 factors"):
+            cli._factors({"factors": [0, cli.MAX_FACTORS]})
 
     def test_negative_cost_weight_exit_two(self, tmp_path, capsys, scenario_file):
         bad = self.scenario(tmp_path, ("weights",),
