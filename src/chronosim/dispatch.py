@@ -1,10 +1,11 @@
 """Tick interrupt handler and task-delay path over explicit dispatcher state.
 
-Four strategies manage the per-timer containers of delayed tasks:
+Four strategies differ in how their per-timer containers of delayed tasks
+would be built, and so in what an interrupt and a delay cost:
 
 * ``BASELINE``  - one timer at the period factor and one sorted delayed
-  list; implemented as the sorted-list container with m=1 so comparisons
-  against the multi-timer strategies isolate the multi-timer effect.
+  list; the sorted-list strategy with m=1, so comparisons against the
+  multi-timer strategies isolate the multi-timer effect.
 * ``CHRONOS``   - per-timer lists sorted ascending by next release; the
   interrupt pops the head while it is due and can exit early.
 * ``CHRONOS_CONST`` - unsorted per-timer lists with constant-cost append on
@@ -24,18 +25,29 @@ weights are applied at reporting time.
 The counters are two plain dicts on the state, ``interrupt_counts`` and
 ``delay_counts``, keyed by :data:`COUNTERS` in that order; the routines add to
 them in place, with no method call per primitive.  :meth:`CostWeights.cost` is
-the one weighted sum of such a dict.  Each sorted delayed list keeps a
-parallel list of its entries' next releases (plain integers).  A delay bisects
-that key list with no key function and inserts into both lists at the same
-position; the sorted-list interrupt finds its due prefix with one bisection of
-the keys and removes it from both lists.  Checked mode verifies that the two
-lists agree.
+the one weighted sum of such a dict.
+
+The containers behind the counters are an implementation detail, and the
+strategy picks only the charges.  Every list timer, of either list kind,
+keeps one container: its delayed tasks sorted by next release (``queue``)
+and a parallel list of those releases as plain integers (``keys``).  A delay
+bisects the keys with no key function and inserts into both lists at the
+same position; a due interrupt finds its due prefix with one bisection and
+removes it from both.  The early-exit guard reads the head of the keys.  An
+unsorted list would release the same tasks, in another order, and the
+simulator orders the releases of an instant itself, so chronos-const keeps
+the sorted container and charges what an append and a full scan cost.  A
+harmonic timer keeps no list: its slot array is its tasks' ``delayed``
+flags, walked in (period, task id) order.  Checked mode verifies that the
+keys are the queue's next releases in order, and that no delayed slot owner
+is due at or before its timer's tick.
 
 There are two routines, ``tick`` and ``delay_task``.  Each state maps its
 strategy once, at construction, to a container kind (``"sorted"``,
-``"append"`` or ``"slot"``); both routines branch on that kind once per call
-and never test the strategy.  ``tick`` returns the tasks it released; the
-simulator owns the ready list and orders the releases of an instant.
+``"append"`` or ``"slot"``) that selects the charges; both routines branch
+on that kind once per call and never test the strategy.  ``tick`` returns
+the tasks it released; the simulator owns the ready list and orders the
+releases of an instant.
 ``delay_task`` takes the whole ordered batch of jobs that ended since the
 last interrupt instant and charges the counters once per batch, with the
 same totals as one call per job.  The simulator passes that instant as
@@ -137,12 +149,10 @@ class _TimerRuntime:
     timer_id: int
     period: int
     tick: int = 0
-    next_release: int = TIME_MAX
-    queue: list[int] = field(default_factory=list)          # sorted or append order
-    keys: list[int] = field(default_factory=list)           # sorted: next releases
-    slot_owners: tuple[int, ...] = ()                       # harmonic, by period rank
+    queue: list[int] = field(default_factory=list)  # list timers: delayed tasks
+    keys: list[int] = field(default_factory=list)   # their next releases, sorted
+    slot_owners: tuple[int, ...] = ()               # harmonic, by period rank
     slot_periods: tuple[int, ...] = ()
-    slots: list[int | None] = field(default_factory=list)   # None = task is released
 
 
 @dataclass(slots=True)
@@ -151,7 +161,6 @@ class _TaskRuntime:
     timer: _TimerRuntime
     next_release: int = 0
     delayed: bool = False
-    slot: int | None = None
 
 
 class DispatcherState:
@@ -159,8 +168,8 @@ class DispatcherState:
 
     Single-threaded by contract; the simulator owns it exclusively.  Every
     task starts ready, that is, in no container: the first ``delay_task`` of a
-    task puts it in one.  A sorted delayed-list insert finds its position by
-    binary search; the modelled cost charges the position.
+    task puts it in one.  A delayed-list insert finds its position by binary
+    search; a sorted strategy's modelled cost charges the position.
     The mapping must already be validated against the task set
     (:meth:`Mapping.validate`); :func:`.sim.run` does that once per run.
     """
@@ -190,7 +199,7 @@ class DispatcherState:
         for task in task_set.tasks:
             self.tasks[task.id] = _TaskRuntime(
                 period=task.period, timer=self.timers[mapping.assignment[task.id]])
-        # The container kind, the one place a strategy picks its containers:
+        # The container kind, the one place a strategy picks its charges:
         # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
         # or "slot" arrays (chronos-harmonic).
         self.container = {Strategy.CHRONOS_CONST: "append",
@@ -201,9 +210,6 @@ class DispatcherState:
                 ts = self.timers[timer_id]
                 ts.slot_owners = tuple(ordered)
                 ts.slot_periods = tuple(task_set.by_id(t).period for t in ordered)
-                ts.slots = [None] * len(ordered)
-                for rank, tid in enumerate(ordered):
-                    self.tasks[tid].slot = rank
 
     # -- invariant checking ----------------------------------------------
 
@@ -215,34 +221,25 @@ class DispatcherState:
                 f"timer {timer_id}: tick {ts.tick} is not a multiple of {ts.period}"
             )
         if self.container == "slot":
-            # ``tick`` reads no cached release of a slot array: it relies on
-            # each occupied slot holding its own task, due after the last tick.
-            for owner, occupant in zip(ts.slot_owners, ts.slots):
-                if occupant is not None and (
-                        occupant != owner
-                        or self.tasks[occupant].next_release <= ts.tick):
+            # ``tick`` reads no release of a slot array: it relies on each
+            # delayed owner being due after the last tick.
+            for owner in ts.slot_owners:
+                entry = self.tasks[owner]
+                if entry.delayed and entry.next_release <= ts.tick:
                     raise InvariantViolation(
                         f"timer {timer_id}, tick {ts.tick}: the slot of task "
-                        f"{owner} holds task {occupant}, due at "
-                        f"{self.tasks[occupant].next_release}"
+                        f"{owner} is occupied, due at {entry.next_release}"
                     )
             return
         pending = [self.tasks[t].next_release for t in ts.queue]
-        if self.container == "sorted":
-            if pending != sorted(pending):
-                raise InvariantViolation(
-                    f"timer {timer_id}: delayed list is not sorted: {pending}"
-                )
-            if pending != ts.keys:
-                raise InvariantViolation(
-                    f"timer {timer_id}: release keys {ts.keys} do not match "
-                    f"the delayed list's next releases {pending}"
-                )
-        expected = min(pending) if pending else TIME_MAX
-        if ts.next_release != expected:
+        if pending != sorted(pending):
             raise InvariantViolation(
-                f"timer {timer_id}: cached next release {ts.next_release} "
-                f"!= actual minimum {expected}"
+                f"timer {timer_id}: delayed list is not sorted: {pending}"
+            )
+        if pending != ts.keys:
+            raise InvariantViolation(
+                f"timer {timer_id}: release keys {ts.keys} do not match "
+                f"the delayed list's next releases {pending}"
             )
 
 
@@ -255,19 +252,18 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
 
     Every interrupt pays its entry/exit and one tick increment.  A slot array
     releases its slots in period order until one is not due, one comparison
-    per inspected slot; a due slot that is vacant means the task is still
-    ready, so it is skipped and recorded as a potential-deadline-miss
-    observation.  It has no early-exit guard: the slot with the smallest
-    period is due at every interrupt of a properly configured timer.  A list
-    pays one comparison for the guard against its cached next release and
-    stops there unless a task is due.  A sorted list then pops its due heads,
-    the prefix of release keys no later than the tick, found by one
-    bisection; the charges are those of popping them one by one: one
-    comparison per due head plus one for the first pending head, if any.
-    With an empty list the cached next release is parked at the maximum
-    sentinel so later interrupts always exit early.  An unsorted list instead
-    inspects every entry once, rebuilds the cached next release while
-    walking, and keeps the order of the entries it does not release.
+    per inspected slot and one ``slot_write`` per released slot; a due slot
+    that is vacant means the task is still ready, so it is skipped and
+    recorded as a potential-deadline-miss observation.  It has no early-exit
+    guard: the slot with the smallest period is due at every interrupt of a
+    properly configured timer.  A list pays one comparison for the guard
+    against its earliest release (the head of its keys; an empty list always
+    exits) and stops there unless a task is due.  The due tasks, the prefix
+    of keys no later than the tick found by one bisection, are then removed,
+    one ``list_remove`` each.  A sorted list is charged as if it popped them
+    one by one: one comparison per due head plus one for the first pending
+    head, if any.  An unsorted list is charged its full scan: one comparison
+    per entry.
     """
     ts = state.timers[timer_id]
     counts = state.interrupt_counts
@@ -276,57 +272,39 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
     ts.tick += ts.period
     tick_ = ts.tick
     tasks = state.tasks
-    container = state.container
     released: list[int] = []
-    if container == "slot":
-        slots = ts.slots
+    if state.container == "slot":
         inspected = 0  # period-divisibility inspections
-        for rank, slot_period in enumerate(ts.slot_periods):
+        for owner, slot_period in zip(ts.slot_owners, ts.slot_periods):
             inspected += 1
             if tick_ % slot_period != 0:
                 break
-            occupant = slots[rank]
-            if occupant is None:
-                state.skip_events.append((tick_, timer_id, ts.slot_owners[rank]))
+            entry = tasks[owner]
+            if not entry.delayed:
+                state.skip_events.append((tick_, timer_id, owner))
                 continue
-            slots[rank] = None
-            tasks[occupant].delayed = False
-            released.append(occupant)
+            entry.delayed = False
+            released.append(owner)
         counts["comparison"] += inspected
         counts["slot_write"] += len(released)  # one write per released slot
-    elif tick_ < ts.next_release:
-        counts["comparison"] += 1  # the early-exit guard
-    elif container == "sorted":
-        keys = ts.keys
-        due = bisect_right(keys, tick_)
-        if due < len(keys):
-            counts["comparison"] += due + 2  # guard, due heads, pending head
-            ts.next_release = keys[due]
-        else:
-            counts["comparison"] += due + 1  # guard, due heads
-            ts.next_release = TIME_MAX
-        counts["list_remove"] += due
-        released = ts.queue[:due]
-        del ts.queue[:due]
-        del keys[:due]
-        for tid in released:
-            tasks[tid].delayed = False
     else:
-        pending: list[int] = []
-        earliest = TIME_MAX
-        for tid in ts.queue:
-            entry = tasks[tid]
-            if entry.next_release > tick_:
-                pending.append(tid)
-                if entry.next_release < earliest:
-                    earliest = entry.next_release
+        keys = ts.keys
+        if not keys or tick_ < keys[0]:
+            counts["comparison"] += 1  # the early-exit guard
+        else:
+            due = bisect_right(keys, tick_)
+            if state.container == "append":
+                counts["comparison"] += 1 + len(keys)  # guard, one per entry
+            elif due < len(keys):
+                counts["comparison"] += due + 2  # guard, due heads, pending head
             else:
-                entry.delayed = False
-                released.append(tid)
-        counts["comparison"] += 1 + len(ts.queue)  # guard, one per entry
-        counts["list_remove"] += len(released)
-        ts.queue[:] = pending
-        ts.next_release = earliest
+                counts["comparison"] += due + 1  # guard, due heads
+            counts["list_remove"] += due
+            released = ts.queue[:due]
+            del ts.queue[:due]
+            del keys[:due]
+            for tid in released:
+                tasks[tid].delayed = False
     counts["ready_insert"] += len(released)
     if state.check_invariants:
         state._check(timer_id)
@@ -347,64 +325,40 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     between (after ``now``, up to the end): the next release is then the
     same.  The simulator passes the last interrupt instant, and every job in
     the batch ended before the next one.  Each task enters its timer's
-    container as if delayed alone: a sorted list inserts it after every entry
-    due no later (one ``sorted_insert_step`` per such entry, i.e. the insert
-    position), an unsorted list appends it, a slot array writes its slot.
-    Each also costs one ``comparison`` to refresh the timer's cached earliest
-    release; a slot write is charged it too, though a slot array's cache is
-    never read.  The charges reach the counters once per call, with the totals
-    of one call per task; an empty sequence changes nothing.
+    container as if delayed alone: a list task goes after every entry due no
+    later, a slot owner just sets its ``delayed`` flag.  A sorted list is
+    charged one ``sorted_insert_step`` per entry it passes (the insert
+    position), an unsorted list one ``list_append`` and a slot array one
+    ``slot_write``.  Each also costs one ``comparison`` to refresh the
+    timer's earliest release, which the guard reads; a slot write is charged
+    it too, though a slot array has no guard.  The charges reach the
+    counters once per call, with the totals of one call per task; an empty
+    sequence changes nothing.
     """
     tasks = state.tasks
     check = state.check_invariants
     container = state.container
-    if container == "sorted":
-        primitive, charge = "sorted_insert_step", 0  # the summed insert positions
-        for tid in task_ids:
-            entry = tasks[tid]
-            if entry.delayed:
-                raise InvariantViolation(f"task {tid} is already delayed")
-            period = entry.period
-            next_release = entry.next_release = (now // period + 1) * period
-            ts = entry.timer
+    listed = container != "slot"
+    steps = 0  # the summed insert positions
+    for tid in task_ids:
+        entry = tasks[tid]
+        if entry.delayed:
+            raise InvariantViolation(f"task {tid} is already delayed")
+        period = entry.period
+        next_release = entry.next_release = (now // period + 1) * period
+        entry.delayed = True
+        ts = entry.timer
+        if listed:
             keys = ts.keys
             pos = bisect_right(keys, next_release)
-            charge += pos
+            steps += pos
             keys.insert(pos, next_release)
             ts.queue.insert(pos, tid)
-            entry.delayed = True
-            if next_release < ts.next_release:
-                ts.next_release = next_release
-            if check:
-                state._check(ts.timer_id)
-    elif container == "append":
-        for tid in task_ids:
-            entry = tasks[tid]
-            if entry.delayed:
-                raise InvariantViolation(f"task {tid} is already delayed")
-            period = entry.period
-            next_release = entry.next_release = (now // period + 1) * period
-            ts = entry.timer
-            ts.queue.append(tid)
-            entry.delayed = True
-            if next_release < ts.next_release:
-                ts.next_release = next_release
-            if check:
-                state._check(ts.timer_id)
-        primitive, charge = "list_append", len(task_ids)
-    else:
-        for tid in task_ids:
-            entry = tasks[tid]
-            if entry.delayed:
-                raise InvariantViolation(f"task {tid} is already delayed")
-            period = entry.period
-            entry.next_release = (now // period + 1) * period
-            ts = entry.timer
-            ts.slots[entry.slot] = tid
-            entry.delayed = True
-            if check:
-                state._check(ts.timer_id)
-        primitive, charge = "slot_write", len(task_ids)
+        if check:
+            state._check(ts.timer_id)
     counts = state.delay_counts
     counts["comparison"] += len(task_ids)
-    counts[primitive] += charge
+    if container == "sorted":
+        counts["sorted_insert_step"] += steps
+    else:
+        counts["list_append" if listed else "slot_write"] += len(task_ids)

@@ -30,6 +30,12 @@ def build_state(periods, timer_period, strategy, check=True):
     return DispatcherState(ts, mapping, strategy, check_invariants=check)
 
 
+def earliest_release(state, timer_id=1):
+    """What a list timer's early-exit guard compares the tick against."""
+    keys = state.timers[timer_id].keys
+    return keys[0] if keys else TIME_MAX
+
+
 def counter_delta(counts, before):
     after = dict(counts)
     return {k: after[k] - before[k] for k in after if after[k] != before[k]}
@@ -44,7 +50,7 @@ class TestTickChronos:
         before = dict(state.interrupt_counts)
         released = tick(state, 1)
         assert released == [1]
-        assert state.timers[1].next_release == 4
+        assert earliest_release(state) == 4
         delta = counter_delta(state.interrupt_counts, before)
         # guard + two head inspections; one removal; one ready insertion
         assert delta == {"interrupt": 1, "tick_increment": 1, "comparison": 3,
@@ -52,7 +58,7 @@ class TestTickChronos:
 
     def test_empty_list_early_exit_with_sentinel(self):
         state = build_state([2], 2, Strategy.CHRONOS)
-        assert state.timers[1].next_release == TIME_MAX
+        assert earliest_release(state) == TIME_MAX
         state.timers[1].tick = 2
         before = dict(state.interrupt_counts)
         released = tick(state, 1)
@@ -67,7 +73,10 @@ class TestTickChronos:
         state.timers[1].tick = 5
         released = tick(state, 1)
         assert released == [1]
-        assert state.timers[1].next_release == TIME_MAX
+        assert earliest_release(state) == TIME_MAX
+        before = dict(state.interrupt_counts)
+        assert tick(state, 1) == []
+        assert counter_delta(state.interrupt_counts, before)["comparison"] == 1
 
     def test_detects_unsorted_list_in_checked_mode(self):
         state = build_state([2, 4], 2, Strategy.CHRONOS)
@@ -80,12 +89,12 @@ class TestTickChronos:
 
 class TestTickChronosConst:
     def setup_list(self):
-        # append order: tau3 (next 9), tau1 (next 6), tau2 (next 12)
+        # delayed in the order tau3 (next 9), tau1 (next 6), tau2 (next 12)
         state = build_state([6, 12, 9], 3, Strategy.CHRONOS_CONST)
         delay_task(state, [3], 0)
         delay_task(state, [1], 0)
         delay_task(state, [2], 0)
-        assert state.timers[1].queue == [3, 1, 2]
+        assert earliest_release(state) == 6
         return state
 
     def test_full_scan_releases_and_rebuilds_minimum(self):
@@ -94,7 +103,7 @@ class TestTickChronosConst:
         before = dict(state.interrupt_counts)
         released = tick(state, 1)
         assert released == [1]
-        assert state.timers[1].next_release == 9
+        assert earliest_release(state) == 9
         delta = counter_delta(state.interrupt_counts, before)
         # one guard comparison plus one inspection per list entry
         assert delta["comparison"] - 1 == 3
@@ -116,7 +125,13 @@ class TestTickChronosConst:
         state.timers[1].tick = 9
         released = tick(state, 1)
         assert sorted(released) == [1, 2]
-        assert state.timers[1].next_release == TIME_MAX
+        assert earliest_release(state) == TIME_MAX
+
+    def test_detects_keys_off_the_list_in_checked_mode(self):
+        state = self.setup_list()
+        state.timers[1].keys[0] = 7  # the head is due at 6, not 7
+        with pytest.raises(InvariantViolation, match="do not match"):
+            tick(state, 1)
 
 
 class TestTickChronosHarmonic:
@@ -158,17 +173,10 @@ class TestTickChronosHarmonic:
         flagged = [(t, task) for t, _, task in state.skip_events]
         assert (6, 1) in flagged and (9, 1) in flagged and (12, 1) in flagged
 
-    def test_task_in_another_tasks_slot_detected_in_checked_mode(self):
-        state = self.build_chain()
-        slots = state.timers[1].slots
-        slots[1], slots[2] = slots[2], slots[1]   # tau2 and tau3 swap slots
-        with pytest.raises(InvariantViolation, match="the slot of task 2 holds task 3"):
-            tick(state, 1)
-
     def test_slotted_task_already_due_detected_in_checked_mode(self):
         state = self.build_chain()
         state.tasks[2].next_release = 3           # due at tick 3, yet slot 1 is not
-        with pytest.raises(InvariantViolation, match="holds task 2, due at 3"):
+        with pytest.raises(InvariantViolation, match="slot of task 2 is occupied, due at 3"):
             tick(state, 1)
 
     def test_inspections_bounded_by_group_size(self):
@@ -212,7 +220,7 @@ class TestTickBaseline:
             before = dict(state.interrupt_counts)
             assert tick(state, 1) == []
             assert counter_delta(state.interrupt_counts, before)["comparison"] == 1
-        assert state.timers[1].next_release == TIME_MAX
+        assert earliest_release(state) == TIME_MAX
 
 
 class TestDelayTask:
@@ -236,9 +244,9 @@ class TestDelayTask:
     def test_updates_cached_timer_next_release(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
         delay_task(state, [2], 0)
-        assert state.timers[1].next_release == 12
+        assert earliest_release(state) == 12
         delay_task(state, [1], 0)
-        assert state.timers[1].next_release == 6
+        assert earliest_release(state) == 6
 
     def test_const_append_cost_independent_of_length(self):
         periods = [6 * (i + 1) for i in range(100)]
@@ -338,8 +346,8 @@ class TestInsertContracts:
 
 def state_snapshot(state):
     """Everything a delay can change, plus what only an interrupt changes."""
-    timers = {j: (ts.tick, ts.next_release, list(ts.queue), list(ts.keys),
-                  list(ts.slots)) for j, ts in state.timers.items()}
+    timers = {j: (ts.tick, list(ts.queue), list(ts.keys))
+              for j, ts in state.timers.items()}
     tasks = {tid: (e.next_release, e.delayed) for tid, e in state.tasks.items()}
     return (timers, tasks, dict(state.delay_counts),
             dict(state.interrupt_counts), list(state.skip_events))
