@@ -316,7 +316,8 @@ class SpecDispatcher:
     in a list and a cached earliest release: the sorted strategies walk the
     list to insert and pop due heads, chronos-const appends and scans every
     entry.  A harmonic timer keeps a slot array in (period, task id) order.
-    Nothing here is derived state, so checked mode has nothing to check.
+    ``check_invariants`` is accepted for the signature and ignored: the spec
+    is what the package is checked against.
     """
 
     def __init__(self, task_set: TaskSet, mapping: Mapping, strategy: Strategy,
@@ -385,14 +386,14 @@ class SpecDispatcher:
             release = self.release[tid] = (now // period + 1) * period
             counts["comparison"] += 1              # refresh the cached earliest
             self.earliest[timer_id] = min(self.earliest[timer_id], release)
-            entries = self.delayed[timer_id]
             if self.strategy is Strategy.CHRONOS_HARMONIC:
                 next(slot for slot in self.slots[timer_id] if slot[1] == tid)[2] = True
                 counts["slot_write"] += 1
             elif self.strategy is Strategy.CHRONOS_CONST:
-                entries.append(tid)
+                self.delayed[timer_id].append(tid)
                 counts["list_append"] += 1
             else:
+                entries = self.delayed[timer_id]
                 position = 0                       # walk past entries due no later
                 while (position < len(entries)
                        and self.release[entries[position]] <= release):
