@@ -18,17 +18,19 @@ equal to a plain tuple of the same five fields.
 from __future__ import annotations
 
 import json
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, mod
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
-# Hyperperiods beyond this are rejected as not computable at desk scale.
-MAX_HYPERPERIOD = 2**62
+# Field readers for whole-task-set passes that stay in C (``map``).
+_task_id = itemgetter(0)
+_task_period = itemgetter(2)
 
 
 class _TaskFields(NamedTuple):
@@ -98,7 +100,7 @@ class TaskSet:
     tasks: tuple[Task, ...]
 
     def __post_init__(self) -> None:
-        ids = [t.id for t in self.tasks]
+        ids = list(map(_task_id, self.tasks))
         n = len(ids)
         if sorted(ids) != list(range(1, n + 1)):
             counts = Counter(ids)
@@ -123,24 +125,10 @@ class TaskSet:
             raise UsageError(f"no task with id {task_id}") from None
 
     def periods(self) -> tuple[int, ...]:
-        return tuple(period for _, _, period, _, _ in self.tasks)
+        return tuple(map(_task_period, self.tasks))
 
     def distinct_periods(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.periods())))
-
-    def hyperperiod(self, limit: int = MAX_HYPERPERIOD) -> int:
-        """LCM of all periods; rejected when it exceeds the configured scale."""
-        if not self.tasks:
-            raise UsageError("task set is empty")
-        h = 1
-        for t in self.tasks:
-            h = math.lcm(h, t.period)
-            if h > limit:
-                raise ConfigError(
-                    f"hyperperiod exceeds the configured scale ({limit}); "
-                    "reduce periods or the period factor"
-                )
-        return h
 
     def scaled(self, factor: int) -> "TaskSet":
         """Uniformly scale all periods and deadlines by an integer factor."""
@@ -171,7 +159,7 @@ class Mapping:
 
     The assignment induces a partition of the task set; timers without tasks
     are carried but excluded from rate computations.  Lookups by timer id
-    read indexes built once at construction, so ``assignment`` must not be
+    read an index built once at construction, so ``assignment`` must not be
     mutated afterwards.
     """
 
@@ -180,23 +168,20 @@ class Mapping:
 
     def __post_init__(self) -> None:
         timer_ids = [tc.id for tc in self.timers]
-        if len(set(timer_ids)) != len(timer_ids):
+        known = set(timer_ids)
+        if len(known) != len(timer_ids):
             raise UsageError(f"duplicate timer ids: {timer_ids}")
+        if not known.issuperset(self.assignment.values()):
+            for task_id, timer_id in self.assignment.items():
+                if timer_id not in known:
+                    raise UsageError(
+                        f"task {task_id} assigned to unknown timer {timer_id}")
         members: dict[int, list[int]] = {j: [] for j in timer_ids}
         for task_id, timer_id in self.assignment.items():
-            if timer_id not in members:
-                raise UsageError(f"task {task_id} assigned to unknown timer {timer_id}")
             members[timer_id].append(task_id)
-        # Built once; not fields, so equality and repr see only the mapping.
-        object.__setattr__(self, "_timer_by_id", dict(zip(timer_ids, self.timers)))
+        # Built once; not a field, so equality and repr see only the mapping.
         object.__setattr__(self, "_members", {
             j: tuple(sorted(tasks)) for j, tasks in members.items()})
-
-    def timer_by_id(self, timer_id: int) -> TimerConfig:
-        try:
-            return self._timer_by_id[timer_id]
-        except KeyError:
-            raise UsageError(f"no timer with id {timer_id}") from None
 
     def tasks_of(self, timer_id: int) -> tuple[int, ...]:
         return self._members.get(timer_id, ())
@@ -209,21 +194,30 @@ class Mapping:
         return {tc.id: self._members[tc.id] for tc in self.used_timers()}
 
     def validate(self, task_set: TaskSet) -> None:
-        """Check the divisibility and completeness invariants against a task set."""
-        assigned = set(self.assignment)
-        expected = {task_id for task_id, _, _, _, _ in task_set.tasks}
-        if assigned != expected:
+        """Check the divisibility and completeness invariants against a task set.
+
+        The checks run in C (``map``) over every task; only a failed check
+        walks the tasks in order to name the first offender.
+        """
+        # The task set's id index iterates its ids in task order.
+        task_ids = task_set._by_id.keys()
+        assigned = self.assignment.keys()
+        if assigned != task_ids:
             raise UsageError(
                 f"every task must be assigned to exactly one timer; "
-                f"missing={sorted(expected - assigned)}, unknown={sorted(assigned - expected)}"
+                f"missing={sorted(task_ids - assigned)}, unknown={sorted(assigned - task_ids)}"
             )
-        for task_id, _, period, _, _ in task_set.tasks:
-            timer = self.timer_by_id(self.assignment[task_id])
-            if period % timer.period != 0:
-                raise UsageError(
-                    f"timer period {timer.period} does not divide period "
-                    f"{period} of task {task_id}"
-                )
+        timer_period = {tc.id: tc.period for tc in self.timers}
+        timer_periods = map(timer_period.__getitem__,
+                            map(self.assignment.__getitem__, task_ids))
+        if any(map(mod, map(_task_period, task_set.tasks), timer_periods)):
+            for task_id, _, period, _, _ in task_set.tasks:
+                divisor = timer_period[self.assignment[task_id]]
+                if period % divisor:
+                    raise UsageError(
+                        f"timer period {divisor} does not divide period "
+                        f"{period} of task {task_id}"
+                    )
 
     def scaled(self, factor: int) -> "Mapping":
         if factor < 1:
@@ -343,13 +337,6 @@ def rational_to_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    try:
-        return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed rational: {obj!r} ({exc})") from exc
-
-
 def task_set_to_json(task_set: TaskSet) -> dict:
     """Interchange format for all CLI subcommands; integers only.
 
@@ -438,7 +425,71 @@ def load_json(path: str) -> dict:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _json_key(key: object) -> str:
+    """A dict key as JSON text, under the stdlib's rules for non-string keys."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_scalar(value: object) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _json_chunks(value: object, newline: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)``, in chunks.
+
+    A container whose items are all scalars is one chunk, joined in C, and
+    plain ``int`` items skip even the scalar call; any other container yields
+    one chunk per item.  Strings go through the encoder ``json`` itself uses,
+    and floats, booleans, ``None`` and non-string keys through ``json.dumps``,
+    so the stdlib's rules still decide them.
+    """
+    if isinstance(value, dict):
+        try:
+            keys = list(map(encode_basestring_ascii, value))
+        except TypeError:
+            keys = list(map(_json_key, value))
+        items, opener, closer = value.values(), "{", "}"
+    elif isinstance(value, (list, tuple)):
+        keys, items, opener, closer = None, value, "[", "]"
+    else:
+        yield _json_scalar(value)
+        return
+    if not items:
+        yield opener + closer
+        return
+    inner = newline + "  "
+    types = set(map(type, items))
+    if types == {int}:
+        texts = map(int.__repr__, items)
+    elif not any(issubclass(t, (list, tuple, dict)) for t in types):
+        texts = map(_json_scalar, items)
+    else:
+        yield opener
+        for i, item in enumerate(items):
+            yield ("," if i else "") + inner + (keys[i] + ": " if keys else "")
+            yield from _json_chunks(item, inner)
+        yield newline + closer
+        return
+    if keys is not None:
+        texts = [f"{key}: {text}" for key, text in zip(keys, texts)]
+    yield opener + inner + ("," + inner).join(texts) + newline + closer
+
+
 def dump_json(obj: dict, path: str) -> None:
+    """Write the text of ``json.dumps(obj, indent=2)`` and a newline.
+
+    With ``indent``, ``json.dump`` always runs the stdlib's pure-Python
+    encoder, one generator step and one write per scalar; this writer makes
+    one chunk per container of scalars instead.  It streams the chunks, since
+    one ``json.dumps`` of the whole document would hold all of its text.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
+        fh.writelines(_json_chunks(obj))
         fh.write("\n")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ConfigError, UsageError
 from .model import (
@@ -297,8 +298,8 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
             Task.implicit(i + 1, 0, p)
             for i, p in enumerate(periods)
         ))
-    assignment = {task_id: period_to_timer[period]
-                  for task_id, _, period, _, _ in task_set.tasks}
+    assignment = dict(zip(map(itemgetter(0), task_set.tasks),
+                          map(period_to_timer.__getitem__, task_set.periods())))
     mapping = Mapping(timers=tuple(timers), assignment=assignment)
     mapping.validate(task_set)
     return OptimizationResult(

@@ -65,9 +65,8 @@ admitted.  If the next event lies past the horizon, the run advances to the
 horizon instead and stops; with no horizon it stops once every task has
 retired.
 
-Traces: ``events`` is the one event stream.  ``SimMetrics.release_trace`` and
-``SimMetrics.interrupt_log`` are views of it, so they are cut with it at
-``trace_limit`` events; ``events_dropped`` counts the events past the limit.
+Traces: ``events`` is the one event stream, cut at ``trace_limit`` events;
+``events_dropped`` counts the events past the limit.
 """
 
 from __future__ import annotations
@@ -168,24 +167,6 @@ class SimMetrics:
     def schedulable(self) -> bool:
         return self.deadline_misses == 0
 
-    @property
-    def release_trace(self) -> list[tuple[int, int]] | None:
-        """(time, task) of every timer-driven release, from ``events``."""
-        if self.events is None:
-            return None
-        return [(t, task) for t, kind, _, task in self.events if kind == "release"]
-
-    @property
-    def interrupt_log(self) -> list[tuple[int, int, int]] | None:
-        """(time, timer, released) per interrupt, from ``events``: released
-        counts the release events at the same time and timer."""
-        if self.events is None:
-            return None
-        released = Counter((t, timer) for t, kind, timer, _ in self.events
-                           if kind == "release")
-        return [(t, timer, released[t, timer])
-                for t, kind, timer, _ in self.events if kind == "interrupt"]
-
     def to_json(self) -> dict:
         """Every field but the trace itself, plus ``schedulable``."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
@@ -241,7 +222,6 @@ def run(config: SimConfig) -> SimMetrics:
     task_set = config.task_set
     if not task_set.tasks:
         raise UsageError("task set is empty")
-    task_set.hyperperiod()  # rejects overflow early
     if config.horizon is not None and config.horizon < 1:
         raise UsageError(f"horizon must be >= 1, got {config.horizon}")
     if config.horizon is None and any(
@@ -763,11 +743,11 @@ def period_factor_sweep(base: SimConfig, factors: Iterable[int],
 
     The normalized expected-interrupt column divides the mapping's rate by the
     baseline single-timer rate at the same factor, so it is constant across
-    factors.  Rows that fail (for example a scaled hyperperiod overflowing)
-    are reported as per-factor error entries.  ``strategies`` defaults to
-    :func:`applicable_strategies`.  Each row is keyed by factor and strategy,
-    so the factors and a given strategy list must be nonempty and repeat
-    nothing.
+    factors.  Rows that fail (for example scaled deadlines reaching
+    ``TIME_MAX``) are reported as per-factor error entries.  ``strategies``
+    defaults to :func:`applicable_strategies`.  Each row is keyed by factor
+    and strategy, so the factors and a given strategy list must be nonempty
+    and repeat nothing.
     """
     factor_list = list(factors)
     if not factor_list or len(set(factor_list)) < len(factor_list):

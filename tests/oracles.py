@@ -5,10 +5,13 @@ solver and the simulator compute by other means, ``reference_run``
 re-derives the simulator's loop one time unit at a time, ``SpecDispatcher``
 re-derives the dispatcher's charges one primitive at a time, and ``read_lp`` with
 ``miqcp_minimum`` solves the exported mixed-integer model by enumeration.
+The views at the top (``hyperperiod``, ``release_trace``, ``interrupt_log``
+and ``rational_from_json``) read package values that only the tests need.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from chronosim.dispatch import (
@@ -20,7 +23,7 @@ from chronosim.dispatch import (
     tick,
 )
 from chronosim.errors import UsageError
-from chronosim.model import Mapping, TaskSet, expected_interrupt_rate
+from chronosim.model import Mapping, TaskSet, _json_int, expected_interrupt_rate
 from chronosim.optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -30,6 +33,37 @@ from chronosim.optimizer import (
 from chronosim.sim import SimConfig, SimMetrics, TimerStats
 
 BRUTE_FORCE_BOUND = 10
+
+
+def hyperperiod(task_set: TaskSet) -> int:
+    """LCM of all periods."""
+    return math.lcm(*task_set.periods())
+
+
+def release_trace(metrics: SimMetrics) -> list[tuple[int, int]] | None:
+    """(time, task) of every timer-driven release, from ``metrics.events``."""
+    if metrics.events is None:
+        return None
+    return [(t, task) for t, kind, _, task in metrics.events if kind == "release"]
+
+
+def interrupt_log(metrics: SimMetrics) -> list[tuple[int, int, int]] | None:
+    """(time, timer, released) per interrupt, from ``metrics.events``:
+    released counts the release events at the same time and timer."""
+    if metrics.events is None:
+        return None
+    released = Counter((t, timer) for t, kind, timer, _ in metrics.events
+                       if kind == "release")
+    return [(t, timer, released[t, timer])
+            for t, kind, timer, _ in metrics.events if kind == "interrupt"]
+
+
+def rational_from_json(obj: dict) -> Fraction:
+    """Read back ``model.rational_to_json``; JSON integers only."""
+    try:
+        return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed rational: {obj!r} ({exc})") from exc
 
 
 def required_ticks(task_set: TaskSet, horizon: int) -> list[int]:

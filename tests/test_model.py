@@ -1,6 +1,7 @@
 """Domain types, number-theoretic utilities, and the task-set generator."""
 
 import json
+import math
 import pickle
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronosim import cli
-from chronosim.errors import ConfigError, UsageError
+from chronosim.errors import UsageError
 from chronosim.model import (
     GenerationSpec,
     Mapping,
@@ -18,17 +19,17 @@ from chronosim.model import (
     TaskSet,
     TimerConfig,
     expected_interrupt_rate,
+    dump_json,
     generate_task_set,
     is_harmonic_chain,
     mapping_from_json,
     mapping_to_json,
-    rational_from_json,
     rational_to_json,
     single_timer_mapping,
     task_set_from_json,
     task_set_to_json,
 )
-from oracles import required_ticks
+from oracles import hyperperiod, rational_from_json, required_ticks
 
 
 def make_task_set(periods, wcet=0, releases=None):
@@ -81,14 +82,8 @@ class TestTask:
             f"task ids must be unique and dense 1..{len(ids)}; {found}")
 
     def test_hyperperiod(self):
-        assert make_task_set([2, 5]).hyperperiod() == 10
-        assert make_task_set([3, 6, 12]).hyperperiod() == 12
-
-    def test_hyperperiod_overflow_rejected(self):
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        ts = make_task_set([p ** 9 for p in primes[:8]])
-        with pytest.raises(ConfigError):
-            ts.hyperperiod()
+        assert hyperperiod(make_task_set([2, 5])) == 10
+        assert hyperperiod(make_task_set([3, 6, 12])) == 12
 
     def test_scaled(self):
         ts = make_task_set([2, 5]).scaled(3)
@@ -213,6 +208,46 @@ class TestMapping:
         mapping = single_timer_mapping(ts)
         assert [tc.period for tc in mapping.timers] == [1]
         assert mapping.tasks_of(1) == (1, 2)
+
+    def test_divisibility_error_names_the_first_offender_in_task_order(self):
+        ts = TaskSet((Task.implicit(3, 0, 9), Task.implicit(1, 0, 6),
+                      Task.implicit(2, 0, 5)))
+        bad = Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 3)),
+                      assignment={1: 1, 2: 1, 3: 1})
+        with pytest.raises(UsageError) as exc:
+            bad.validate(ts)
+        assert str(exc.value) == "timer period 2 does not divide period 9 of task 3"
+
+    def test_completeness_error_lists_missing_and_unknown(self):
+        ts = make_task_set([2, 4, 6])
+        partial = Mapping(timers=(TimerConfig(1, 2),),
+                          assignment={7: 1, 2: 1, 5: 1})
+        with pytest.raises(UsageError) as exc:
+            partial.validate(ts)
+        assert str(exc.value) == ("every task must be assigned to exactly one "
+                                  "timer; missing=[1, 3], unknown=[5, 7]")
+
+    def test_unknown_timer_named_first_in_assignment_order(self):
+        with pytest.raises(UsageError) as exc:
+            Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 4)),
+                    assignment={4: 1, 3: 9, 1: 2, 2: 5})
+        assert str(exc.value) == "task 3 assigned to unknown timer 9"
+
+    def test_duplicate_timer_ids_rejected(self):
+        with pytest.raises(UsageError) as exc:
+            Mapping(timers=(TimerConfig(2, 2), TimerConfig(1, 4), TimerConfig(2, 6)),
+                    assignment={})
+        assert str(exc.value) == "duplicate timer ids: [2, 1, 2]"
+
+    def test_tasks_of_is_sorted_whatever_the_insertion_order(self):
+        mapping = Mapping(timers=(TimerConfig(3, 2), TimerConfig(1, 4), TimerConfig(2, 8)),
+                          assignment={5: 1, 2: 3, 9: 1, 1: 1, 4: 3})
+        assert mapping.tasks_of(1) == (1, 5, 9)
+        assert mapping.tasks_of(3) == (2, 4)
+        assert mapping.tasks_of(2) == ()
+        assert mapping.tasks_of(7) == ()
+        assert [tc.id for tc in mapping.used_timers()] == [3, 1]
+        assert mapping.groups() == {3: (2, 4), 1: (1, 5, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +401,30 @@ class TestGenerateTaskSet:
 # Serialization round trips
 # ---------------------------------------------------------------------------
 
+JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€\U0001f600", '"a\nb"'])
+)
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_KEYS, children)),
+    max_leaves=30,
+)
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_dump_json_writes_the_stdlib_indent_text(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "dump_json_value.json"
+        dump_json(value, str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == json.dumps(value, indent=2) + "\n"
+
     def test_task_set_round_trip(self):
         ts = make_task_set([6, 10], wcet=1, releases=5)
         assert task_set_from_json(task_set_to_json(ts)) == ts

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chronosim.errors import UsageError
 from chronosim.model import (
-    Task, TaskSet, expected_interrupt_rate, mapping_from_json, rational_from_json,
+    Task, TaskSet, expected_interrupt_rate, mapping_from_json,
 )
 from chronosim.optimizer import (
     OptimizationProblem,
@@ -28,6 +28,7 @@ from oracles import (
     lp_timers,
     lp_value,
     miqcp_minimum,
+    rational_from_json,
     read_lp,
 )
 
@@ -108,9 +109,9 @@ class TestSolveExact:
         ts = TaskSet((Task.implicit(1, 0, 6), Task.implicit(2, 0, 12)))
         result = solve(OptimizationProblem.from_task_set(ts, 1))
         for task in ts.tasks:
-            timer = result.mapping.timer_by_id(result.mapping.assignment[task.id])
-            witness = task.period // timer.period
-            assert witness * timer.period == task.period
+            timer_period = {tc.id: tc.period for tc in result.mapping.timers}
+            divisor = timer_period[result.mapping.assignment[task.id]]
+            assert task.period // divisor * divisor == task.period
 
 
 class TestBruteForceReference:

@@ -36,7 +36,13 @@ from chronosim.sim import (
     write_metrics_csv,
     write_trace_csv,
 )
-from oracles import SPEC_DISPATCHER, reference_run
+from oracles import (
+    SPEC_DISPATCHER,
+    hyperperiod,
+    interrupt_log,
+    reference_run,
+    release_trace,
+)
 
 
 def make_task_set(periods, wcet=0, releases=None):
@@ -73,9 +79,9 @@ class TestFigureScenario:
                                 horizon=10, check_invariants=True))
         assert metrics.total_interrupts == 10
         assert metrics.not_required_interrupts == 4
-        idle_ticks = {t for t, _, n in metrics.interrupt_log if n == 0}
+        idle_ticks = {t for t, _, n in interrupt_log(metrics) if n == 0}
         assert idle_ticks == {1, 3, 7, 9}
-        assert sorted(metrics.release_trace) == [
+        assert sorted(release_trace(metrics)) == [
             (2, 1), (4, 1), (5, 2), (6, 1), (8, 1), (10, 1), (10, 2)]
 
     def test_two_timer_mapping_fires_only_when_needed(self):
@@ -87,7 +93,7 @@ class TestFigureScenario:
         by_timer = {s.id: s.interrupts for s in metrics.per_timer}
         assert by_timer == {1: 5, 2: 2}
         # two interrupts fire at t=10, one per timer
-        assert sorted(t for t, _, _ in metrics.interrupt_log).count(10) == 2
+        assert sorted(t for t, _, _ in interrupt_log(metrics)).count(10) == 2
 
     def test_interrupt_count_ratio(self):
         ts, mapping = two_five_scenario()
@@ -102,27 +108,27 @@ class TestReleaseCorrectness:
     def test_zero_wcet_trace_matches_oracle_for_every_strategy(self):
         ts = make_task_set([2, 3, 8])
         mapping = solve(OptimizationProblem.from_task_set(ts, 2)).mapping
-        horizon = ts.hyperperiod()
+        horizon = hyperperiod(ts)
         for strategy in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST):
             metrics = run(SimConfig(
                 task_set=ts, strategy=strategy,
                 mapping=(single_timer_mapping(ts) if strategy is Strategy.BASELINE
                          else mapping),
                 horizon=horizon, check_invariants=True))
-            assert sorted(metrics.release_trace) == oracle_trace(ts, horizon)
+            assert sorted(release_trace(metrics)) == oracle_trace(ts, horizon)
             assert metrics.deadline_misses == 0
 
     def test_strategies_agree_including_harmonic_on_chains(self):
         ts = make_task_set([3, 6, 6, 12, 24])
         mapping = Mapping(timers=(TimerConfig(1, 3),),
                           assignment={t.id: 1 for t in ts.tasks})
-        horizon = ts.hyperperiod()
+        horizon = hyperperiod(ts)
         traces = {}
         for strategy in (Strategy.CHRONOS, Strategy.CHRONOS_CONST,
                          Strategy.CHRONOS_HARMONIC):
             metrics = run(SimConfig(task_set=ts, strategy=strategy, mapping=mapping,
                                     horizon=horizon, check_invariants=True))
-            traces[strategy] = sorted(metrics.release_trace)
+            traces[strategy] = sorted(release_trace(metrics))
         assert traces[Strategy.CHRONOS] == oracle_trace(ts, horizon)
         assert len({tuple(t) for t in traces.values()}) == 1
 
@@ -142,7 +148,7 @@ class TestReleaseCorrectness:
             metrics = run(SimConfig(task_set=ts, strategy=strategy, mapping=mapping,
                                     horizon=160, check_invariants=True))
             results[strategy] = metrics
-        traces = {tuple(sorted(m.release_trace)) for m in results.values()}
+        traces = {tuple(sorted(release_trace(m))) for m in results.values()}
         misses = {tuple(m.miss_events) for m in results.values()}
         assert len(traces) == 1
         assert len(misses) == 1
@@ -188,7 +194,7 @@ class TestReleaseCorrectness:
         ts = make_task_set([2], releases=5)
         metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
                                 mapping=single_timer_mapping(ts), horizon=20))
-        assert [t for t, _ in metrics.release_trace] == [2, 4, 6, 8, 10]
+        assert [t for t, _ in release_trace(metrics)] == [2, 4, 6, 8, 10]
         # after retirement the timer keeps ticking but releases nothing
         assert metrics.total_interrupts == 20
         assert metrics.required_interrupts == 5
@@ -210,7 +216,7 @@ class TestInterruptCountExactness:
             ts = make_task_set(periods)
             m = rng.randint(1, 3)
             mapping = solve(OptimizationProblem.from_task_set(ts, m)).mapping
-            horizon = ts.hyperperiod()
+            horizon = hyperperiod(ts)
             metrics = run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS,
                                     mapping=mapping, horizon=horizon))
             for stats in metrics.per_timer:
@@ -248,7 +254,7 @@ class TestDeadlines:
                                 mapping=single_timer_mapping(ts), horizon=16))
         # release at t is lost while the late job occupies the task
         assert [t for t, _ in metrics.miss_events] == [4, 12]
-        assert [t for t, _ in metrics.release_trace] == [8, 16]
+        assert [t for t, _ in release_trace(metrics)] == [8, 16]
 
     def test_zero_length_job_completes_at_release_behind_busier_tasks(self):
         # Task 3 has no work and a deadline of 1, but tasks 1 and 2 have
@@ -371,12 +377,26 @@ class TestSimValidation:
             run(SimConfig(task_set=ts, strategy=Strategy.CHRONOS_HARMONIC,
                           mapping=mapping, horizon=6))
 
-    def test_hyperperiod_overflow_is_config_error(self):
+    def test_huge_hyperperiod_is_refused_only_past_the_step_limit(self):
+        # The hyperperiod is about 2**98, but a short run takes few steps.
         primes = [2, 3, 5, 7, 11, 13, 17, 19]
         ts = make_task_set([p ** 9 for p in primes])
-        with pytest.raises(ConfigError):
-            run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
-                          mapping=single_timer_mapping(ts), horizon=10))
+        config = SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                           mapping=single_timer_mapping(ts), horizon=10)
+        assert run(config).total_interrupts == 10
+        with pytest.raises(ConfigError, match="interrupts"):
+            run(dataclasses.replace(config, horizon=sim.INTERRUPT_LIMIT + 1))
+
+    def test_prime_periods_run_past_their_hyperperiod_scale(self):
+        # Twenty primes from 1,009 upward: a hyperperiod near 2**205.
+        primes = [p for p in range(1009, 1300)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))][:20]
+        ts = make_task_set(primes, wcet=1)
+        metrics = run(SimConfig(task_set=ts, strategy=Strategy.BASELINE,
+                                mapping=single_timer_mapping(ts), horizon=5000,
+                                collect_trace=False))
+        assert metrics.total_interrupts == 5000
+        assert metrics.deadline_misses == 0
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_every_strategy_requires_mapping(self, strategy):
@@ -658,8 +678,12 @@ class TestPeriodFactorSweep:
         mapping = solve(OptimizationProblem.from_task_set(ts, 1)).mapping
         base = SimConfig(task_set=ts, strategy=Strategy.BASELINE, mapping=mapping,
                          horizon=10, collect_trace=False)
-        table = period_factor_sweep(base, [2 ** 14])
-        assert table.rows[0].error is not None
+        # At 2**14 the hyperperiod passes 2**63 but every deadline stays
+        # below TIME_MAX; at 2**32 the first deadlines reach it.
+        table = period_factor_sweep(base, [2 ** 14, 2 ** 32])
+        assert [row.factor for row in table.rows] == [2 ** 14] * 3 + [2 ** 32]
+        assert all(row.error is None for row in table.rows[:3])
+        assert "deadline" in table.rows[3].error
 
     def test_monotone_schedulability_reported(self):
         ts = make_task_set([3, 5, 7, 11, 6, 10, 14, 22], wcet=2, releases=None)
@@ -725,12 +749,12 @@ class TestSerialization:
         assert cut.events == full.events[:3]
         assert cut.events_dropped == 25
         # The derived traces are views of the cut stream.
-        assert cut.interrupt_log == [(2, 1, 0)]
-        assert cut.release_trace == []
+        assert interrupt_log(cut) == [(2, 1, 0)]
+        assert release_trace(cut) == []
         untraced = run(dataclasses.replace(pinned_case("interrupt_at_completion"),
                                            collect_trace=False))
         assert untraced.events is untraced.events_dropped is None
-        assert untraced.release_trace is untraced.interrupt_log is None
+        assert release_trace(untraced) is interrupt_log(untraced) is None
 
     def test_determinism_across_runs(self):
         ts, mapping = two_five_scenario()
