@@ -3,8 +3,9 @@
 Nothing in ``chronosim`` depends on these; they enumerate directly what the
 solver and the simulator compute by other means, ``reference_run``
 re-derives the simulator's loop one time unit at a time, ``SpecDispatcher``
-re-derives the dispatcher's charges one primitive at a time, and ``read_lp`` with
-``miqcp_minimum`` solves the exported mixed-integer model by enumeration.
+re-derives the dispatcher's charges one primitive at a time, ``read_lp`` with
+``miqcp_minimum`` solves the exported mixed-integer model by enumeration, and
+``response_time`` is the closed-form fixed-priority analysis.
 The views at the top (``hyperperiod``, ``release_trace``, ``interrupt_log``
 and ``rational_from_json``) read package values that only the tests need.
 """
@@ -23,7 +24,7 @@ from chronosim.dispatch import (
     tick,
 )
 from chronosim.errors import UsageError
-from chronosim.model import Mapping, TaskSet, _json_int, expected_interrupt_rate
+from chronosim.model import Mapping, Task, TaskSet, _json_int, expected_interrupt_rate
 from chronosim.optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -79,6 +80,24 @@ def required_ticks(task_set: TaskSet, horizon: int) -> list[int]:
     for task in task_set.tasks:
         ticks.update(range(task.period, horizon + 1, task.period))
     return sorted(ticks)
+
+
+def response_time(task: Task, higher: list[Task]) -> int:
+    """The worst-case response time of ``task``'s jobs when ``higher`` are
+    the tasks of higher priority, with every task released at once (the
+    critical instant; Liu & Layland 1973).  It is the least fixed point of
+    R = C + sum over h in ``higher`` of ceil(R / T_h) * C_h (Joseph & Pandya
+    1986), iterated up from R = C, so a job with no work responds at once.
+    The iteration stops at the first R past the deadline and returns it: the
+    job misses, and at a utilisation of one or more there is no fixed point.
+    """
+    r = task.wcet
+    while r <= task.deadline:
+        nxt = task.wcet + sum(-(-r // h.period) * h.wcet for h in higher)
+        if nxt == r:
+            break
+        r = nxt
+    return r
 
 
 def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:

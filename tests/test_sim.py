@@ -42,6 +42,7 @@ from oracles import (
     interrupt_log,
     reference_run,
     release_trace,
+    response_time,
 )
 
 
@@ -1282,6 +1283,33 @@ class TestReferenceSimulator:
             assert run(config) == reference_run(config), (
                 preset, factor, strategy.value)
 
+    @pytest.mark.parametrize("strategy", [
+        Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST],
+        ids=lambda s: s.value)
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_zero_length_jobs_retire_at_their_own_last_release(
+            self, strategy, collect):
+        # Zero-length tasks 1-3 release their last jobs at 2, 8 and 9: from
+        # t = 2 on, some zero-length jobs end their task and others do not,
+        # at instants shared with each other and with tasks 4 and 5.
+        ts = tasks_of((0, 2, 2, 1), (0, 3, 3, 3), (0, 2, 1, 4),
+                      (1, 2, 2, 3), (2, 6, 6, 2))
+        mapping = (single_timer_mapping(ts) if strategy is Strategy.BASELINE
+                   else Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 3)),
+                                assignment={1: 1, 2: 2, 3: 1, 4: 1, 5: 1}))
+        config = SimConfig(task_set=ts, strategy=strategy, mapping=mapping,
+                           horizon=None, collect_trace=collect,
+                           check_invariants=True)
+        metrics = run(config)
+        assert dataclasses.asdict(metrics) == dataclasses.asdict(
+            reference_run(config))
+        assert metrics.jobs_completed == 2 + 4 + 5 + 4 + 3
+        assert metrics.total_time == 14
+        if collect:
+            retire = [(t, tid) for t, kind, _, tid in metrics.events
+                      if kind == "retire" and tid <= 3]
+            assert retire == [(2, 1), (8, 3), (9, 2)]
+
 
 class TestSpecDispatcher:
     """``sim.run`` against ``reference_run`` over ``oracles.SpecDispatcher``,
@@ -1299,3 +1327,58 @@ class TestSpecDispatcher:
         for factor, strategy, _, config in preset_configs(preset, lambda _: (1, 15)):
             assert run(config) == reference_run(config, SPEC_DISPATCHER), (
                 preset, factor, strategy.value)
+
+
+# The largest hyperperiod ``rate_monotonic_sets`` draws: every run goes to
+# the hyperperiod, and the baseline ticks at the periods' GCD, often 1.
+RTA_HYPERPERIOD = 2520
+
+
+@st.composite
+def rate_monotonic_sets(draw):
+    """1..6 tasks with distinct periods in 2..39 and a hyperperiod of at most
+    ``RTA_HYPERPERIOD``, wcet 0..period/2 (zero-length jobs included),
+    deadline 1..period and no release limit."""
+    periods = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        fits = [p for p in range(2, 40) if p not in periods
+                and math.lcm(p, *periods) <= RTA_HYPERPERIOD]
+        if not fits:
+            break
+        periods.append(draw(st.sampled_from(fits)))
+    return tasks_of(*[(draw(st.integers(min_value=0, max_value=p // 2)), p,
+                       draw(st.integers(min_value=1, max_value=p)), None)
+                      for p in periods])
+
+
+class TestResponseTimeAnalysis:
+    """Deadline misses against the closed form ``oracles.response_time``.
+    With distinct periods, constrained deadlines and no overhead as time,
+    rate-monotonic scheduling from the synchronous start (the critical
+    instant) misses a deadline within the hyperperiod iff some task's
+    response time exceeds its deadline.  A task never delays one of higher
+    priority, so the first such task in period order is the highest-priority
+    task that misses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(task_set=rate_monotonic_sets())
+    def test_misses_follow_the_response_time_recurrence(self, task_set):
+        tasks = sorted(task_set.tasks, key=lambda task: task.period)
+        failing = [task.id for i, task in enumerate(tasks)
+                   if response_time(task, tasks[:i]) > task.deadline]
+        own_timers = Mapping(
+            timers=tuple(TimerConfig(task.id, task.period) for task in tasks),
+            assignment={task.id: task.id for task in tasks})
+        for strategy in (Strategy.BASELINE, Strategy.CHRONOS,
+                         Strategy.CHRONOS_CONST):
+            mapping = (single_timer_mapping(
+                task_set, period=math.gcd(*task_set.periods()))
+                if strategy is Strategy.BASELINE else own_timers)
+            metrics = run(SimConfig(
+                task_set=task_set, strategy=strategy, mapping=mapping,
+                horizon=hyperperiod(task_set), collect_trace=False))
+            missed = {tid for _, tid in metrics.miss_events}
+            assert bool(missed) == bool(failing), strategy.value
+            if failing:
+                first = next(task.id for task in tasks if task.id in missed)
+                assert first == failing[0], strategy.value
