@@ -174,8 +174,12 @@ class _CoverSearch:
             raise ConfigError(f"the partition search passed {NODE_LIMIT} states "
                               f"on {len(self.periods)} periods")
         if timers_left == 1:
-            periods = (self.periods[i] for i in _members(uncovered))
-            self._memo[key] = (self.scale // math.gcd(*periods) + 1, True)
+            # A fold, not gcd(*periods): the star-call's argument tuples pile
+            # up on the interpreter's free lists across calls.
+            g = 0
+            for i in _members(uncovered):
+                g = math.gcd(g, self.periods[i])
+            self._memo[key] = (self.scale // g + 1, True)
             return self._memo[key][0]
         bound, fewest = self._relax(uncovered, timers_left, limit)
         if bound > max(limit, 0) / self.scale * (1 + BOUND_MARGIN):

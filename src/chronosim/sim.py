@@ -37,19 +37,23 @@ not its task's live one.  The earliest live deadline is found by dropping
 stale tails of the head bucket and emptied buckets; the abandon pass takes the
 live tasks of the bucket at the current instant in ascending task id.  A task
 retires once a job with a deadline of at least its final one ends, which is
-one comparison.  The running job completes inline in the loop.  A task's last
-job, the late jobs of an instant and its zero-length jobs end through one
-helper over a sequence of them.  Either way, each task retires after its last
-release, and the rest join one list of the tasks whose jobs ended since the
-last interrupt instant.  That list is delayed in one dispatcher call at the
-next interrupt instant, before any timer fires, and once more when the run
-ends.  Delaying a job there, with the last interrupt instant as ``now``, is
-exact: every timer period divides its tasks' periods and the timer fires at
-each of its multiples, so no release of any task lies strictly between two
-interrupt instants, and each job's next release is the one it had when it
-ended.  Only interrupts read the delayed containers, and the inserts keep
-their order, so positions, counters and skips are those of delaying each job as
-it ends.
+one comparison.  The running job completes inline in the loop; its task's last
+job and the late jobs of an instant end through one helper over a sequence of
+them.  A job with no work is never live: it gets no live deadline, remaining
+work, ready-heap key or bucket, and the ones released at an instant complete
+in bulk when it settles.  Such a job is its task's last iff it is released at
+the release limit times the period or later, so before the least such instant
+over the tasks with no work, the batch joins the list below without a per-job
+test.  Either way, each task retires after its last release, and the rest join
+one list of the tasks whose jobs ended since the last interrupt instant.  That
+list is delayed in one dispatcher call at the next interrupt instant, before
+any timer fires, and once more when the run ends.  Delaying a job there, with
+the last interrupt instant as ``now``, is exact: every timer period divides
+its tasks' periods and the timer fires at each of its multiples, so no release
+of any task lies strictly between two interrupt instants, and each job's next
+release is the one it had when it ended.  Only interrupts read the delayed
+containers, and the inserts keep their order, so positions, counters and skips
+are those of delaying each job as it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless the earliest deadline is due,
@@ -283,6 +287,12 @@ def run(config: SimConfig) -> SimMetrics:
             final_deadline[task.id] = task.releases_limit * task.period + task.deadline
     live = [-1] * (n_tasks + 1)
     remaining = [0] * (n_tasks + 1)
+    # A zero-length job is its task's last iff released at releases_limit *
+    # period or later, so none released before zero_last_release is.
+    zero_last_release = min((task.releases_limit * task.period
+                             for task in task_set.tasks
+                             if task.wcet == 0 and task.releases_limit is not None),
+                            default=TIME_MAX)
 
     horizon = config.horizon
     end = TIME_MAX if horizon is None else horizon  # no run reaches TIME_MAX
@@ -340,9 +350,10 @@ def run(config: SimConfig) -> SimMetrics:
 
     def end_jobs(tids: Sequence[int], now: int, missed: bool) -> None:
         """Complete (or, if ``missed``, abandon) the live jobs of ``tids`` in
-        order; each task then retires after its last release, and the rest
-        join ``ended``, to be delayed at the next interrupt instant.  None of
-        them is released before it, and the delay finds the same release."""
+        order: the running job's last job, or the late jobs of an instant.
+        Each task then retires after its last release, and the rest join
+        ``ended``, to be delayed at the next interrupt instant.  None of them
+        is released before it, and the delay finds the same release."""
         nonlocal jobs_completed, retired
         for tid in tids:
             last = live[tid] >= final_deadline[tid]
@@ -381,24 +392,26 @@ def run(config: SimConfig) -> SimMetrics:
         on which timer released which task; zero-length jobs keep that order.
         """
         tids.sort(key=released_key.__getitem__)
+        if collect and now > 0:
+            # The synchronous start at t=0 is not an interrupt-driven release.
+            for tid in tids:
+                trace(now, "release", mapping.assignment[tid], tid)
         now_key = now << time_shift
         for tid in tids:
-            deadline = live[tid] = now + rel_deadline[tid]
-            work = remaining[tid] = wcet[tid]
+            work = wcet[tid]
             if work == 0:
                 zero_length.append(tid)
+                continue
+            deadline = live[tid] = now + rel_deadline[tid]
+            remaining[tid] = work
+            key = queued[tid] = released_key[tid] + now_key
+            heapq.heappush(ready, key)
+            bucket = buckets.get(deadline)
+            if bucket is None:
+                buckets[deadline] = [tid]
+                heapq.heappush(instants, deadline)
             else:
-                key = queued[tid] = released_key[tid] + now_key
-                heapq.heappush(ready, key)
-                bucket = buckets.get(deadline)
-                if bucket is None:
-                    buckets[deadline] = [tid]
-                    heapq.heappush(instants, deadline)
-                else:
-                    bucket.append(tid)
-            if collect and now > 0:
-                # The synchronous start at t=0 is not an interrupt-driven release.
-                trace(now, "release", mapping.assignment[tid], tid)
+                bucket.append(tid)
 
     # The synchronous start: every task is ready with its k=0 job.
     admit_releases(0, list(range(1, n_tasks + 1)))
@@ -436,7 +449,21 @@ def run(config: SimConfig) -> SimMetrics:
                 stale -= 1  # the running job has no ready-heap entry
             end_jobs(late, t, True)
         if zero_length:
-            end_jobs(zero_length, t, False)
+            # The zero-length jobs released at t complete in bulk; none of
+            # them was live, and before zero_last_release none is a last job.
+            jobs_completed += len(zero_length)
+            if t < zero_last_release and not collect:
+                ended += zero_length
+            else:
+                for tid in zero_length:
+                    last = t + rel_deadline[tid] >= final_deadline[tid]
+                    if last:
+                        retired += 1
+                    else:
+                        ended.append(tid)
+                    if collect:
+                        trace(t, "complete", None, tid)
+                        trace(t, "retire" if last else "delay", None, tid)
             zero_length.clear()
         while stale and queued[ready[0] & mask] != ready[0]:
             heapq.heappop(ready)
