@@ -27,47 +27,60 @@ job's absolute deadline (-1 when none) and remaining work.  The deadline
 identifies the job: job k of a task is released at k times its period, so no
 two of its jobs share one.  No object is built per release.  The ready heap
 holds one integer per waiting job, which packs (period, time, kind, task) so
-that integer order is that tuple's order; each task's table entry keeps the
-key of its job's entry.  An abandoned job's entry goes stale and is dropped
-when it reaches the top; a count of stale entries skips the test while there
-are none.  Deadlines sit in buckets keyed by absolute instant, each a list of
-task ids in release order, with a heap of the distinct instants: one heap
-entry per bucket, not per job.  A bucket entry is stale once its deadline is
-not its task's live one.  The earliest live deadline is found by dropping
-stale tails of the head bucket and emptied buckets; the abandon pass takes the
-live tasks of the bucket at the current instant in ascending task id.  A task
-retires once a job with a deadline of at least its final one ends, which is
-one comparison.  The running job completes inline in the loop; its task's last
-job and the late jobs of an instant end through one helper over a sequence of
-them.  A job with no work is never live: it gets no live deadline, remaining
-work, ready-heap key or bucket, and the ones released at an instant complete
-in bulk when it settles.  Such a job is its task's last iff it is released at
-the release limit times the period or later, so before the least such instant
-over the tasks with no work, the batch joins the list below without a per-job
-test.  Either way, each task retires after its last release, and the rest join
-one list of the tasks whose jobs ended since the last interrupt instant.  That
-list is delayed in one dispatcher call at the next interrupt instant, before
-any timer fires, and once more when the run ends.  Delaying a job there, with
-the last interrupt instant as ``now``, is exact: every timer period divides
-its tasks' periods and the timer fires at each of its multiples, so no release
-of any task lies strictly between two interrupt instants, and each job's next
-release is the one it had when it ended.  Only interrupts read the delayed
-containers, and the inserts keep their order, so positions, counters and skips
-are those of delaying each job as it ends.
+that integer order is that tuple's order; each task's table entry keeps the key
+of its job's entry.  An abandoned job's entry goes stale and is dropped when it
+reaches the top; a count of stale entries skips the test while there are none.
+Deadlines sit in buckets keyed by absolute instant, each a list of task ids in
+release order, with a heap of the distinct instants: one heap entry per bucket,
+not per job.  A bucket entry is stale once its deadline is not its task's live
+one.  Buckets are never cleaned: the run stops at every bucket instant, and the
+abandon pass there pops the bucket and takes its live tasks in ascending task
+id.  A stop at a bucket whose jobs have all ended changes nothing: it emits no
+event and charges no counter, releases come only at interrupts so it cannot
+preempt, while a job of equal period waits the run stops at every unit anyway
+so it cannot slice, and the overhead, busy and idle time add up the same across
+the split.  A task retires once a job with a deadline of at least its final one
+ends, which is one comparison.  The running job completes inline in the loop;
+its task's last job and the late jobs of an instant end through one helper over
+a sequence of them.  A job with no work is never live: it gets no live
+deadline, remaining work, ready-heap key or bucket, and the ones released at an
+instant complete in bulk when it settles.  Such a job is its task's last iff it
+is released at the release limit times the period or later, so before the least
+such instant over the tasks with no work, the batch joins the list below
+without a per-job test.  Either way, each task retires after its last release,
+and the rest join one list of the tasks whose jobs ended since the last
+interrupt instant.  That list is delayed in one dispatcher call at the next
+interrupt instant, before any timer fires, and once more when the run ends.
+Delaying a job there, with the last interrupt instant as ``now``, is exact:
+every timer period divides its tasks' periods and the timer fires at each of
+its multiples, so no release of any task lies strictly between two interrupt
+instants, and each job's next release is the one it had when it ended.  Only
+interrupts read the delayed containers, and the inserts keep their order, so
+positions, counters and skips are those of delaying each job as it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
-job, the abandon pass, which is skipped unless the earliest deadline is due,
-zero-length jobs, the scheduling decision) and then takes one step.  The step
-takes the next event time as a running minimum of four instants: the next
-tick, the running job's completion t_c (now plus the overhead backlog plus its
-remaining work), the earliest live deadline and the slice boundary t + 1
-(only while a job of equal period waits; one at t_c has no effect, the job
-completes first).  The run advances there, spending the backlog as overhead
-time first, then the running job's work as busy time, and the rest as idle
-time; interrupts due at the new instant then fire and their releases are
-admitted.  If the next event lies past the horizon, the run advances to the
-horizon instead and stops; with no horizon it stops once every task has
-retired.
+job, the abandon pass, which is skipped unless a bucket is due, zero-length
+jobs, the scheduling decision), then runs a segment, and then takes one step.
+Jobs are released only at interrupt instants, so up to the segment's stop, the
+least of the next tick, the first bucket instant and the horizon, the ready
+jobs only run one after another.  The segment spends the overhead backlog first
+and then completes jobs at t_c = t + remaining work: a job ends inline (its
+task's last job through the helper), stale heads of the ready heap are dropped
+and the next job starts, with no full pass.  It ends before a completion at or
+past the stop, and before one past the slice boundary t + 1 while a job of
+equal period waits.  The stop is strict: a completion at a tick comes after
+that instant's interrupts, which decide its delay batch and next release; one
+at a bucket instant needs that instant's abandon pass before the next job
+starts; and the horizon cut stays where it is.  The step takes the next event
+time as a running minimum of four instants: the next tick, the running job's
+completion t_c (now plus the overhead backlog plus its remaining work), the
+first bucket instant and the slice boundary (only while a job of equal period
+waits; one at t_c has no effect, the job completes first).  The run advances
+there, spending the backlog as overhead time first, then the running job's work
+as busy time, and the rest as idle time; interrupts due at the new instant then
+fire and their releases are admitted.  If the next event lies past the horizon,
+the run advances to the horizon instead and stops; with no horizon it stops
+once every task has retired.
 
 Traces: ``events`` is the one event stream, cut at ``trace_limit`` events;
 ``events_dropped`` counts the events past the limit.
@@ -101,9 +114,10 @@ from .model import (
     single_timer_mapping,
 )
 
-# Most interrupts plus round-robin slice steps one run may take.  Far above
-# every shipped preset, it turns a configuration that would loop for years
-# into a configuration error.
+# Most interrupts plus round-robin slice steps one run may take; every other
+# pass or segment step of the loop ends a job those interrupts released or
+# stops at its deadline.  Far above every shipped preset, it turns a
+# configuration that would loop for years into a configuration error.
 INTERRUPT_LIMIT = 10**8
 
 
@@ -370,20 +384,6 @@ def run(config: SimConfig) -> SimMetrics:
                 trace(now, "miss" if missed else "complete", None, tid)
                 trace(now, "retire" if last else "delay", None, tid)
 
-    def earliest_deadline() -> int:
-        """The earliest live deadline (``TIME_MAX`` when none); stale bucket
-        tails and emptied buckets are dropped on the way."""
-        while instants:
-            instant = instants[0]
-            bucket = buckets[instant]
-            while bucket:
-                if live[bucket[-1]] == instant:
-                    return instant
-                bucket.pop()
-            heapq.heappop(instants)
-            del buckets[instant]
-        return TIME_MAX
-
     def admit_releases(now: int, tids: list[int]) -> None:
         """Release a job of each task in ``tids``, all of them at ``now``.
 
@@ -435,9 +435,9 @@ def run(config: SimConfig) -> SimMetrics:
                     trace(t, "complete", None, running)
                     trace(t, "delay", None, running)
             running = None
-        if instants and instants[0] <= t and earliest_deadline() <= t:
-            # No live deadline lies before t (each one is an event time), so
-            # the head bucket is the one at t.
+        if instants and instants[0] <= t:
+            # Every bucket instant is an event time, so the head is the
+            # bucket at t; its entries may all be stale.
             deadline = heapq.heappop(instants)
             late = sorted(tid for tid in buckets.pop(deadline)
                           if live[tid] == deadline)
@@ -487,26 +487,69 @@ def run(config: SimConfig) -> SimMetrics:
                 running = heapq.heappushpop(ready, key) & mask
                 running_since = t
 
+        # Segment: up to the next tick, the first bucket instant or the
+        # horizon, nothing is released and no bucket is added, so jobs run to
+        # completion one after another and each completion settles alone: the
+        # job ends, stale heads are dropped and the next job starts.  A
+        # completion at the stop itself is left to the pass, after that
+        # instant's interrupts or before its abandon pass; so is a completion
+        # past a slice boundary, while a job of equal period waits.
+        if running is not None:
+            stop = next_tick if next_tick < end else end
+            if instants and instants[0] < stop:
+                stop = instants[0]
+            backlog = pending_cost // scale  # pending_cost stays 0 unless as_time
+            start = t
+            t_c = t + backlog + remaining[running]
+            while t_c < stop:
+                if t + 1 < t_c:
+                    while stale and queued[ready[0] & mask] != ready[0]:
+                        heapq.heappop(ready)
+                        stale -= 1
+                    if ready and ready[0] < past_key[running]:
+                        break
+                t = t_c
+                if live[running] >= final_deadline[running]:
+                    end_jobs((running,), t, False)
+                else:
+                    live[running] = -1
+                    jobs_completed += 1
+                    ended.append(running)
+                    if collect:
+                        trace(t, "complete", None, running)
+                        trace(t, "delay", None, running)
+                while stale and queued[ready[0] & mask] != ready[0]:
+                    heapq.heappop(ready)
+                    stale -= 1
+                if not ready:
+                    running = None
+                    break
+                running = heapq.heappop(ready) & mask
+                running_since = t
+                t_c = t + remaining[running]
+            if t > start:
+                # The first completion spent the whole backlog.
+                pending_cost -= backlog * scale
+                overhead_time += backlog
+                busy_time += t - start - backlog
+
         # Step: the next event is the earliest of the next tick, the running
-        # job's completion, the earliest live deadline and the slice boundary.
+        # job's completion, the first bucket instant and the slice boundary.
         # Unless the run has ended, some timer always fires next.
         if horizon is None and retired == n_tasks:
             break
-        backlog = pending_cost // scale  # pending_cost stays 0 unless as_time
+        backlog = pending_cost // scale
         t_next = next_tick
         if running is not None:
             t_c = t + backlog + remaining[running]
             if t_c < t_next:
                 t_next = t_c
-        # Every bucket, stale or live, is no earlier than the top instant.
         if instants and instants[0] < t_next:
-            deadline = earliest_deadline()
-            if deadline < t_next:
-                t_next = deadline
+            t_next = instants[0]
         # A job starts at the current instant or earlier (running_since <= t),
         # so its slice boundary max(running_since + 1, t + 1) is t + 1; one at
         # the job's completion itself has no effect, the job completes first.
-        # The rarely true t + 1 < t_next goes first to skip the ready-heap walk.
+        # t + 1 < t_next, false more often than a job runs, goes first.
         # No waiting job has a shorter period than the running one, so a head
         # below the next period's keys has an equal period.
         if t + 1 < t_next and running is not None:

@@ -1329,18 +1329,107 @@ class TestSpecDispatcher:
                 preset, factor, strategy.value)
 
 
+# name: ((wcet, period, deadline, releases limit) per task, timer period,
+#        horizon, other settings, total time, events that must occur in this
+#        order, as (time, kind, task)).  Every group is a harmonic chain.
+SEGMENT_CASES = {
+    # Task 1 ends at 3 inside the first segment; task 2's job runs across
+    # the tick at 5, which ends the segment, and the next one ends it at 7.
+    "next_tick": (
+        ((3, 10, 10, None), (4, 20, 20, None), (2, 40, 40, None)), 5, 20, {}, 20,
+        [(3, "complete", 1), (5, "interrupt", None), (7, "complete", 2),
+         (9, "complete", 3)]),
+    # Task 2 ends at the tick at 5: after that instant's interrupt and
+    # release, with the release's batch still to come.
+    "completion_at_tick": (
+        ((2, 5, 5, None), (3, 10, 10, None)), 5, 10, {}, 10,
+        [(5, "interrupt", None), (5, "release", 1), (5, "complete", 2),
+         (5, "delay", 2)]),
+    # Two completions inside the segment, then the horizon cuts task 3.
+    "horizon_mid_segment": (
+        ((3, 10, 10, None), (3, 20, 20, None), (3, 40, 40, None)), 10, 7, {}, 7,
+        [(3, "complete", 1), (6, "complete", 2)]),
+    # Task 2 ends at the horizon itself, which the segment leaves to the pass.
+    "completion_at_horizon": (
+        ((3, 10, 10, None), (3, 20, 20, None), (3, 40, 40, None)), 10, 6, {}, 6,
+        [(3, "complete", 1), (6, "complete", 2)]),
+    # Task 2's deadline at 4 ends the segment while its job runs late.
+    "late_job_at_bucket": (
+        ((3, 5, 5, None), (2, 10, 4, None)), 5, 10, {}, 10,
+        [(3, "complete", 1), (4, "miss", 2), (5, "interrupt", None)]),
+    # Task 2 ends at 2, before its deadline 4, and task 4 at 9, before its
+    # deadline 12.  Task 3's job runs across 4, and the backlog left by the
+    # interrupt at 10 runs across 12: both stop at a bucket with no live job.
+    "bucket_of_ended_jobs": (
+        ((1, 10, 10, None), (1, 20, 4, None), (6, 40, 40, None),
+         (1, 80, 12, None)), 10, 40,
+        {"overhead_as_time": True, "time_scale": 4}, 40,
+        [(1, "complete", 1), (2, "complete", 2), (8, "complete", 3),
+         (9, "complete", 4), (10, "interrupt", None), (24, "miss", 2)]),
+    # Tasks 1 and 2 share a period and slice until one unit is left; task 3
+    # then runs to completion inside the segment.
+    "equal_period_waits": (
+        ((2, 10, 10, None), (2, 10, 10, None), (3, 20, 20, None)), 10, 20, {}, 20,
+        [(3, "complete", 1), (4, "complete", 2), (7, "complete", 3),
+         (13, "complete", 1), (14, "complete", 2)]),
+    # Task 3 is abandoned at 2 while it waits behind task 2.  Its stale
+    # entry heads the ready heap once task 2 ends at 4, inside the segment,
+    # and dropping it empties the heap.
+    "empty_ready_heap": (
+        ((3, 5, 5, None), (1, 10, 10, None), (2, 20, 2, None)), 5, 10, {}, 10,
+        [(2, "miss", 3), (3, "complete", 1), (4, "complete", 2),
+         (5, "interrupt", None)]),
+    # Each task's last job retires inside a segment; the run ends at 13.
+    "last_job_retires": (
+        ((2, 5, 5, 1), (3, 10, 10, 1)), 5, None, {}, 13,
+        [(7, "complete", 1), (7, "retire", 1), (13, "complete", 2),
+         (13, "retire", 2)]),
+}
+
+
+class TestSegments:
+    """Between two interrupt instants ``sim.run`` completes jobs one after
+    another without a full pass.  One small run per way such a segment ends,
+    against ``reference_run`` over both dispatchers, traced and untraced."""
+
+    @pytest.mark.parametrize("collect", [False, True])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("name", list(SEGMENT_CASES))
+    def test_segment_stop_matches_the_reference(self, name, strategy, collect):
+        specs, timer_period, horizon, settings_, total_time, expected = (
+            SEGMENT_CASES[name])
+        ts = tasks_of(*specs)
+        config = SimConfig(task_set=ts, strategy=strategy,
+                           mapping=single_timer_mapping(ts, period=timer_period),
+                           horizon=horizon, collect_trace=collect,
+                           check_invariants=True, **settings_)
+        metrics = run(config)
+        assert dataclasses.asdict(metrics) == dataclasses.asdict(
+            reference_run(config))
+        assert metrics == reference_run(config, SPEC_DISPATCHER)
+        assert metrics.total_time == total_time
+        if collect:
+            # Each search resumes after the previous match: an ordered subsequence.
+            seen = iter((t, kind, tid) for t, kind, _, tid in metrics.events)
+            assert all(event in seen for event in expected), expected
+
+
 # The largest hyperperiod ``rate_monotonic_sets`` draws: every run goes to
 # the hyperperiod, and the baseline ticks at the periods' GCD, often 1.
 RTA_HYPERPERIOD = 2520
 
 
 @st.composite
-def rate_monotonic_sets(draw):
-    """1..6 tasks with distinct periods in 2..39 and a hyperperiod of at most
+def rate_monotonic_sets(draw, equal_periods=False):
+    """1..6 tasks with periods in 2..39 and a hyperperiod of at most
     ``RTA_HYPERPERIOD``, wcet 0..period/2 (zero-length jobs included),
-    deadline 1..period and no release limit."""
+    deadline 1..period and no release limit.  The periods are distinct unless
+    ``equal_periods``; then each task after the first may repeat one."""
     periods = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if equal_periods and periods and draw(st.booleans()):
+            periods.append(draw(st.sampled_from(periods)))
+            continue
         fits = [p for p in range(2, 40) if p not in periods
                 and math.lcm(p, *periods) <= RTA_HYPERPERIOD]
         if not fits:
@@ -1349,6 +1438,21 @@ def rate_monotonic_sets(draw):
     return tasks_of(*[(draw(st.integers(min_value=0, max_value=p // 2)), p,
                        draw(st.integers(min_value=1, max_value=p)), None)
                       for p in periods])
+
+
+def runs_to_hyperperiod(task_set):
+    """(strategy, metrics) of the baseline at the periods' GCD and of chronos
+    and chronos-const with one timer per task, each run to the hyperperiod."""
+    own_timers = Mapping(
+        timers=tuple(TimerConfig(task.id, task.period) for task in task_set.tasks),
+        assignment={task.id: task.id for task in task_set.tasks})
+    for strategy in (Strategy.BASELINE, Strategy.CHRONOS, Strategy.CHRONOS_CONST):
+        mapping = (single_timer_mapping(
+            task_set, period=math.gcd(*task_set.periods()))
+            if strategy is Strategy.BASELINE else own_timers)
+        yield strategy, run(SimConfig(
+            task_set=task_set, strategy=strategy, mapping=mapping,
+            horizon=hyperperiod(task_set), collect_trace=False))
 
 
 class TestResponseTimeAnalysis:
@@ -1366,19 +1470,29 @@ class TestResponseTimeAnalysis:
         tasks = sorted(task_set.tasks, key=lambda task: task.period)
         failing = [task.id for i, task in enumerate(tasks)
                    if response_time(task, tasks[:i]) > task.deadline]
-        own_timers = Mapping(
-            timers=tuple(TimerConfig(task.id, task.period) for task in tasks),
-            assignment={task.id: task.id for task in tasks})
-        for strategy in (Strategy.BASELINE, Strategy.CHRONOS,
-                         Strategy.CHRONOS_CONST):
-            mapping = (single_timer_mapping(
-                task_set, period=math.gcd(*task_set.periods()))
-                if strategy is Strategy.BASELINE else own_timers)
-            metrics = run(SimConfig(
-                task_set=task_set, strategy=strategy, mapping=mapping,
-                horizon=hyperperiod(task_set), collect_trace=False))
+        for strategy, metrics in runs_to_hyperperiod(task_set):
             missed = {tid for _, tid in metrics.miss_events}
             assert bool(missed) == bool(failing), strategy.value
             if failing:
                 first = next(task.id for task in tasks if task.id in missed)
                 assert first == failing[0], strategy.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(task_set=rate_monotonic_sets(equal_periods=True))
+    def test_round_robin_lies_between_two_recurrences(self, task_set):
+        # Tasks of equal period share the CPU in one-unit slices.  Counted
+        # as higher priority, a task's peers give an upper bound on its
+        # response time: each has one job in a window of at most its period.
+        # Left out, they give a lower bound: if no job missed, every job of
+        # a shorter period would run in full ahead of the task's first job.
+        upper = [response_time(task, [h for h in task_set.tasks
+                                      if h.period <= task.period and h is not task])
+                 > task.deadline for task in task_set.tasks]
+        lower = [response_time(task, [h for h in task_set.tasks
+                                      if h.period < task.period])
+                 > task.deadline for task in task_set.tasks]
+        for strategy, metrics in runs_to_hyperperiod(task_set):
+            if any(lower):
+                assert metrics.miss_events, strategy.value
+            if not any(upper):
+                assert not metrics.miss_events, strategy.value
