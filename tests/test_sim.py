@@ -1334,13 +1334,14 @@ class TestSpecDispatcher:
 #        order, as (time, kind, task)).  Every group is a harmonic chain.
 SEGMENT_CASES = {
     # Task 1 ends at 3 inside the first segment; task 2's job runs across
-    # the tick at 5, which ends the segment, and the next one ends it at 7.
+    # the tick at 5, which ends the segment, and the next segment completes
+    # tasks 2 and 3 at 7 and 9.
     "next_tick": (
         ((3, 10, 10, None), (4, 20, 20, None), (2, 40, 40, None)), 5, 20, {}, 20,
         [(3, "complete", 1), (5, "interrupt", None), (7, "complete", 2),
          (9, "complete", 3)]),
-    # Task 2 ends at the tick at 5: after that instant's interrupt and
-    # release, with the release's batch still to come.
+    # Task 2 ends at the tick at 5, which the segment leaves to the pass:
+    # after that instant's interrupt and release.
     "completion_at_tick": (
         ((2, 5, 5, None), (3, 10, 10, None)), 5, 10, {}, 10,
         [(5, "interrupt", None), (5, "release", 1), (5, "complete", 2),
