@@ -54,10 +54,16 @@ same totals as one call per job.  The simulator passes that instant as
 ``now``: no task's release lies strictly between two interrupt instants (each
 timer fires at every multiple of its period, which divides its tasks'
 periods), so each job's next release is the same as at its own end, and no
-routine reads a container between two interrupts.
+routine reads a container between two interrupts.  The batch is walked in
+runs: maximal stretches of consecutive tasks with one timer and one period,
+which share one next release.  A run enters its list with one bisection and
+one slice insert into each of ``keys`` and ``queue``, at the positions that
+one insert per task, each after its ties, would reach; a run of one is a
+plain insert.
 
-The per-task and per-timer runtimes are slotted dataclasses, and each task's
-runtime holds a reference to its timer's.
+The per-task and per-timer runtimes are slotted dataclasses.  Each task's
+runtime holds its run key, a (timer runtime, period) tuple shared by every
+task of that timer and period.
 """
 
 from __future__ import annotations
@@ -157,8 +163,7 @@ class _TimerRuntime:
 
 @dataclass(slots=True)
 class _TaskRuntime:
-    period: int
-    timer: _TimerRuntime
+    run: tuple[_TimerRuntime, int]  # the run key: the task's timer and period
     next_release: int = 0
     delayed: bool = False
 
@@ -196,9 +201,13 @@ class DispatcherState:
         self.timers: dict[int, _TimerRuntime] = {}
         for tc in sorted(mapping.timers, key=lambda c: c.id):
             self.timers[tc.id] = _TimerRuntime(timer_id=tc.id, period=tc.period)
+        # Tasks of one timer and one period share one run key object, so a
+        # batch finds the ends of its runs by identity.
+        runs: dict[tuple[int, int], tuple[_TimerRuntime, int]] = {}
         for task in task_set.tasks:
-            self.tasks[task.id] = _TaskRuntime(
-                period=task.period, timer=self.timers[mapping.assignment[task.id]])
+            timer = self.timers[mapping.assignment[task.id]]
+            self.tasks[task.id] = _TaskRuntime(runs.setdefault(
+                (timer.timer_id, task.period), (timer, task.period)))
         # The container kind, the one place a strategy picks its charges:
         # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
         # or "slot" arrays (chronos-harmonic).
@@ -326,39 +335,71 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     same.  The simulator passes the last interrupt instant, and every job in
     the batch ended before the next one.  Each task enters its timer's
     container as if delayed alone: a list task goes after every entry due no
-    later, a slot owner just sets its ``delayed`` flag.  A sorted list is
-    charged one ``sorted_insert_step`` per entry it passes (the insert
-    position), an unsorted list one ``list_append`` and a slot array one
-    ``slot_write``.  Each also costs one ``comparison`` to refresh the
-    timer's earliest release, which the guard reads; a slot write is charged
-    it too, though a slot array has no guard.  The charges reach the
-    counters once per call, with the totals of one call per task; an empty
-    sequence changes nothing.
+    later, a slot owner just sets its ``delayed`` flag.  The batch is taken
+    one run at a time, a run being a maximal stretch of consecutive tasks
+    with one timer and one period: its release is computed once, and a list
+    receives the whole run by one slice insert at the bisection point after
+    its ties, where n inserts one by one would put it.  A task already
+    delayed raises ``InvariantViolation`` once the tasks before it are in
+    their containers.  A sorted list is charged one ``sorted_insert_step``
+    per entry it passes (the insert position; n * pos + n * (n - 1) / 2 for
+    a run of n landing at pos), an unsorted list one ``list_append`` and a
+    slot array one ``slot_write``.  Each also costs one ``comparison`` to
+    refresh the timer's earliest release, which the guard reads; a slot write
+    is charged it too, though a slot array has no guard.  The charges reach
+    the counters once per call, with the totals of one call per task; an
+    empty sequence changes nothing.
     """
     tasks = state.tasks
-    check = state.check_invariants
-    container = state.container
-    listed = container != "slot"
     steps = 0  # the summed insert positions
+    run: list[int] = []  # the run in progress, due at ``release`` on ``ts``
+    key = ts = release = None
     for tid in task_ids:
         entry = tasks[tid]
+        if entry.run is not key:
+            if run:
+                steps += _delay_run(state, ts, release, run)
+            key = entry.run
+            ts, period = key
+            release = (now // period + 1) * period
+            run = []
         if entry.delayed:
+            _delay_run(state, ts, release, run)
             raise InvariantViolation(f"task {tid} is already delayed")
-        period = entry.period
-        next_release = entry.next_release = (now // period + 1) * period
+        entry.next_release = release
         entry.delayed = True
-        ts = entry.timer
-        if listed:
-            keys = ts.keys
-            pos = bisect_right(keys, next_release)
-            steps += pos
-            keys.insert(pos, next_release)
-            ts.queue.insert(pos, tid)
-        if check:
-            state._check(ts.timer_id)
+        run.append(tid)
+    if run:
+        steps += _delay_run(state, ts, release, run)
     counts = state.delay_counts
     counts["comparison"] += len(task_ids)
+    container = state.container
     if container == "sorted":
         counts["sorted_insert_step"] += steps
+    elif container == "append":
+        counts["list_append"] += len(task_ids)
     else:
-        counts["list_append" if listed else "slot_write"] += len(task_ids)
+        counts["slot_write"] += len(task_ids)
+
+
+def _delay_run(state: DispatcherState, ts: _TimerRuntime, release: int,
+               run: list[int]) -> int:
+    """Put a run due at ``release`` into its timer's container.
+
+    A list receives it after its entries due no later, by one slice insert
+    into each of ``keys`` and ``queue``.  Returns the summed positions of one
+    insert per task, each after its ties: the first lands at the bisection
+    point and each next one just behind it.  A slot array holds nothing but
+    its owners' flags, so it receives nothing, and the sum is 0.
+    """
+    steps = 0
+    if state.container != "slot":
+        keys = ts.keys
+        pos = bisect_right(keys, release)
+        n = len(run)
+        keys[pos:pos] = [release] * n
+        ts.queue[pos:pos] = run
+        steps = n * pos + n * (n - 1) // 2
+    if state.check_invariants:
+        state._check(ts.timer_id)
+    return steps

@@ -241,6 +241,18 @@ class TestDelayTask:
         with pytest.raises(InvariantViolation):
             delay_task(state, [1], 0)
 
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_double_delay_in_a_run_leaves_the_tasks_before_it_delayed(self, strategy):
+        # Tasks 1-3 form one run; the second 2 raises with 1-3 in place.
+        state = build_state([6, 6, 6], 3, strategy)
+        with pytest.raises(InvariantViolation, match="task 2 is already delayed"):
+            delay_task(state, [1, 2, 3, 2], 0)
+        single = build_state([6, 6, 6], 3, strategy)
+        for tid in (1, 2, 3):
+            delay_task(single, [tid], 0)
+        # Containers and tasks only: a raising call charges nothing.
+        assert state_snapshot(state)[:2] == state_snapshot(single)[:2]
+
     def test_updates_cached_timer_next_release(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
         delay_task(state, [2], 0)
@@ -357,7 +369,7 @@ class TestBatchContract:
     """One call over a batch leaves the state of one call per task, in order."""
 
     @staticmethod
-    def build(strategy, periods, on_second):
+    def build(strategy, periods, on_second, check):
         # Timer 1 (period 1) takes every task the draw did not move to timer 2
         # (period 2); periods are powers of two, so every group is harmonic.
         ts = TaskSet(tuple(
@@ -373,17 +385,26 @@ class TestBatchContract:
                 assignment={t.id: 2 if t.period > 1 and t.id in on_second else 1
                             for t in ts.tasks},
             )
-        return DispatcherState(ts, mapping, strategy, check_invariants=True)
+        return DispatcherState(ts, mapping, strategy, check_invariants=check)
 
+    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
-    def test_batch_equals_one_call_per_task(self, strategy, data):
-        periods = data.draw(st.lists(st.sampled_from([1, 2, 4, 8]),
-                                     min_size=1, max_size=8), label="periods")
-        on_second = data.draw(st.sets(st.integers(1, len(periods))), label="on_second")
-        batched = self.build(strategy, periods, on_second)
-        single = self.build(strategy, periods, on_second)
+    def test_batch_equals_one_call_per_task(self, strategy, check, data):
+        # Tasks come in blocks of one period and one timer, and a batch may
+        # keep task order, so that runs of one timer and period grow long.
+        blocks = data.draw(st.lists(
+            st.tuples(st.sampled_from([1, 2, 4, 8]), st.integers(1, 12), st.booleans()),
+            min_size=1, max_size=8), label="blocks")
+        periods, on_second = [], set()
+        for period, size, second in blocks:
+            for _ in range(min(size, 40 - len(periods))):
+                periods.append(period)
+                if second:
+                    on_second.add(len(periods))
+        batched = self.build(strategy, periods, on_second, check)
+        single = self.build(strategy, periods, on_second, check)
         ready = list(range(1, len(periods) + 1))
         for now in range(data.draw(st.integers(1, 24), label="instants")):
             if now:
@@ -395,10 +416,32 @@ class TestBatchContract:
                         ready.extend(released)
             batch = data.draw(st.lists(st.sampled_from(ready), unique=True)
                               if ready else st.just([]), label=f"batch at {now}")
+            if data.draw(st.booleans(), label=f"task order at {now}"):
+                batch.sort()
             delay_task(batched, batch, now)
             for tid in batch:
                 delay_task(single, [tid], now)
             ready = [tid for tid in ready if tid not in batch]
+            assert state_snapshot(batched) == state_snapshot(single)
+
+    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("periods, on_second, batches", [
+        # One period on two timers: the timer ends the run at task 3.
+        ([2, 2, 2, 2], {3, 4}, [(0, [1, 2, 3, 4])]),
+        # Runs a a b a, all due at 2: the reopened run goes after b.
+        ([2, 2, 1, 2], set(), [(1, [1, 2, 3, 4])]),
+        # A run due at 2 lands after the two entries already due at 2.
+        ([2, 2, 4, 2, 2, 2], set(), [(0, [1, 2, 3]), (1, [4, 5, 6])]),
+    ], ids=["timer-splits-run", "run-reopened", "run-among-ties"])
+    def test_runs_equal_one_call_per_task(self, strategy, check, periods,
+                                          on_second, batches):
+        batched = self.build(strategy, periods, on_second, check)
+        single = self.build(strategy, periods, on_second, check)
+        for now, batch in batches:
+            delay_task(batched, batch, now)
+            for tid in batch:
+                delay_task(single, [tid], now)
             assert state_snapshot(batched) == state_snapshot(single)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
