@@ -205,7 +205,8 @@ class Mapping:
         if assigned != task_ids:
             raise UsageError(
                 f"every task must be assigned to exactly one timer; "
-                f"missing={sorted(task_ids - assigned)}, unknown={sorted(assigned - task_ids)}"
+                f"missing={_few(sorted(task_ids - assigned))}, "
+                f"unknown={_few(sorted(assigned - task_ids))}"
             )
         timer_period = {tc.id: tc.period for tc in self.timers}
         timer_periods = map(timer_period.__getitem__,

@@ -227,6 +227,17 @@ class TestMapping:
         assert str(exc.value) == ("every task must be assigned to exactly one "
                                   "timer; missing=[1, 3], unknown=[5, 7]")
 
+    def test_completeness_error_names_at_most_five_ids_of_each_kind(self):
+        ts = make_task_set([2] * 100)
+        partial = Mapping(timers=(TimerConfig(1, 2),),
+                          assignment={t: 1 for t in (1, *range(101, 108))})
+        with pytest.raises(UsageError) as exc:
+            partial.validate(ts)
+        assert str(exc.value) == (
+            "every task must be assigned to exactly one timer; "
+            "missing=[2, 3, 4, 5, 6, ...] (99 in all), "
+            "unknown=[101, 102, 103, 104, 105, ...] (7 in all)")
+
     def test_unknown_timer_named_first_in_assignment_order(self):
         with pytest.raises(UsageError) as exc:
             Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 4)),
