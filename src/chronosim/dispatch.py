@@ -37,10 +37,16 @@ removes it from both.  The early-exit guard reads the head of the keys.  An
 unsorted list would release the same tasks, in another order, and the
 simulator orders the releases of an instant itself, so chronos-const keeps
 the sorted container and charges what an append and a full scan cost.  A
-harmonic timer keeps no list: its slot array is its tasks' ``delayed``
-flags, walked in (period, task id) order.  Checked mode verifies that the
-keys are the queue's next releases in order, and that no delayed slot owner
-is due at or before its timer's tick.
+harmonic timer keeps no list: its slot array is its owners' next releases,
+walked in (period, task id) order, and a due slot is occupied iff its
+owner's next release is that tick.  Checked mode verifies that the keys are
+the queue's next releases in order and all after the timer's tick, and that
+a slot tick released every owner due since the timer's previous tick.
+
+A task keeps no delayed flag.  As in FreeRTOS, where the wake time in a
+task's list item is all that says it still waits, a task is delayed iff its
+next release is after its timer's tick: a delay sets a release after the
+tick, and a tick releases exactly the tasks whose release it reaches.
 
 There are two routines, ``tick`` and ``delay_task``.  Each state maps its
 strategy once, at construction, to a container kind (``"sorted"``,
@@ -61,9 +67,10 @@ one slice insert into each of ``keys`` and ``queue``, at the positions that
 one insert per task, each after its ties, would reach; a run of one is a
 plain insert.
 
-The per-task and per-timer runtimes are slotted dataclasses.  Each task's
-runtime holds its run key, a (timer runtime, period) tuple shared by every
-task of that timer and period.
+The per-timer runtimes are slotted dataclasses.  The per-task state is two
+lists on the dispatcher state, indexed by task id (ids are dense 1..n):
+``next_release``, and ``run_of``, the task's run key, a (timer runtime,
+period) tuple shared by every task of that timer and period.
 """
 
 from __future__ import annotations
@@ -161,20 +168,15 @@ class _TimerRuntime:
     slot_periods: tuple[int, ...] = ()
 
 
-@dataclass(slots=True)
-class _TaskRuntime:
-    run: tuple[_TimerRuntime, int]  # the run key: the task's timer and period
-    next_release: int = 0
-    delayed: bool = False
-
-
 class DispatcherState:
     """Per-timer tick counters and delayed-task containers.
 
     Single-threaded by contract; the simulator owns it exclusively.  Every
-    task starts ready, that is, in no container: the first ``delay_task`` of a
-    task puts it in one.  A delayed-list insert finds its position by binary
-    search; a sorted strategy's modelled cost charges the position.
+    task starts ready, that is, in no container, because every next release
+    and every tick starts at 0: the first ``delay_task`` of a task puts it in
+    one.  ``next_release`` and ``run_of`` are indexed by task id; index 0 is
+    unused.  A delayed-list insert finds its position by binary search; a
+    sorted strategy's modelled cost charges the position.
     The mapping must already be validated against the task set
     (:meth:`Mapping.validate`); :func:`.sim.run` does that once per run.
     """
@@ -197,17 +199,18 @@ class DispatcherState:
         self.interrupt_counts = dict.fromkeys(COUNTERS, 0)
         self.delay_counts = dict.fromkeys(COUNTERS, 0)
         self.skip_events: list[tuple[int, int, int]] = []  # (tick, timer, task)
-        self.tasks: dict[int, _TaskRuntime] = {}
         self.timers: dict[int, _TimerRuntime] = {}
         for tc in sorted(mapping.timers, key=lambda c: c.id):
             self.timers[tc.id] = _TimerRuntime(timer_id=tc.id, period=tc.period)
         # Tasks of one timer and one period share one run key object, so a
         # batch finds the ends of its runs by identity.
         runs: dict[tuple[int, int], tuple[_TimerRuntime, int]] = {}
+        self.next_release: list[int] = [0] * (task_set.n + 1)
+        self.run_of: list[tuple[_TimerRuntime, int] | None] = [None] * (task_set.n + 1)
         for task in task_set.tasks:
             timer = self.timers[mapping.assignment[task.id]]
-            self.tasks[task.id] = _TaskRuntime(runs.setdefault(
-                (timer.timer_id, task.period), (timer, task.period)))
+            self.run_of[task.id] = runs.setdefault(
+                (timer.timer_id, task.period), (timer, task.period))
         # The container kind, the one place a strategy picks its charges:
         # "sorted" lists (baseline, chronos), "append" lists (chronos-const)
         # or "slot" arrays (chronos-harmonic).
@@ -222,25 +225,37 @@ class DispatcherState:
 
     # -- invariant checking ----------------------------------------------
 
-    def _check(self, timer_id: int) -> None:
-        """Checked mode only; both routines call it when ``check_invariants``."""
+    def _check(self, timer_id: int, released: list[int] | None = None) -> None:
+        """Checked mode only; both routines call it when ``check_invariants``.
+
+        Every tick must be a multiple of its timer's period.  A list's keys
+        must be its tasks' next releases, in order, and all after the tick: a
+        listed task due at or before it would read as ready while it waits.
+        ``tick`` on a slot array passes the owners it ``released``, and every
+        owner whose next release falls in (previous tick, tick] must be among
+        them: ``tick`` releases an owner only at a tick its slot is due at
+        and equal to its release, and an owner due since the previous tick
+        but not released would turn ready without ever being released.
+        """
         ts = self.timers[timer_id]
-        if ts.tick % ts.period != 0:
+        tick_ = ts.tick
+        if tick_ % ts.period != 0:
             raise InvariantViolation(
-                f"timer {timer_id}: tick {ts.tick} is not a multiple of {ts.period}"
+                f"timer {timer_id}: tick {tick_} is not a multiple of {ts.period}"
             )
+        next_release = self.next_release
         if self.container == "slot":
-            # ``tick`` reads no release of a slot array: it relies on each
-            # delayed owner being due after the last tick.
-            for owner in ts.slot_owners:
-                entry = self.tasks[owner]
-                if entry.delayed and entry.next_release <= ts.tick:
-                    raise InvariantViolation(
-                        f"timer {timer_id}, tick {ts.tick}: the slot of task "
-                        f"{owner} is occupied, due at {entry.next_release}"
-                    )
+            if released is not None:
+                previous = tick_ - ts.period
+                for owner in ts.slot_owners:
+                    due = next_release[owner]
+                    if previous < due <= tick_ and owner not in released:
+                        raise InvariantViolation(
+                            f"timer {timer_id}, tick {tick_}: the slot of task "
+                            f"{owner} is occupied, due at {due}"
+                        )
             return
-        pending = [self.tasks[t].next_release for t in ts.queue]
+        pending = [next_release[t] for t in ts.queue]
         if pending != sorted(pending):
             raise InvariantViolation(
                 f"timer {timer_id}: delayed list is not sorted: {pending}"
@@ -249,6 +264,11 @@ class DispatcherState:
             raise InvariantViolation(
                 f"timer {timer_id}: release keys {ts.keys} do not match "
                 f"the delayed list's next releases {pending}"
+            )
+        if pending and pending[0] <= tick_:
+            raise InvariantViolation(
+                f"timer {timer_id}: delayed task {ts.queue[0]} is due at "
+                f"{pending[0]}, not after tick {tick_}"
             )
 
 
@@ -261,18 +281,24 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
 
     Every interrupt pays its entry/exit and one tick increment.  A slot array
     releases its slots in period order until one is not due, one comparison
-    per inspected slot and one ``slot_write`` per released slot; a due slot
-    that is vacant means the task is still ready, so it is skipped and
-    recorded as a potential-deadline-miss observation.  It has no early-exit
-    guard: the slot with the smallest period is due at every interrupt of a
-    properly configured timer.  A list pays one comparison for the guard
-    against its earliest release (the head of its keys; an empty list always
-    exits) and stops there unless a task is due.  The due tasks, the prefix
+    per inspected slot and one ``slot_write`` per released slot.  A due slot
+    is occupied iff its owner's next release is this tick, and the owner is
+    released.  A due slot whose owner's next release is earlier is vacant:
+    the task is still ready, so it is skipped and recorded as a
+    potential-deadline-miss observation.  A due slot whose owner is delayed
+    to a later instant raises ``InvariantViolation``: the real array would
+    release that task now, early, so the model would no longer describe it.
+    A slot array has no early-exit guard: the slot with the smallest period
+    is due at every interrupt of a properly configured timer.  A list pays
+    one comparison for the guard against its earliest release (the head of
+    its keys; an empty list always exits) and stops there unless a task is
+    due.  The due tasks, the prefix
     of keys no later than the tick found by one bisection, are then removed,
     one ``list_remove`` each.  A sorted list is charged as if it popped them
     one by one: one comparison per due head plus one for the first pending
     head, if any.  An unsorted list is charged its full scan: one comparison
-    per entry.
+    per entry.  A released task's next release stays where it is, at or
+    before the tick, which is what makes it ready.
     """
     ts = state.timers[timer_id]
     counts = state.interrupt_counts
@@ -280,20 +306,24 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
     counts["tick_increment"] += 1
     ts.tick += ts.period
     tick_ = ts.tick
-    tasks = state.tasks
     released: list[int] = []
     if state.container == "slot":
+        next_release = state.next_release
         inspected = 0  # period-divisibility inspections
         for owner, slot_period in zip(ts.slot_owners, ts.slot_periods):
             inspected += 1
             if tick_ % slot_period != 0:
                 break
-            entry = tasks[owner]
-            if not entry.delayed:
+            due = next_release[owner]
+            if due == tick_:
+                released.append(owner)
+            elif due < tick_:
                 state.skip_events.append((tick_, timer_id, owner))
-                continue
-            entry.delayed = False
-            released.append(owner)
+            else:
+                raise InvariantViolation(
+                    f"timer {timer_id}, tick {tick_}: the slot of task {owner} "
+                    f"is due, but the task is delayed to {due}"
+                )
         counts["comparison"] += inspected
         counts["slot_write"] += len(released)  # one write per released slot
     else:
@@ -312,11 +342,9 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
             released = ts.queue[:due]
             del ts.queue[:due]
             del keys[:due]
-            for tid in released:
-                tasks[tid].delayed = False
     counts["ready_insert"] += len(released)
     if state.check_invariants:
-        state._check(timer_id)
+        state._check(timer_id, released)
     return released
 
 
@@ -335,39 +363,47 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
     same.  The simulator passes the last interrupt instant, and every job in
     the batch ended before the next one.  Each task enters its timer's
     container as if delayed alone: a list task goes after every entry due no
-    later, a slot owner just sets its ``delayed`` flag.  The batch is taken
+    later, a slot owner just takes its next release.  The batch is taken
     one run at a time, a run being a maximal stretch of consecutive tasks
-    with one timer and one period: its release is computed once, and a list
-    receives the whole run by one slice insert at the bisection point after
-    its ties, where n inserts one by one would put it.  A task already
-    delayed raises ``InvariantViolation`` once the tasks before it are in
-    their containers.  A sorted list is charged one ``sorted_insert_step``
-    per entry it passes (the insert position; n * pos + n * (n - 1) / 2 for
-    a run of n landing at pos), an unsorted list one ``list_append`` and a
-    slot array one ``slot_write``.  Each also costs one ``comparison`` to
-    refresh the timer's earliest release, which the guard reads; a slot write
-    is charged it too, though a slot array has no guard.  The charges reach
-    the counters once per call, with the totals of one call per task; an
-    empty sequence changes nothing.
+    with one timer and one period: its release is computed and its timer's
+    tick read once, and a list receives the whole run by one slice insert at
+    the bisection point after its ties, where n inserts one by one would put
+    it.  Two cases raise ``InvariantViolation``.  A run whose release is not
+    after its timer's tick raises before any of its tasks is written: such
+    a task would read as ready while it sat in a container.  A task already
+    delayed, that is, whose next release is after its timer's tick, raises
+    once the tasks before it are in their containers.  A sorted list is
+    charged one ``sorted_insert_step`` per entry it passes (the insert
+    position; n * pos + n * (n - 1) / 2 for a run of n landing at pos), an
+    unsorted list one ``list_append`` and a slot array one ``slot_write``.
+    Each also costs one ``comparison`` to refresh the timer's earliest
+    release, which the guard reads; a slot write is charged it too, though a
+    slot array has no guard.  The charges reach the counters once per call,
+    with the totals of one call per task; an empty sequence changes nothing.
     """
-    tasks = state.tasks
+    next_release = state.next_release
+    run_of = state.run_of
     steps = 0  # the summed insert positions
     run: list[int] = []  # the run in progress, due at ``release`` on ``ts``
-    key = ts = release = None
+    key = ts = release = tick_ = None
     for tid in task_ids:
-        entry = tasks[tid]
-        if entry.run is not key:
+        if run_of[tid] is not key:
             if run:
                 steps += _delay_run(state, ts, release, run)
-            key = entry.run
+            key = run_of[tid]
             ts, period = key
+            tick_ = ts.tick
             release = (now // period + 1) * period
+            if release <= tick_:
+                raise InvariantViolation(
+                    f"task {tid}: next release {release} is not after the "
+                    f"tick {tick_} of timer {ts.timer_id}"
+                )
             run = []
-        if entry.delayed:
+        if next_release[tid] > tick_:
             _delay_run(state, ts, release, run)
             raise InvariantViolation(f"task {tid} is already delayed")
-        entry.next_release = release
-        entry.delayed = True
+        next_release[tid] = release
         run.append(tid)
     if run:
         steps += _delay_run(state, ts, release, run)
@@ -390,7 +426,8 @@ def _delay_run(state: DispatcherState, ts: _TimerRuntime, release: int,
     into each of ``keys`` and ``queue``.  Returns the summed positions of one
     insert per task, each after its ties: the first lands at the bisection
     point and each next one just behind it.  A slot array holds nothing but
-    its owners' flags, so it receives nothing, and the sum is 0.
+    its owners' next releases, already written, so it receives nothing, and
+    the sum is 0.
     """
     steps = 0
     if state.container != "slot":

@@ -237,7 +237,7 @@ def test_criterion_6_cost_contracts():
             else:
                 now += 2
                 ready.update(tick(state, 1))
-            keys = [state.tasks[t].next_release for t in state.timers[1].queue]
+            keys = [state.next_release[t] for t in state.timers[1].queue]
             assert keys == sorted(keys)
 
 

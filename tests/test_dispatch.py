@@ -175,8 +175,16 @@ class TestTickChronosHarmonic:
 
     def test_slotted_task_already_due_detected_in_checked_mode(self):
         state = self.build_chain()
-        state.tasks[2].next_release = 3           # due at tick 3, yet slot 1 is not
+        state.next_release[2] = 3  # due at tick 3, yet slot 1 is not
         with pytest.raises(InvariantViolation, match="slot of task 2 is occupied, due at 3"):
+            tick(state, 1)
+
+    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+    def test_owner_delayed_past_its_due_slot_raises_at_that_tick(self, check):
+        state = build_state([3, 6, 12], 3, Strategy.CHRONOS_HARMONIC, check=check)
+        delay_task(state, [1], 3)  # due at 6, but its slot is due at tick 3
+        with pytest.raises(InvariantViolation,
+                           match="slot of task 1 is due, but the task is delayed to 6"):
             tick(state, 1)
 
     def test_inspections_bounded_by_group_size(self):
@@ -227,12 +235,12 @@ class TestDelayTask:
     def test_next_release_is_strictly_future_multiple(self):
         state = build_state([6], 3, Strategy.CHRONOS)
         delay_task(state, [1], 4)
-        assert state.tasks[1].next_release == 6
+        assert state.next_release[1] == 6
 
     def test_completion_on_release_boundary_skips_to_next(self):
         state = build_state([6], 3, Strategy.CHRONOS)
         delay_task(state, [1], 6)
-        assert state.tasks[1].next_release == 12
+        assert state.next_release[1] == 12
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_double_delay_is_invariant_violation(self, strategy):
@@ -252,6 +260,32 @@ class TestDelayTask:
             delay_task(single, [tid], 0)
         # Containers and tasks only: a raising call charges nothing.
         assert state_snapshot(state)[:2] == state_snapshot(single)[:2]
+
+    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("ticks, now", [(2, 0), (3, 0)], ids=["at", "before"])
+    def test_release_not_after_the_tick_is_invariant_violation(
+            self, strategy, check, ticks, now):
+        # Task 1 (period 6) would be due at 6 with its timer at tick 6 or 9:
+        # it would read as ready while it sat in a container.
+        state = build_state([6, 6], 3, strategy, check=check)
+        delay_task(state, [2], 0)
+        for _ in range(ticks):
+            tick(state, 1)
+        before = state_snapshot(state)
+        with pytest.raises(InvariantViolation,
+                           match=f"task 1: next release 6 is not after the "
+                                 f"tick {3 * ticks} of timer 1"):
+            delay_task(state, [1], now)
+        assert state_snapshot(state) == before
+
+    def test_listed_task_not_after_the_tick_detected_in_checked_mode(self):
+        state = build_state([6, 12], 3, Strategy.CHRONOS)
+        delay_task(state, [2], 0)
+        state.next_release[2] = state.timers[1].keys[0] = 0  # listed, yet ready
+        with pytest.raises(InvariantViolation,
+                           match="delayed task 2 is due at 0, not after tick 0"):
+            delay_task(state, [1], 0)
 
     def test_updates_cached_timer_next_release(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
@@ -312,8 +346,30 @@ class TestSortedOrderProperty:
                 for tid in tick(state, 1):
                     ready.add(tid)
             queue = state.timers[1].queue
-            keys = [state.tasks[t].next_release for t in queue]
+            keys = [state.next_release[t] for t in queue]
             assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("strategy", [Strategy.BASELINE, Strategy.CHRONOS,
+                                          Strategy.CHRONOS_CONST],
+                             ids=lambda s: s.value)
+    def test_listed_tasks_are_those_due_after_the_tick(self, strategy):
+        # A task keeps no delayed flag: it is listed iff its next release is
+        # after its timer's tick.
+        rng = random.Random(2718)
+        periods = [2, 4, 6, 8, 12, 24]
+        state = build_state(periods, 2, strategy)
+        ids = range(1, len(periods) + 1)
+        ready = set(ids)
+        for _ in range(2_000):
+            if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
+                batch = rng.sample(sorted(ready), rng.randint(1, len(ready)))
+                delay_task(state, batch, state.timers[1].tick)
+                ready.difference_update(batch)
+            else:
+                ready.update(tick(state, 1))
+            ts = state.timers[1]
+            assert set(ts.queue) == {t for t in ids
+                                     if state.next_release[t] > ts.tick}
 
 
 class TestInsertContracts:
@@ -338,7 +394,7 @@ class TestInsertContracts:
                 released = tick(state, 1)
                 now = state.timers[1].tick
                 assert released == [t for t in old_queue
-                                    if state.tasks[t].next_release <= now]
+                                    if state.next_release[t] <= now]
                 assert queue == old_queue[len(released):]
                 assert counter_delta(state.interrupt_counts, before).get(
                     "ready_insert", 0) == len(released)
@@ -348,9 +404,9 @@ class TestInsertContracts:
             old_queue = list(queue)
             before = dict(state.delay_counts)
             delay_task(state, [tid], state.timers[1].tick)
-            due = state.tasks[tid].next_release
+            due = state.next_release[tid]
             no_later = sum(1 for t in old_queue
-                           if state.tasks[t].next_release <= due)
+                           if state.next_release[t] <= due)
             assert counter_delta(state.delay_counts, before).get(
                 "sorted_insert_step", 0) == no_later
             assert queue == old_queue[:no_later] + [tid] + old_queue[no_later:]
@@ -360,8 +416,7 @@ def state_snapshot(state):
     """Everything a delay can change, plus what only an interrupt changes."""
     timers = {j: (ts.tick, list(ts.queue), list(ts.keys))
               for j, ts in state.timers.items()}
-    tasks = {tid: (e.next_release, e.delayed) for tid, e in state.tasks.items()}
-    return (timers, tasks, dict(state.delay_counts),
+    return (timers, list(state.next_release), dict(state.delay_counts),
             dict(state.interrupt_counts), list(state.skip_events))
 
 

@@ -1105,7 +1105,7 @@ class TestDelayOncePerInterruptInstant:
             nonlocal calls
             calls += 1
             dispatch.delay_task(state, task_ids, now)
-            delayed.extend((tid, state.tasks[tid].next_release) for tid in task_ids)
+            delayed.extend((tid, state.next_release[tid]) for tid in task_ids)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "delay_task", recording_delay_task)
