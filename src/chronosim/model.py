@@ -350,6 +350,10 @@ def task_set_to_json(task_set: TaskSet) -> dict:
     ]}
 
 
+# The keys of a task entry; ``deadline`` and ``releases`` may be left out.
+TASK_KEYS = frozenset(("id", "period", "wcet", "deadline", "releases"))
+
+
 def _task_fields(entry: dict) -> tuple:
     """A task entry's five fields, checked one at a time in a fixed order."""
     releases = entry.get("releases", 5)
@@ -377,6 +381,11 @@ def task_set_from_json(obj: dict) -> TaskSet:
             tasks.append(Task(task_id, wcet, period, deadline, releases))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed task entry: {entry!r} ({exc})") from exc
+    # Every entry is a dict by now.  A misspelled optional key would
+    # otherwise leave its field at the default.
+    unknown = set().union(*raw) - TASK_KEYS
+    if unknown:
+        raise UsageError(f"unknown task keys: {sorted(unknown)}")
     return TaskSet(tuple(tasks))
 
 

@@ -522,6 +522,18 @@ class TestStrictIntegers:
                      "--horizon", "6", "--out", str(tmp_path / "s.json")]) == 2
         assert "expected a JSON integer" in capsys.readouterr().err
 
+    def test_misspelled_task_key_exit_two(self, tmp_path, capsys):
+        # Left unchecked, the run would go on with the default deadline 6.
+        tasks = tmp_path / "tasks.json"
+        dump_json({"tasks": [{"id": 1, "period": 6, "wcet": 2, "deadine": 5}]},
+                  str(tasks))
+        assert main(["optimize", str(tasks), "--timers", "1",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert main(["simulate", str(tasks), "--strategy", "baseline",
+                     "--horizon", "6", "--out", str(tmp_path / "s.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown task keys: ['deadine']") == 2
+
     @pytest.mark.parametrize("value", BAD_INTEGERS)
     @pytest.mark.parametrize("field", ["id", "period", "tasks"])
     def test_bad_mapping_field_exit_two(self, tmp_path, capsys, field, value):

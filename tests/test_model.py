@@ -466,6 +466,15 @@ class TestSerialization:
         with pytest.raises(UsageError):
             task_set_from_json({})
 
+    def test_unknown_task_keys_of_every_entry_named(self):
+        with pytest.raises(UsageError) as exc:
+            task_set_from_json({"tasks": [
+                {"id": 1, "period": 6, "wcet": 0, "deadine": 5},
+                {"id": 2, "period": 6, "wcet": 0, "release": None},
+                {"id": 3, "period": 6, "wcet": 0, "deadine": 4},
+            ]})
+        assert str(exc.value) == "unknown task keys: ['deadine', 'release']"
+
     @pytest.mark.parametrize("entry, reason", [
         ([], "'list' object has no attribute 'get'"),
         (None, "'NoneType' object has no attribute 'get'"),
