@@ -43,10 +43,11 @@ owner's next release is that tick.  Checked mode verifies that the keys are
 the queue's next releases in order and all after the timer's tick, and that
 a slot tick released every owner due since the timer's previous tick.
 
-A task keeps no delayed flag.  As in FreeRTOS, where the wake time in a
-task's list item is all that says it still waits, a task is delayed iff its
-next release is after its timer's tick: a delay sets a release after the
-tick, and a tick releases exactly the tasks whose release it reaches.
+A task's next release is its whole delayed state.  As in FreeRTOS, where
+the wake time in a task's list item is all that says it still waits, a task
+is delayed iff its next release is after its timer's tick: a delay sets a
+release after the tick, and a tick releases exactly the tasks whose release
+it reaches.
 
 There are two routines, ``tick`` and ``delay_task``.  Each state maps its
 strategy once, at construction, to a container kind (``"sorted"``,
@@ -202,11 +203,11 @@ class DispatcherState:
         self.timers: dict[int, _TimerRuntime] = {}
         for tc in sorted(mapping.timers, key=lambda c: c.id):
             self.timers[tc.id] = _TimerRuntime(timer_id=tc.id, period=tc.period)
+        self.next_release: list[int] = [0] * (task_set.n + 1)
+        self.run_of: list[tuple[_TimerRuntime, int] | None] = [None] * (task_set.n + 1)
         # Tasks of one timer and one period share one run key object, so a
         # batch finds the ends of its runs by identity.
         runs: dict[tuple[int, int], tuple[_TimerRuntime, int]] = {}
-        self.next_release: list[int] = [0] * (task_set.n + 1)
-        self.run_of: list[tuple[_TimerRuntime, int] | None] = [None] * (task_set.n + 1)
         for task in task_set.tasks:
             timer = self.timers[mapping.assignment[task.id]]
             self.run_of[task.id] = runs.setdefault(

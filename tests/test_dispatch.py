@@ -353,8 +353,7 @@ class TestSortedOrderProperty:
                                           Strategy.CHRONOS_CONST],
                              ids=lambda s: s.value)
     def test_listed_tasks_are_those_due_after_the_tick(self, strategy):
-        # A task keeps no delayed flag: it is listed iff its next release is
-        # after its timer's tick.
+        # A task is listed iff its next release is after its timer's tick.
         rng = random.Random(2718)
         periods = [2, 4, 6, 8, 12, 24]
         state = build_state(periods, 2, strategy)
