@@ -31,8 +31,9 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
-# The keys a scenario may hold, at the top level, in ``generation`` and in a
-# ``horizon`` object; any other key is a misspelling, rejected with exit 2.
+# The keys a scenario may hold, at the top level, in ``generation``, in a
+# ``horizon`` object and in ``weights``; any other key is a misspelling,
+# rejected with exit 2.
 SCENARIO_KEYS = frozenset((
     "name", "generation", "tasks", "timers", "strategies", "factors",
     "overhead_as_time", "time_scale", "steady_state", "horizon",
@@ -41,12 +42,7 @@ GENERATION_KEYS = frozenset((
     "base_periods", "factor_range", "n_tasks", "period_factor", "seed",
     "workload", "harmonic"))
 HORIZON_KEYS = frozenset(("max_period_multiple",))
-
-
-def _check_keys(obj: dict, allowed: frozenset, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
+WEIGHT_KEYS = frozenset(f.name for f in dataclass_fields(CostWeights))
 
 
 def _load_scenario(args) -> dict:
@@ -62,7 +58,7 @@ def _load_scenario(args) -> dict:
             raise UsageError(f"scenario {args.scenario} must be a JSON object")
     else:
         raise UsageError("a scenario file or --preset is required")
-    _check_keys(scenario, SCENARIO_KEYS, "scenario")
+    model.check_keys(scenario, SCENARIO_KEYS, "scenario")
     return scenario
 
 
@@ -87,7 +83,7 @@ def _generation_spec(scenario: dict, seed_override: int | None) -> model.Generat
     if gen is None:
         raise UsageError("scenario has no 'generation' section")
     if isinstance(gen, dict):
-        _check_keys(gen, GENERATION_KEYS, "generation")
+        model.check_keys(gen, GENERATION_KEYS, "generation")
     try:
         return model.GenerationSpec(
             base_periods=tuple(model._json_int(b) for b in gen["base_periods"]),
@@ -114,10 +110,7 @@ def _weights(scenario: dict) -> CostWeights:
     if not isinstance(overrides, dict):
         raise UsageError(
             f"malformed cost weights: expected a JSON object, got {overrides!r}")
-    known = {f.name for f in dataclass_fields(CostWeights)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise UsageError(f"unknown cost weights: {sorted(unknown)}")
+    model.check_keys(overrides, WEIGHT_KEYS, "cost weight")
     try:
         return CostWeights(**{k: model._json_int(v) for k, v in overrides.items()})
     except TypeError as exc:
@@ -165,11 +158,20 @@ def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
         return None
     try:
         if isinstance(raw, dict):
-            _check_keys(raw, HORIZON_KEYS, "horizon")
+            model.check_keys(raw, HORIZON_KEYS, "horizon")
             return model._json_int(raw["max_period_multiple"]) * max(task_set.periods())
         return model._json_int(raw)
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed horizon entry: {raw!r} ({exc})") from exc
+
+
+def _read_task_set(path: str) -> model.TaskSet:
+    """A task-set file: its ``tasks`` array and no other key.  The check is
+    not in ``task_set_from_json``, which also reads a scenario's inline tasks."""
+    obj = model.load_json(path)
+    task_set = model.task_set_from_json(obj)
+    model.check_keys(obj, model.TASK_SET_KEYS, "task-set")
+    return task_set
 
 
 def _strip_release_limits(task_set: model.TaskSet) -> model.TaskSet:
@@ -198,7 +200,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    task_set = model.task_set_from_json(model.load_json(args.task_set))
+    task_set = _read_task_set(args.task_set)
     problem = optimizer.OptimizationProblem.from_task_set(task_set, args.timers)
     result = optimizer.solve(problem)
     model.dump_json(result.to_json(), args.out)
@@ -215,7 +217,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    task_set = model.task_set_from_json(model.load_json(args.task_set))
+    task_set = _read_task_set(args.task_set)
     strategy = Strategy.from_label(args.strategy)
     mapping = None
     if args.mapping:

@@ -350,8 +350,21 @@ def task_set_to_json(task_set: TaskSet) -> dict:
     ]}
 
 
-# The keys of a task entry; ``deadline`` and ``releases`` may be left out.
+# The keys of a task entry, of which ``deadline`` and ``releases`` may be
+# left out; of a task-set file; of a timer entry; and of a mapping file, as
+# ``OptimizationResult.to_json`` writes one.
 TASK_KEYS = frozenset(("id", "period", "wcet", "deadline", "releases"))
+TASK_SET_KEYS = frozenset(("tasks",))
+TIMER_KEYS = frozenset(("id", "period", "tasks"))
+MAPPING_KEYS = frozenset(("timers", "objective", "timers_used", "method", "stats"))
+
+
+def check_keys(keys: Iterable, allowed: frozenset, where: str) -> None:
+    """Reject input keys outside ``allowed``, naming them: a misspelled
+    optional key would otherwise leave its field at the default."""
+    unknown = set(keys) - allowed
+    if unknown:
+        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def _task_fields(entry: dict) -> tuple:
@@ -381,11 +394,7 @@ def task_set_from_json(obj: dict) -> TaskSet:
             tasks.append(Task(task_id, wcet, period, deadline, releases))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed task entry: {entry!r} ({exc})") from exc
-    # Every entry is a dict by now.  A misspelled optional key would
-    # otherwise leave its field at the default.
-    unknown = set().union(*raw) - TASK_KEYS
-    if unknown:
-        raise UsageError(f"unknown task keys: {sorted(unknown)}")
+    check_keys(set().union(*raw), TASK_KEYS, "task")  # every entry is a dict
     return TaskSet(tuple(tasks))
 
 
@@ -402,6 +411,7 @@ def mapping_from_json(obj: dict) -> Mapping:
     raw = obj.get("timers") if isinstance(obj, dict) else None
     if type(raw) is not list:
         raise UsageError("mapping JSON must contain a 'timers' array")
+    check_keys(obj, MAPPING_KEYS, "mapping")
     timers = []
     assignment: dict[int, int] = {}
     for entry in raw:
@@ -416,6 +426,7 @@ def mapping_from_json(obj: dict) -> Mapping:
                 assignment[task_id] = tc.id
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed timer entry: {entry!r} ({exc})") from exc
+    check_keys(set().union(*raw), TIMER_KEYS, "timer")  # every entry is a dict
     return Mapping(timers=tuple(timers), assignment=assignment)
 
 

@@ -40,47 +40,45 @@ event and charges no counter, releases come only at interrupts so it cannot
 preempt, while a job of equal period waits the run stops at every unit anyway
 so it cannot slice, and the overhead, busy and idle time add up the same across
 the split.  A task retires once a job with a deadline of at least its final one
-ends, which is one comparison.  The running job completes inline in the loop;
-its task's last job and the late jobs of an instant end through one helper over
-a sequence of them.  A job with no work is never live: it gets no live
-deadline, remaining work, ready-heap key or bucket, and the ones released at an
-instant complete in bulk when it settles.  Such a job is its task's last iff it
-is released at the release limit times the period or later, so before the least
-such instant over the tasks with no work, the batch joins the list below
-without a per-job test.  Either way, each task retires after its last release,
-and the rest join one list of the tasks whose jobs ended since the last
-interrupt instant.  That list is delayed in one dispatcher call at the next
-interrupt instant, before any timer fires, and once more when the run ends.
-Delaying a job there, with the last interrupt instant as ``now``, is exact:
-every timer period divides its tasks' periods and the timer fires at each of
-its multiples, so no release of any task lies strictly between two interrupt
+ends, which is one comparison.  Jobs end through one helper over a sequence of
+them, the inline completions below aside: the running job once its work is
+done, the late jobs of an instant, and the jobs with no work released at one.
+A job with no work is never live: it gets no remaining work, ready-heap key or
+bucket, and a live deadline only for the helper's comparison, and the ones
+released at an instant end together when it settles.  Such a job is its task's
+last iff it is released at the release limit times the period or later, so
+before the least such instant over the tasks with no work, an untraced batch
+joins the list below without the helper.  Either way, each task retires after
+its last release, and the rest join one list of the tasks whose jobs ended
+since the last interrupt instant.  That list is delayed in one dispatcher call
+at the next interrupt instant, before any timer fires, and once more when the
+run ends.  Delaying a job there, with the last interrupt instant as ``now``, is
+exact: every timer period divides its tasks' periods and the timer fires at each
+of its multiples, so no release of any task lies strictly between two interrupt
 instants, and each job's next release is the one it had when it ended.  Only
 interrupts read the delayed containers, and the inserts keep their order, so
 positions, counters and skips are those of delaying each job as it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless a bucket is due, zero-length
-jobs, the scheduling decision), then runs a segment, and then takes one step.
-Jobs are released only at interrupt instants, so up to the segment's stop, the
-least of the next tick, the first bucket instant and the horizon, the ready
-jobs only run one after another.  The segment spends the overhead backlog first
-and then completes jobs at t_c = t + remaining work: a job ends inline (its
-task's last job through the helper), stale heads of the ready heap are dropped
-and the next job starts, with no full pass.  It ends before a completion at or
-past the stop, and before one past the slice boundary t + 1 while a job of
-equal period waits.  The stop is strict: a completion at a tick comes after
-that instant's interrupts, which decide its delay batch and next release; one
-at a bucket instant needs that instant's abandon pass before the next job
-starts; and the horizon cut stays where it is.  The step takes the next event
-time as a running minimum of four instants: the next tick, the running job's
-completion t_c (now plus the overhead backlog plus its remaining work), the
-first bucket instant and the slice boundary (only while a job of equal period
-waits; one at t_c has no effect, the job completes first).  The run advances
-there, spending the backlog as overhead time first, then the running job's work
-as busy time, and the rest as idle time; interrupts due at the new instant then
-fire and their releases are admitted.  If the next event lies past the horizon,
-the run advances to the horizon instead and stops; with no horizon it stops
-once every task has retired.
+jobs, the scheduling decision), advances, and fires the interrupts due where it
+lands.  Jobs are released only at interrupt instants, so up to the stop, the
+earlier of the next tick and the first bucket instant, the ready jobs only run
+one after another.  The next event time is the least of the stop, the running
+job's completion t_c (now plus the overhead backlog plus its remaining work)
+and, only while a job of equal period waits, the slice boundary t + 1 (one at
+t_c has no effect, the job completes first).  A completion strictly before both
+the stop and the horizon ends inline, with no full pass: stale heads of the
+ready heap are dropped, the next job starts and the rule is applied again.  A
+completion at the stop is left to the next pass: one at a tick comes after that
+instant's interrupts, which decide its delay batch and next release, and one at
+a bucket instant needs that instant's abandon pass before the next job starts.
+Otherwise the run advances to the next event time, spending the backlog as
+overhead time first, then the running job's work as busy time, and the rest as
+idle time; interrupts due at the new instant then fire and their releases are
+admitted.  If the next event lies past the horizon, the run advances to the
+horizon instead and stops; with no horizon it stops once every task has
+retired.
 
 Traces: ``events`` is the one event stream, cut at ``trace_limit`` events;
 ``events_dropped`` counts the events past the limit.
@@ -115,7 +113,7 @@ from .model import (
 )
 
 # Most interrupts plus round-robin slice steps one run may take; every other
-# pass or segment step of the loop ends a job those interrupts released or
+# pass or inline completion of the loop ends a job those interrupts released or
 # stops at its deadline.  Far above every shipped preset, it turns a
 # configuration that would loop for years into a configuration error.
 INTERRUPT_LIMIT = 10**8
@@ -364,7 +362,8 @@ def run(config: SimConfig) -> SimMetrics:
 
     def end_jobs(tids: Sequence[int], now: int, missed: bool) -> None:
         """Complete (or, if ``missed``, abandon) the live jobs of ``tids`` in
-        order: the running job's last job, or the late jobs of an instant.
+        order: a finished running job, the late jobs of an instant, or the
+        zero-length jobs released at one, given a live deadline for the call.
         Each task then retires after its last release, and the rest join
         ``ended``, to be delayed at the next interrupt instant.  None of them
         is released before it, and the delay finds the same release."""
@@ -423,17 +422,7 @@ def run(config: SimConfig) -> SimMetrics:
         # zero-length jobs complete without occupying the CPU, and the
         # scheduler picks the next job.
         if running is not None and remaining[running] == 0:
-            # The running job completes inline; its task's last job retires
-            # through end_jobs.
-            if live[running] >= final_deadline[running]:
-                end_jobs((running,), t, False)
-            else:
-                live[running] = -1
-                jobs_completed += 1
-                ended.append(running)
-                if collect:
-                    trace(t, "complete", None, running)
-                    trace(t, "delay", None, running)
+            end_jobs((running,), t, False)
             running = None
         if instants and instants[0] <= t:
             # Every bucket instant is an event time, so the head is the
@@ -449,21 +438,15 @@ def run(config: SimConfig) -> SimMetrics:
                 stale -= 1  # the running job has no ready-heap entry
             end_jobs(late, t, True)
         if zero_length:
-            # The zero-length jobs released at t complete in bulk; none of
-            # them was live, and before zero_last_release none is a last job.
-            jobs_completed += len(zero_length)
+            # The zero-length jobs released at t complete together; before
+            # zero_last_release none of them is a last job.
             if t < zero_last_release and not collect:
+                jobs_completed += len(zero_length)
                 ended += zero_length
             else:
                 for tid in zero_length:
-                    last = t + rel_deadline[tid] >= final_deadline[tid]
-                    if last:
-                        retired += 1
-                    else:
-                        ended.append(tid)
-                    if collect:
-                        trace(t, "complete", None, tid)
-                        trace(t, "retire" if last else "delay", None, tid)
+                    live[tid] = t + rel_deadline[tid]
+                end_jobs(zero_length, t, False)
             zero_length.clear()
         while stale and queued[ready[0] & mask] != ready[0]:
             heapq.heappop(ready)
@@ -487,28 +470,40 @@ def run(config: SimConfig) -> SimMetrics:
                 running = heapq.heappushpop(ready, key) & mask
                 running_since = t
 
-        # Segment: up to the next tick, the first bucket instant or the
-        # horizon, nothing is released and no bucket is added, so jobs run to
-        # completion one after another and each completion settles alone: the
-        # job ends, stale heads are dropped and the next job starts.  A
-        # completion at the stop itself is left to the pass, after that
-        # instant's interrupts or before its abandon pass; so is a completion
-        # past a slice boundary, while a job of equal period waits.
+        # Advance.  Up to the stop, the next tick or the first bucket instant,
+        # nothing is released and no bucket is added, so jobs run to
+        # completion one after another.  The next event is the earliest of
+        # the stop, the running job's completion t_c and, while a job of equal
+        # period waits, the slice boundary t + 1: the job started at t or
+        # earlier, and a boundary at t_c has no effect.  No waiting job has a
+        # shorter period than the running one, so a head below the next
+        # period's keys has an equal period.  A completion before the stop and
+        # the horizon ends inline and the next job starts; one at the stop is
+        # left to the next pass, after that instant's interrupts or before its
+        # abandon pass.
+        stop = next_tick
+        if instants and instants[0] < stop:
+            stop = instants[0]
+        halt = stop if stop < end else end
+        backlog = pending_cost // scale  # pending_cost stays 0 unless as_time
+        t_next = stop
         if running is not None:
-            stop = next_tick if next_tick < end else end
-            if instants and instants[0] < stop:
-                stop = instants[0]
-            backlog = pending_cost // scale  # pending_cost stays 0 unless as_time
             start = t
             t_c = t + backlog + remaining[running]
-            while t_c < stop:
-                if t + 1 < t_c:
+            while True:
+                if t + 1 < t_c and t + 1 < stop:
                     while stale and queued[ready[0] & mask] != ready[0]:
                         heapq.heappop(ready)
                         stale -= 1
                     if ready and ready[0] < past_key[running]:
+                        t_next = t + 1
                         break
+                if t_c >= halt:
+                    if t_c < stop:
+                        t_next = t_c
+                    break
                 t = t_c
+                # Inline: ending each job through end_jobs cost paper_sweep 7%.
                 if live[running] >= final_deadline[running]:
                     end_jobs((running,), t, False)
                 else:
@@ -532,37 +527,16 @@ def run(config: SimConfig) -> SimMetrics:
                 pending_cost -= backlog * scale
                 overhead_time += backlog
                 busy_time += t - start - backlog
+                backlog = 0
 
-        # Step: the next event is the earliest of the next tick, the running
-        # job's completion, the first bucket instant and the slice boundary.
         # Unless the run has ended, some timer always fires next.
         if horizon is None and retired == n_tasks:
             break
-        backlog = pending_cost // scale
-        t_next = next_tick
-        if running is not None:
-            t_c = t + backlog + remaining[running]
-            if t_c < t_next:
-                t_next = t_c
-        if instants and instants[0] < t_next:
-            t_next = instants[0]
-        # A job starts at the current instant or earlier (running_since <= t),
-        # so its slice boundary max(running_since + 1, t + 1) is t + 1; one at
-        # the job's completion itself has no effect, the job completes first.
-        # t + 1 < t_next, false more often than a job runs, goes first.
-        # No waiting job has a shorter period than the running one, so a head
-        # below the next period's keys has an equal period.
-        if t + 1 < t_next and running is not None:
-            while stale and queued[ready[0] & mask] != ready[0]:
-                heapq.heappop(ready)
-                stale -= 1
-            if ready and ready[0] < past_key[running]:
-                t_next = t + 1
         cut = t_next > end
         if cut:
             t_next = end
-        # Advance to t_next: overhead backlog first, then the running job's
-        # work, and the rest is idle.
+        # Overhead backlog first, then the running job's work, and the rest
+        # is idle.
         span = t_next - t
         if backlog:
             spent = backlog if backlog < span else span

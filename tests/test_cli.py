@@ -534,6 +534,29 @@ class TestStrictIntegers:
         err = capsys.readouterr().err
         assert err.count("unknown task keys: ['deadine']") == 2
 
+    @pytest.mark.parametrize("where,key", [("task-set", "timers"),
+                                           ("mapping", "priority"),
+                                           ("timer", "priority")])
+    def test_unknown_file_key_exit_two(self, tmp_path, capsys, where, key):
+        tasks = self.write_tasks(tmp_path)
+        if where == "task-set":
+            obj = load_json(tasks)
+            obj[key] = 3
+            dump_json(obj, tasks)
+            argvs = [["optimize", tasks, "--timers", "1"],
+                     ["simulate", tasks, "--strategy", "baseline", "--horizon", "6"]]
+        else:
+            obj = {"timers": [{"id": 1, "period": 6, "tasks": [1]}]}
+            (obj if where == "mapping" else obj["timers"][0])[key] = 3
+            mapping = tmp_path / "mapping.json"
+            dump_json(obj, str(mapping))
+            argvs = [["simulate", tasks, "--mapping", str(mapping),
+                      "--strategy", "chronos", "--horizon", "6"]]
+        for argv in argvs:
+            assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"unknown {where} keys: [{key!r}]") == len(argvs)
+
     @pytest.mark.parametrize("value", BAD_INTEGERS)
     @pytest.mark.parametrize("field", ["id", "period", "tasks"])
     def test_bad_mapping_field_exit_two(self, tmp_path, capsys, field, value):
@@ -669,7 +692,8 @@ class TestStrictScenario:
     # (path to a misspelled key, the section the message names)
     UNKNOWN_KEYS = [(("timer",), "scenario"),
                     (("generation", "n_task"), "generation"),
-                    (("horizon", "max_period_multiples"), "horizon")]
+                    (("horizon", "max_period_multiples"), "horizon"),
+                    (("weights", "comparisons"), "cost weight")]
 
     @pytest.mark.parametrize("path,where", UNKNOWN_KEYS,
                              ids=[where for _, where in UNKNOWN_KEYS])
@@ -680,8 +704,15 @@ class TestStrictScenario:
         assert main(["sweep", bad, "--out", str(out)]) == 2
         assert f"unknown {where} keys: [{path[-1]!r}]" in capsys.readouterr().err
         assert not out.exists()
-        if where != "horizon":  # generate reads no horizon
+        if where not in ("horizon", "cost weight"):  # generate reads neither
             assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
+
+    def test_inline_tasks_sweep_next_to_the_other_keys(self, tmp_path, scenario_file):
+        # The whole scenario goes through the task-set reader, so only the
+        # task-set file reader rejects keys beside ``tasks``.
+        ok = self.scenario(tmp_path, ("tasks",), [{"id": 1, "period": 3, "wcet": 1},
+                                                  {"id": 2, "period": 5, "wcet": 1}])
+        assert main(["sweep", ok, "--out", str(tmp_path / "s.csv")]) == 0
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_still_load(self, tmp_path, preset):

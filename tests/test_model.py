@@ -475,6 +475,18 @@ class TestSerialization:
             ]})
         assert str(exc.value) == "unknown task keys: ['deadine', 'release']"
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"timers": [{"id": 1, "period": 6, "tasks": [1]},
+                     {"id": 2, "period": 6, "task": [2], "priority": 3}]},
+         "unknown timer keys: ['priority', 'task']"),
+        ({"timers": [{"id": 1, "period": 6, "tasks": [1]}], "timer": []},
+         "unknown mapping keys: ['timer']"),
+    ])
+    def test_unknown_mapping_keys_named(self, obj, message):
+        with pytest.raises(UsageError) as exc:
+            mapping_from_json(obj)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("entry, reason", [
         ([], "'list' object has no attribute 'get'"),
         (None, "'NoneType' object has no attribute 'get'"),

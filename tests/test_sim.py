@@ -11,7 +11,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronosim import cli, dispatch, sim
@@ -1385,6 +1385,13 @@ SEGMENT_CASES = {
         ((2, 5, 5, 1), (3, 10, 10, 1)), 5, None, {}, 13,
         [(7, "complete", 1), (7, "retire", 1), (13, "complete", 2),
          (13, "retire", 2)]),
+    # Task 1 ends at 1 inside the segment, which starts task 2 while task 3,
+    # of equal period, waits: the slice boundary at 2 ends the advance, and
+    # the two slice until task 2 ends at 4, not at 3.
+    "slice_after_inline_start": (
+        ((1, 5, 5, None), (2, 10, 10, None), (2, 10, 10, None)), 5, 10, {}, 10,
+        [(1, "complete", 1), (4, "complete", 2), (5, "interrupt", None),
+         (5, "complete", 3)]),
 }
 
 
@@ -1480,6 +1487,12 @@ class TestResponseTimeAnalysis:
 
     @settings(max_examples=100, deadline=None)
     @given(task_set=rate_monotonic_sets(equal_periods=True))
+    @example(task_set=tasks_of((1, 5, 1, None), (2, 5, 4, None), (2, 5, 5, None),
+                               (1, 9, 9, None))).xfail(
+        raises=AssertionError,
+        reason="task 3's job ends at 5, its own next release, which drops the "
+               "job due then, so no run misses where the lower bound says "
+               "task 4 must")
     def test_round_robin_lies_between_two_recurrences(self, task_set):
         # Tasks of equal period share the CPU in one-unit slices.  Counted
         # as higher priority, a task's peers give an upper bound on its
