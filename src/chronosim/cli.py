@@ -47,8 +47,6 @@ WEIGHT_KEYS = frozenset(f.name for f in dataclass_fields(CostWeights))
 
 def _load_scenario(args) -> dict:
     if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}; choose from {PRESETS}")
         text = resources.files("chronosim").joinpath(
             "presets", f"{args.preset}.json").read_text(encoding="utf-8")
         scenario = json.loads(text)
@@ -145,10 +143,15 @@ def _strategies(scenario: dict) -> list[Strategy] | None:
     if not isinstance(raw, list):
         raise UsageError(
             f"malformed scenario entry 'strategies': expected a JSON list, got {raw!r}")
-    try:
-        return [Strategy.from_label(s) for s in raw]
-    except UsageError as exc:
-        raise UsageError(f"malformed scenario entry 'strategies': {exc}") from exc
+    strategies = []
+    for label in raw:
+        try:
+            strategies.append(Strategy(label))
+        except ValueError:
+            raise UsageError(
+                f"malformed scenario entry 'strategies': unknown strategy "
+                f"{label!r}; choose from {[m.value for m in Strategy]}") from None
+    return strategies
 
 
 def _scenario_horizon(scenario: dict, task_set: model.TaskSet) -> int | None:
@@ -218,7 +221,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     task_set = _read_task_set(args.task_set)
-    strategy = Strategy.from_label(args.strategy)
+    strategy = Strategy(args.strategy)
     mapping = None
     if args.mapping:
         mapping = model.mapping_from_json(model.load_json(args.mapping))

@@ -29,19 +29,18 @@ the one weighted sum of such a dict.
 
 The containers behind the counters are an implementation detail, and the
 strategy picks only the charges.  Every list timer, of either list kind,
-keeps one container: its delayed tasks sorted by next release (``queue``)
-and a parallel list of those releases as plain integers (``keys``).  A delay
-bisects the keys with no key function and inserts into both lists at the
-same position; a due interrupt finds its due prefix with one bisection and
-removes it from both.  The early-exit guard reads the head of the keys.  An
-unsorted list would release the same tasks, in another order, and the
-simulator orders the releases of an instant itself, so chronos-const keeps
-the sorted container and charges what an append and a full scan cost.  A
-harmonic timer keeps no list: its slot array is its owners' next releases,
-walked in (period, task id) order, and a due slot is occupied iff its
-owner's next release is that tick.  Checked mode verifies that the keys are
-the queue's next releases in order and all after the timer's tick, and that
-a slot tick released every owner due since the timer's previous tick.
+keeps one container: its delayed task ids sorted by next release
+(``queue``), as a FreeRTOS list orders its items by their wake times.  A
+delay and a due interrupt each bisect it once, keyed by ``next_release``;
+the early-exit guard reads the head's release.  An unsorted list would
+release the same tasks, in another order, and the simulator orders the
+releases of an instant itself, so chronos-const keeps the sorted container
+and charges what an append and a full scan cost.  A harmonic timer keeps
+no list: its slot array is its owners' next releases, walked in (period,
+task id) order, and a due slot is occupied iff its owner's next release is
+that tick.  Checked mode verifies that a queue is sorted and all after the
+timer's tick, and that a slot tick released every owner due since the
+timer's previous tick.
 
 A task's next release is its whole delayed state.  As in FreeRTOS, where
 the wake time in a task's list item is all that says it still waits, a task
@@ -64,9 +63,8 @@ periods), so each job's next release is the same as at its own end, and no
 routine reads a container between two interrupts.  The batch is walked in
 runs: maximal stretches of consecutive tasks with one timer and one period,
 which share one next release.  A run enters its list with one bisection and
-one slice insert into each of ``keys`` and ``queue``, at the positions that
-one insert per task, each after its ties, would reach; a run of one is a
-plain insert.
+one slice insert, at the positions that one insert per task, each after its
+ties, would reach; a run of one is a plain insert.
 
 The per-timer runtimes are slotted dataclasses.  The per-task state is two
 lists on the dispatcher state, indexed by task id (ids are dense 1..n):
@@ -94,16 +92,6 @@ class Strategy(enum.Enum):
     CHRONOS = "chronos"
     CHRONOS_CONST = "chronos-const"
     CHRONOS_HARMONIC = "chronos-harmonic"
-
-    @classmethod
-    def from_label(cls, label: str) -> "Strategy":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise UsageError(
-            f"unknown strategy {label!r}; choose from "
-            f"{[m.value for m in cls]}"
-        )
 
 
 # The counter names, in the key order of every counter dict.
@@ -164,7 +152,6 @@ class _TimerRuntime:
     period: int
     tick: int = 0
     queue: list[int] = field(default_factory=list)  # list timers: delayed tasks
-    keys: list[int] = field(default_factory=list)   # their next releases, sorted
     slot_owners: tuple[int, ...] = ()               # harmonic, by period rank
     slot_periods: tuple[int, ...] = ()
 
@@ -229,9 +216,9 @@ class DispatcherState:
     def _check(self, timer_id: int, released: list[int] | None = None) -> None:
         """Checked mode only; both routines call it when ``check_invariants``.
 
-        Every tick must be a multiple of its timer's period.  A list's keys
-        must be its tasks' next releases, in order, and all after the tick: a
-        listed task due at or before it would read as ready while it waits.
+        Every tick must be a multiple of its timer's period.  A list's tasks
+        must be in order of next release, and all after the tick: a listed
+        task due at or before it would read as ready while it waits.
         ``tick`` on a slot array passes the owners it ``released``, and every
         owner whose next release falls in (previous tick, tick] must be among
         them: ``tick`` releases an owner only at a tick its slot is due at
@@ -261,11 +248,6 @@ class DispatcherState:
             raise InvariantViolation(
                 f"timer {timer_id}: delayed list is not sorted: {pending}"
             )
-        if pending != ts.keys:
-            raise InvariantViolation(
-                f"timer {timer_id}: release keys {ts.keys} do not match "
-                f"the delayed list's next releases {pending}"
-            )
         if pending and pending[0] <= tick_:
             raise InvariantViolation(
                 f"timer {timer_id}: delayed task {ts.queue[0]} is due at "
@@ -291,15 +273,15 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
     release that task now, early, so the model would no longer describe it.
     A slot array has no early-exit guard: the slot with the smallest period
     is due at every interrupt of a properly configured timer.  A list pays
-    one comparison for the guard against its earliest release (the head of
-    its keys; an empty list always exits) and stops there unless a task is
-    due.  The due tasks, the prefix
-    of keys no later than the tick found by one bisection, are then removed,
-    one ``list_remove`` each.  A sorted list is charged as if it popped them
-    one by one: one comparison per due head plus one for the first pending
-    head, if any.  An unsorted list is charged its full scan: one comparison
-    per entry.  A released task's next release stays where it is, at or
-    before the tick, which is what makes it ready.
+    one comparison for the guard against its earliest release (its head's
+    next release; an empty list always exits) and stops there unless a task
+    is due.  The due tasks, the prefix due no later than the tick found by
+    one bisection, are then removed, one ``list_remove`` each.  A sorted
+    list is charged as if it popped them one by one: one comparison per due
+    head plus one for the first pending head, if any.  An unsorted list is
+    charged its full scan: one comparison per entry.  A released task's next
+    release stays where it is, at or before the tick, which is what makes it
+    ready.
     """
     ts = state.timers[timer_id]
     counts = state.interrupt_counts
@@ -308,8 +290,8 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
     ts.tick += ts.period
     tick_ = ts.tick
     released: list[int] = []
+    next_release = state.next_release
     if state.container == "slot":
-        next_release = state.next_release
         inspected = 0  # period-divisibility inspections
         for owner, slot_period in zip(ts.slot_owners, ts.slot_periods):
             inspected += 1
@@ -328,21 +310,20 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
         counts["comparison"] += inspected
         counts["slot_write"] += len(released)  # one write per released slot
     else:
-        keys = ts.keys
-        if not keys or tick_ < keys[0]:
+        queue = ts.queue
+        if not queue or tick_ < next_release[queue[0]]:
             counts["comparison"] += 1  # the early-exit guard
         else:
-            due = bisect_right(keys, tick_)
+            due = bisect_right(queue, tick_, key=next_release.__getitem__)
             if state.container == "append":
-                counts["comparison"] += 1 + len(keys)  # guard, one per entry
-            elif due < len(keys):
+                counts["comparison"] += 1 + len(queue)  # guard, one per entry
+            elif due < len(queue):
                 counts["comparison"] += due + 2  # guard, due heads, pending head
             else:
                 counts["comparison"] += due + 1  # guard, due heads
             counts["list_remove"] += due
-            released = ts.queue[:due]
-            del ts.queue[:due]
-            del keys[:due]
+            released = queue[:due]
+            del queue[:due]
     counts["ready_insert"] += len(released)
     if state.check_invariants:
         state._check(timer_id, released)
@@ -423,20 +404,19 @@ def _delay_run(state: DispatcherState, ts: _TimerRuntime, release: int,
                run: list[int]) -> int:
     """Put a run due at ``release`` into its timer's container.
 
-    A list receives it after its entries due no later, by one slice insert
-    into each of ``keys`` and ``queue``.  Returns the summed positions of one
-    insert per task, each after its ties: the first lands at the bisection
-    point and each next one just behind it.  A slot array holds nothing but
-    its owners' next releases, already written, so it receives nothing, and
-    the sum is 0.
+    The run's next releases are already written, and its tasks are not yet
+    listed.  A list receives it after its entries due no later, by one slice
+    insert.  Returns the summed positions of one insert per task, each after
+    its ties: the first lands at the bisection point and each next one just
+    behind it.  A slot array holds nothing but its owners' next releases, so
+    it receives nothing, and the sum is 0.
     """
     steps = 0
     if state.container != "slot":
-        keys = ts.keys
-        pos = bisect_right(keys, release)
+        queue = ts.queue
+        pos = bisect_right(queue, release, key=state.next_release.__getitem__)
         n = len(run)
-        keys[pos:pos] = [release] * n
-        ts.queue[pos:pos] = run
+        queue[pos:pos] = run
         steps = n * pos + n * (n - 1) // 2
     if state.check_invariants:
         state._check(ts.timer_id)

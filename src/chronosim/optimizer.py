@@ -280,7 +280,7 @@ def _divisors(value: int) -> tuple[int, ...]:
 
 
 def _build_result(problem: OptimizationProblem, group_masks: list[int],
-                  stats: SolverStats, method: str) -> OptimizationResult:
+                  stats: SolverStats) -> OptimizationResult:
     periods = problem.periods
     groups: list[tuple[int, ...]] = []
     timers: list[TimerConfig] = []
@@ -311,7 +311,7 @@ def _build_result(problem: OptimizationProblem, group_masks: list[int],
         objective=objective,
         timers_used=len(groups),
         stats=stats,
-        method=method,
+        method="exact",
         groups=tuple(groups),
     )
 
@@ -330,7 +330,7 @@ def solve(problem: OptimizationProblem) -> OptimizationResult:
                           f"{DIVISOR_LIMIT}")
     search = _CoverSearch(problem.periods, problem.m)
     group_masks = search.reconstruct()
-    return _build_result(problem, group_masks, search.stats, "exact")
+    return _build_result(problem, group_masks, search.stats)
 
 
 # ---------------------------------------------------------------------------

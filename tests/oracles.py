@@ -150,7 +150,9 @@ def brute_force_reference(problem: OptimizationProblem) -> OptimizationResult:
             if best_rgs[i] == b:
                 mask |= 1 << i
         group_masks.append(mask)
-    return _build_result(problem, group_masks, stats, "brute-force")
+    result = _build_result(problem, group_masks, stats)
+    result.method = "brute-force"
+    return result
 
 
 def cover_state(periods: tuple[int, ...], m: int, uncovered: int,

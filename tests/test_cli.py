@@ -111,7 +111,7 @@ class TestOptimize:
         ]}, str(tasks))
         return tasks, periods
 
-    def test_heuristic_solve_exit_five(self, tmp_path):
+    def test_divisor_rich_periods_solve_exactly(self, tmp_path):
         # Divisor-rich periods, the hard kind: still solved exactly, exit 0.
         tasks, periods = self.divisor_rich_tasks(tmp_path)
         out = tmp_path / "mapping.json"
@@ -770,6 +770,13 @@ class TestSweepAndReport:
         assert main(["sweep", "--preset", "low", "--out", str(default)]) == 0
         assert read(flag) == read(edited)
         assert read(flag) != read(default)
+
+    def test_unknown_preset_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "nope", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nope" in err
 
     def test_zero_timers_is_input_error(self, tmp_path, capsys):
         rc = main(["sweep", "--preset", "low", "--timers", "0",

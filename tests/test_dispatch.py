@@ -32,8 +32,8 @@ def build_state(periods, timer_period, strategy, check=True):
 
 def earliest_release(state, timer_id=1):
     """What a list timer's early-exit guard compares the tick against."""
-    keys = state.timers[timer_id].keys
-    return keys[0] if keys else TIME_MAX
+    queue = state.timers[timer_id].queue
+    return state.next_release[queue[0]] if queue else TIME_MAX
 
 
 def counter_delta(counts, before):
@@ -127,10 +127,11 @@ class TestTickChronosConst:
         assert sorted(released) == [1, 2]
         assert earliest_release(state) == TIME_MAX
 
-    def test_detects_keys_off_the_list_in_checked_mode(self):
+    def test_detects_an_unsorted_list_in_checked_mode(self):
         state = self.setup_list()
-        state.timers[1].keys[0] = 7  # the head is due at 6, not 7
-        with pytest.raises(InvariantViolation, match="do not match"):
+        head = state.timers[1].queue[0]
+        state.next_release[head] = 99  # still after the tick, now out of order
+        with pytest.raises(InvariantViolation, match="delayed list is not sorted"):
             tick(state, 1)
 
 
@@ -282,7 +283,7 @@ class TestDelayTask:
     def test_listed_task_not_after_the_tick_detected_in_checked_mode(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
         delay_task(state, [2], 0)
-        state.next_release[2] = state.timers[1].keys[0] = 0  # listed, yet ready
+        state.next_release[2] = 0  # listed, yet ready
         with pytest.raises(InvariantViolation,
                            match="delayed task 2 is due at 0, not after tick 0"):
             delay_task(state, [1], 0)
@@ -413,7 +414,7 @@ class TestInsertContracts:
 
 def state_snapshot(state):
     """Everything a delay can change, plus what only an interrupt changes."""
-    timers = {j: (ts.tick, list(ts.queue), list(ts.keys))
+    timers = {j: (ts.tick, list(ts.queue))
               for j, ts in state.timers.items()}
     return (timers, list(state.next_release), dict(state.delay_counts),
             dict(state.interrupt_counts), list(state.skip_events))
