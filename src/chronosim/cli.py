@@ -98,9 +98,17 @@ def _generation_spec(scenario: dict, seed_override: int | None) -> model.Generat
 
 
 def _scenario_task_set(scenario: dict, seed_override: int | None) -> model.TaskSet:
-    if "tasks" in scenario:
-        return model.task_set_from_json(scenario)
-    return model.generate_task_set(_generation_spec(scenario, seed_override))
+    """The inline ``tasks`` or the generated task set; never both, and a
+    seed only for the generator, so that nothing given is ignored."""
+    if "tasks" not in scenario:
+        return model.generate_task_set(_generation_spec(scenario, seed_override))
+    if "generation" in scenario:
+        raise UsageError("scenario holds both 'tasks' and 'generation'; "
+                         "inline tasks are not generated, so keep one")
+    if seed_override is not None:
+        raise UsageError("--seed seeds the generator, but the scenario's "
+                         "tasks are inline")
+    return model.task_set_from_json(scenario)
 
 
 def _weights(scenario: dict) -> CostWeights:

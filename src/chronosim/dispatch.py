@@ -56,11 +56,9 @@ the tasks it released; the simulator owns the ready list and orders the
 releases of an instant.
 ``delay_task`` takes the whole ordered batch of jobs that ended since the
 last interrupt instant and charges the counters once per batch, with the
-same totals as one call per job.  The simulator passes that instant as
-``now``: no task's release lies strictly between two interrupt instants (each
-timer fires at every multiple of its period, which divides its tasks'
-periods), so each job's next release is the same as at its own end, and no
-routine reads a container between two interrupts.  The batch is walked in
+same totals as one call per job.  A task's next release is the first
+multiple of its period after its timer's tick, so a job ending at one of its
+own release instants has consumed that release.  The batch is walked in
 runs: maximal stretches of consecutive tasks with one timer and one period,
 which share one next release.  A run enters its list with one bisection and
 one slice insert, at the positions that one insert per task, each after its
@@ -334,34 +332,28 @@ def tick(state: DispatcherState, timer_id: int) -> list[int]:
 # Delay path
 # ---------------------------------------------------------------------------
 
-def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> None:
+def delay_task(state: DispatcherState, task_ids: Sequence[int]) -> None:
     """Delay the finished jobs of ``task_ids``, in order, until their next releases.
 
-    A task's next release is the smallest multiple of its period strictly
-    greater than ``now``: a job completing exactly at one of its own release
-    times has already consumed that release.  For a batch, ``now`` may lie
-    before a job's end, as long as no multiple of the job's period lies in
-    between (after ``now``, up to the end): the next release is then the
-    same.  The simulator passes the last interrupt instant, and every job in
-    the batch ended before the next one.  Each task enters its timer's
-    container as if delayed alone: a list task goes after every entry due no
-    later, a slot owner just takes its next release.  The batch is taken
-    one run at a time, a run being a maximal stretch of consecutive tasks
-    with one timer and one period: its release is computed and its timer's
-    tick read once, and a list receives the whole run by one slice insert at
-    the bisection point after its ties, where n inserts one by one would put
-    it.  Two cases raise ``InvariantViolation``.  A run whose release is not
-    after its timer's tick raises before any of its tasks is written: such
-    a task would read as ready while it sat in a container.  A task already
-    delayed, that is, whose next release is after its timer's tick, raises
-    once the tasks before it are in their containers.  A sorted list is
-    charged one ``sorted_insert_step`` per entry it passes (the insert
-    position; n * pos + n * (n - 1) / 2 for a run of n landing at pos), an
-    unsorted list one ``list_append`` and a slot array one ``slot_write``.
-    Each also costs one ``comparison`` to refresh the timer's earliest
-    release, which the guard reads; a slot write is charged it too, though a
-    slot array has no guard.  The charges reach the counters once per call,
-    with the totals of one call per task; an empty sequence changes nothing.
+    A task's next release is the first multiple of its period after its
+    timer's tick: a job ending at one of its own release instants has
+    consumed that release.  Each task enters its timer's container as if
+    delayed alone: a list task goes after every entry due no later, a slot
+    owner just takes its next release.  The batch is taken one run at a
+    time, a run being a maximal stretch of consecutive tasks with one timer
+    and one period: its release is computed and its timer's tick read once,
+    and a list receives the whole run by one slice insert at the bisection
+    point after its ties, where n inserts one by one would put it.  A task
+    already delayed, that is, whose next release is after its timer's tick,
+    raises ``InvariantViolation`` once the tasks before it are in their
+    containers.  A sorted list is charged one ``sorted_insert_step`` per
+    entry it passes (the insert position; n * pos + n * (n - 1) / 2 for a
+    run of n landing at pos), an unsorted list one ``list_append`` and a
+    slot array one ``slot_write``.  Each also costs one ``comparison`` to
+    refresh the timer's earliest release, which the guard reads; a slot
+    write is charged it too, though a slot array has no guard.  The charges
+    reach the counters once per call, with the totals of one call per task;
+    an empty sequence changes nothing.
     """
     next_release = state.next_release
     run_of = state.run_of
@@ -375,12 +367,7 @@ def delay_task(state: DispatcherState, task_ids: Sequence[int], now: int) -> Non
             key = run_of[tid]
             ts, period = key
             tick_ = ts.tick
-            release = (now // period + 1) * period
-            if release <= tick_:
-                raise InvariantViolation(
-                    f"task {tid}: next release {release} is not after the "
-                    f"tick {tick_} of timer {ts.timer_id}"
-                )
+            release = (tick_ // period + 1) * period
             run = []
         if next_release[tid] > tick_:
             _delay_run(state, ts, release, run)

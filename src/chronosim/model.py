@@ -245,8 +245,8 @@ class GenerationSpec:
 
     Each task gets period ``b * r * period_factor`` with ``b`` uniform over
     ``base_periods`` and ``r`` uniform over ``factor_range``.  The harmonic
-    flag restricts ``factor_range`` to powers of two so every per-base group
-    forms a harmonic chain.
+    flag requires ``factor_range`` to hold powers of two, so every per-base
+    group forms a harmonic chain.
     """
 
     base_periods: tuple[int, ...]

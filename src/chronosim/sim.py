@@ -52,12 +52,9 @@ joins the list below without the helper.  Either way, each task retires after
 its last release, and the rest join one list of the tasks whose jobs ended
 since the last interrupt instant.  That list is delayed in one dispatcher call
 at the next interrupt instant, before any timer fires, and once more when the
-run ends.  Delaying a job there, with the last interrupt instant as ``now``, is
-exact: every timer period divides its tasks' periods and the timer fires at each
-of its multiples, so no release of any task lies strictly between two interrupt
-instants, and each job's next release is the one it had when it ended.  Only
-interrupts read the delayed containers, and the inserts keep their order, so
-positions, counters and skips are those of delaying each job as it ends.
+run ends, so each timer's tick still reads what it read when its jobs ended.
+Only interrupts read the delayed containers, and the inserts keep their order,
+so positions, counters and skips are those of delaying each job as it ends.
 
 Each pass of the loop settles the current instant (completion of a finished
 job, the abandon pass, which is skipped unless a bucket is due, zero-length
@@ -337,10 +334,9 @@ def run(config: SimConfig) -> SimMetrics:
     zero_length: list[int] = []  # released jobs with no work, in ready order
     running: int | None = None
     running_since = 0
-    # Tasks whose jobs ended since the interrupt instant last_tick, in end
-    # order; they are delayed in one call before the next interrupt fires.
+    # Tasks whose jobs ended since the last interrupt instant, in end order;
+    # they are delayed in one call before the next instant's timers fire.
     ended: list[int] = []
-    last_tick = 0
 
     charged_cost = 0  # interrupt cost already added to pending_cost
     pending_cost = 0
@@ -559,9 +555,8 @@ def run(config: SimConfig) -> SimMetrics:
         # The jobs ended since the last interrupt instant are delayed first.
         if t == next_tick:
             if ended:
-                delay_task(state, ended, last_tick)
+                delay_task(state, ended)
                 ended.clear()
-            last_tick = t
             releases: list[int] = []
             for i, tc in enumerate(used_timers):
                 if next_fire[i] != t:
@@ -591,7 +586,7 @@ def run(config: SimConfig) -> SimMetrics:
                 admit_releases(t, releases)
 
     if ended:
-        delay_task(state, ended, last_tick)
+        delay_task(state, ended)
     total_time = t
     total_interrupts = sum(s.interrupts for s in per_timer)
     required = sum(s.required for s in per_timer)

@@ -434,10 +434,11 @@ class SpecDispatcher:
         counts["ready_insert"] += len(released)
         return released
 
-    def delay_task(self, task_ids, now: int) -> None:
+    def delay_task(self, task_ids) -> None:
         counts = self.delay_counts
         for tid in task_ids:
             period, timer_id = self.period[tid], self.timer_of[tid]
+            now = self.ticks[timer_id]
             release = self.release[tid] = (now // period + 1) * period
             counts["comparison"] += 1              # refresh the cached earliest
             self.earliest[timer_id] = min(self.earliest[timer_id], release)
@@ -538,7 +539,7 @@ def reference_run(config: SimConfig, dispatcher=PACKAGE_DISPATCHER) -> SimMetric
             trace("retire", None, tid)
         else:
             trace("delay", None, tid)
-            delay_task(state, [tid], t)
+            delay_task(state, [tid])
 
     def admit(tids) -> None:
         for tid in sorted(tids, key=lambda tid: (tasks[tid].period, tid)):

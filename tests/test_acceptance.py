@@ -195,9 +195,9 @@ def test_criterion_6_cost_contracts():
                               assignment={t.id: 1 for t in ts.tasks})
             state = DispatcherState(ts, mapping, Strategy.CHRONOS_CONST)
             for tid in range(1, count):
-                delay_task(state, [tid], 0)
+                delay_task(state, [tid])
             before = dict(state.delay_counts)
-            delay_task(state, [count], 0)
+            delay_task(state, [count])
             after = dict(state.delay_counts)
             deltas.add(tuple(sorted(
                 (k, after[k] - before[k]) for k in after if after[k] != before[k])))
@@ -210,14 +210,14 @@ def test_criterion_6_cost_contracts():
                           assignment={t.id: 1 for t in ts.tasks})
         state = DispatcherState(ts, mapping, Strategy.CHRONOS_HARMONIC)
         for t in ts.tasks:
-            delay_task(state, [t.id], 0)
+            delay_task(state, [t.id])
         for _ in range(64):
             before = dict(state.interrupt_counts)
             released = tick(state, 1)
             after = dict(state.interrupt_counts)
             assert after["comparison"] - before["comparison"] <= len(chain)
             for tid in released:
-                delay_task(state, [tid], state.timers[1].tick)
+                delay_task(state, [tid])
 
         # Sorted order preserved across ten thousand randomized operations.
         rng = random.Random(99991)
@@ -228,14 +228,12 @@ def test_criterion_6_cost_contracts():
         state = DispatcherState(ts, mapping, Strategy.CHRONOS,
                                 check_invariants=True)
         ready = set(range(1, len(periods) + 1))
-        now = 0
         for _ in range(10_000):
             if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
                 tid = rng.choice(sorted(ready))
-                delay_task(state, [tid], now)
+                delay_task(state, [tid])
                 ready.discard(tid)
             else:
-                now += 2
                 ready.update(tick(state, 1))
             keys = [state.next_release[t] for t in state.timers[1].queue]
             assert keys == sorted(keys)

@@ -707,12 +707,38 @@ class TestStrictScenario:
         if where not in ("horizon", "cost weight"):  # generate reads neither
             assert main(["generate", bad, "--out", str(tmp_path / "t.json")]) == 2
 
+    def inline_scenario(self, tmp_path, generation):
+        """The scenario with two inline tasks, with or without its generation."""
+        path = self.scenario(tmp_path, ("tasks",), [{"id": 1, "period": 3, "wcet": 1},
+                                                    {"id": 2, "period": 5, "wcet": 1}])
+        if not generation:
+            obj = load_json(path)
+            del obj["generation"]
+            dump_json(obj, path)
+        return path
+
     def test_inline_tasks_sweep_next_to_the_other_keys(self, tmp_path, scenario_file):
         # The whole scenario goes through the task-set reader, so only the
         # task-set file reader rejects keys beside ``tasks``.
-        ok = self.scenario(tmp_path, ("tasks",), [{"id": 1, "period": 3, "wcet": 1},
-                                                  {"id": 2, "period": 5, "wcet": 1}])
+        ok = self.inline_scenario(tmp_path, generation=False)
         assert main(["sweep", ok, "--out", str(tmp_path / "s.csv")]) == 0
+
+    # (keep the generation section, extra arguments, what the message names)
+    INLINE_CONFLICTS = [(True, [], "holds both 'tasks' and 'generation'"),
+                        (False, ["--seed", "9"], "--seed seeds the generator")]
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("generation,extra,message", INLINE_CONFLICTS,
+                             ids=["generation", "seed"])
+    def test_inline_tasks_ignore_nothing(self, tmp_path, capsys, scenario_file,
+                                         command, generation, extra, message):
+        # Inline tasks are not generated: a generation section or a seed
+        # beside them would be silently ignored.
+        bad = self.inline_scenario(tmp_path, generation)
+        out = tmp_path / "out"
+        assert main([command, bad, *extra, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_still_load(self, tmp_path, preset):

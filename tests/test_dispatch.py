@@ -45,8 +45,8 @@ class TestTickChronos:
     def test_releases_due_head_and_caches_next(self):
         # tasks: tau1 next release 2, tau2 next release 4
         state = build_state([2, 4], 2, Strategy.CHRONOS)
-        delay_task(state, [1], 0)
-        delay_task(state, [2], 0)
+        delay_task(state, [1])
+        delay_task(state, [2])
         before = dict(state.interrupt_counts)
         released = tick(state, 1)
         assert released == [1]
@@ -69,7 +69,7 @@ class TestTickChronos:
 
     def test_emptying_the_list_parks_the_sentinel(self):
         state = build_state([10], 5, Strategy.CHRONOS)
-        delay_task(state, [1], 0)  # next release 10
+        delay_task(state, [1])  # next release 10
         state.timers[1].tick = 5
         released = tick(state, 1)
         assert released == [1]
@@ -80,8 +80,8 @@ class TestTickChronos:
 
     def test_detects_unsorted_list_in_checked_mode(self):
         state = build_state([2, 4], 2, Strategy.CHRONOS)
-        delay_task(state, [1], 0)
-        delay_task(state, [2], 0)
+        delay_task(state, [1])
+        delay_task(state, [2])
         state.timers[1].queue.reverse()  # corrupt the order
         with pytest.raises(InvariantViolation):
             tick(state, 1)
@@ -91,9 +91,9 @@ class TestTickChronosConst:
     def setup_list(self):
         # delayed in the order tau3 (next 9), tau1 (next 6), tau2 (next 12)
         state = build_state([6, 12, 9], 3, Strategy.CHRONOS_CONST)
-        delay_task(state, [3], 0)
-        delay_task(state, [1], 0)
-        delay_task(state, [2], 0)
+        delay_task(state, [3])
+        delay_task(state, [1])
+        delay_task(state, [2])
         assert earliest_release(state) == 6
         return state
 
@@ -120,8 +120,8 @@ class TestTickChronosConst:
 
     def test_releases_all_when_everything_due(self):
         state = build_state([12, 9], 3, Strategy.CHRONOS_CONST)
-        delay_task(state, [1], 0)  # next 12
-        delay_task(state, [2], 0)  # next 9
+        delay_task(state, [1])  # next 12
+        delay_task(state, [2])  # next 9
         state.timers[1].tick = 9
         released = tick(state, 1)
         assert sorted(released) == [1, 2]
@@ -138,9 +138,9 @@ class TestTickChronosConst:
 class TestTickChronosHarmonic:
     def build_chain(self):
         state = build_state([3, 6, 12], 3, Strategy.CHRONOS_HARMONIC)
-        delay_task(state, [1], 0)
-        delay_task(state, [2], 0)
-        delay_task(state, [3], 0)
+        delay_task(state, [1])
+        delay_task(state, [2])
+        delay_task(state, [3])
         return state
 
     def test_rejects_non_harmonic_group(self):
@@ -155,7 +155,7 @@ class TestTickChronosHarmonic:
     def test_releases_prefix_of_due_slots(self):
         state = self.build_chain()
         tick(state, 1)           # tick 3
-        delay_task(state, [1], 3)                 # back into its slot, next 6
+        delay_task(state, [1])                 # back into its slot, next 6
         before = dict(state.interrupt_counts)
         released = tick(state, 1)  # tick 6
         assert released == [1, 2]                 # break at 6 mod 12 != 0
@@ -167,7 +167,7 @@ class TestTickChronosHarmonic:
         state = self.build_chain()
         tick(state, 1)   # tick 3 releases tau1
         tick(state, 1)   # tick 6: tau1 slot vacant -> skip; tau2 due
-        delay_task(state, [2], 6)
+        delay_task(state, [2])
         tick(state, 1)   # tick 9: tau1 slot vacant -> skip
         released = tick(state, 1)  # tick 12
         assert released == [2, 3]
@@ -183,7 +183,7 @@ class TestTickChronosHarmonic:
     @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
     def test_owner_delayed_past_its_due_slot_raises_at_that_tick(self, check):
         state = build_state([3, 6, 12], 3, Strategy.CHRONOS_HARMONIC, check=check)
-        delay_task(state, [1], 3)  # due at 6, but its slot is due at tick 3
+        state.next_release[1] = 6  # delayed to 6, but its slot is due at tick 3
         with pytest.raises(InvariantViolation,
                            match="slot of task 1 is due, but the task is delayed to 6"):
             tick(state, 1)
@@ -196,32 +196,32 @@ class TestTickChronosHarmonic:
             delta = counter_delta(state.interrupt_counts, before)
             assert delta["comparison"] <= 3
             for tid in released:
-                delay_task(state, [tid], state.timers[1].tick)
+                delay_task(state, [tid])
 
 
 class TestTickBaseline:
     def test_two_task_figure_trace(self):
         state = build_state([2, 5], 1, Strategy.BASELINE)
-        delay_task(state, [1], 0)
-        delay_task(state, [2], 0)
+        delay_task(state, [1])
+        delay_task(state, [2])
         releases_by_tick = {}
         for t in range(1, 11):
             released = tick(state, 1)
             releases_by_tick[t] = list(released)
             for tid in released:
-                delay_task(state, [tid], t)
+                delay_task(state, [tid])
         released_ticks = {t for t, r in releases_by_tick.items() if r}
         assert released_ticks == {2, 4, 5, 6, 8, 10}
         assert {t for t, r in releases_by_tick.items() if not r} == {1, 3, 7, 9}
 
     def test_single_task_early_exits_until_due(self):
         state = build_state([4], 1, Strategy.BASELINE)
-        delay_task(state, [1], 0)
+        delay_task(state, [1])
         assert [tick(state, 1) for _ in range(4)] == [[], [], [], [1]]
 
     def test_exhausted_list_always_early_exits(self):
         state = build_state([4], 1, Strategy.BASELINE)
-        delay_task(state, [1], 0)
+        delay_task(state, [1])
         for _ in range(4):
             tick(state, 1)
         # never re-delayed: every further tick exits on the sentinel
@@ -233,66 +233,49 @@ class TestTickBaseline:
 
 
 class TestDelayTask:
-    def test_next_release_is_strictly_future_multiple(self):
+    @pytest.mark.parametrize("ticks, release", [(0, 6), (1, 6), (2, 12), (3, 12),
+                                                (4, 18)])
+    def test_next_release_is_strictly_future_multiple(self, ticks, release):
+        # The first multiple of 6 after the tick 3 * ticks: a job ending at 6,
+        # one of its own release instants, has consumed that release.
         state = build_state([6], 3, Strategy.CHRONOS)
-        delay_task(state, [1], 4)
-        assert state.next_release[1] == 6
-
-    def test_completion_on_release_boundary_skips_to_next(self):
-        state = build_state([6], 3, Strategy.CHRONOS)
-        delay_task(state, [1], 6)
-        assert state.next_release[1] == 12
+        for _ in range(ticks):
+            tick(state, 1)
+        delay_task(state, [1])
+        assert state.next_release[1] == release
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_double_delay_is_invariant_violation(self, strategy):
         state = build_state([6], 3, strategy)
-        delay_task(state, [1], 0)
+        delay_task(state, [1])
         with pytest.raises(InvariantViolation):
-            delay_task(state, [1], 0)
+            delay_task(state, [1])
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_double_delay_in_a_run_leaves_the_tasks_before_it_delayed(self, strategy):
         # Tasks 1-3 form one run; the second 2 raises with 1-3 in place.
         state = build_state([6, 6, 6], 3, strategy)
         with pytest.raises(InvariantViolation, match="task 2 is already delayed"):
-            delay_task(state, [1, 2, 3, 2], 0)
+            delay_task(state, [1, 2, 3, 2])
         single = build_state([6, 6, 6], 3, strategy)
         for tid in (1, 2, 3):
-            delay_task(single, [tid], 0)
+            delay_task(single, [tid])
         # Containers and tasks only: a raising call charges nothing.
         assert state_snapshot(state)[:2] == state_snapshot(single)[:2]
 
-    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
-    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-    @pytest.mark.parametrize("ticks, now", [(2, 0), (3, 0)], ids=["at", "before"])
-    def test_release_not_after_the_tick_is_invariant_violation(
-            self, strategy, check, ticks, now):
-        # Task 1 (period 6) would be due at 6 with its timer at tick 6 or 9:
-        # it would read as ready while it sat in a container.
-        state = build_state([6, 6], 3, strategy, check=check)
-        delay_task(state, [2], 0)
-        for _ in range(ticks):
-            tick(state, 1)
-        before = state_snapshot(state)
-        with pytest.raises(InvariantViolation,
-                           match=f"task 1: next release 6 is not after the "
-                                 f"tick {3 * ticks} of timer 1"):
-            delay_task(state, [1], now)
-        assert state_snapshot(state) == before
-
     def test_listed_task_not_after_the_tick_detected_in_checked_mode(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
-        delay_task(state, [2], 0)
+        delay_task(state, [2])
         state.next_release[2] = 0  # listed, yet ready
         with pytest.raises(InvariantViolation,
                            match="delayed task 2 is due at 0, not after tick 0"):
-            delay_task(state, [1], 0)
+            delay_task(state, [1])
 
     def test_updates_cached_timer_next_release(self):
         state = build_state([6, 12], 3, Strategy.CHRONOS)
-        delay_task(state, [2], 0)
+        delay_task(state, [2])
         assert earliest_release(state) == 12
-        delay_task(state, [1], 0)
+        delay_task(state, [1])
         assert earliest_release(state) == 6
 
     def test_const_append_cost_independent_of_length(self):
@@ -302,18 +285,18 @@ class TestDelayTask:
         for count in (1, 10, 100):
             st = build_state(periods, 6, Strategy.CHRONOS_CONST)
             for tid in range(1, count):
-                delay_task(st, [tid], 0)
+                delay_task(st, [tid])
             before = dict(st.delay_counts)
-            delay_task(st, [count], 0)
+            delay_task(st, [count])
             deltas.add(tuple(sorted(counter_delta(st.delay_counts, before).items())))
         assert len(deltas) == 1  # identical charge at lengths 1, 10, and 100
 
     def test_sorted_insert_charges_traversal_steps(self):
         state = build_state([6, 12, 18], 6, Strategy.CHRONOS)
-        delay_task(state, [1], 0)   # next 6, empty list: 0 steps
-        delay_task(state, [2], 0)   # next 12, after one entry: 1 step
+        delay_task(state, [1])   # next 6, empty list: 0 steps
+        delay_task(state, [2])   # next 12, after one entry: 1 step
         before = dict(state.delay_counts)
-        delay_task(state, [3], 0)   # next 18, after two entries: 2 steps
+        delay_task(state, [3])   # next 18, after two entries: 2 steps
         assert counter_delta(state.delay_counts, before)["sorted_insert_step"] == 2
         assert state.timers[1].queue == [1, 2, 3]
 
@@ -324,7 +307,7 @@ class TestDelayTask:
         for tid in rng.sample(range(1, 31), 30):
             length = len(state.timers[1].queue)
             before = dict(state.delay_counts)
-            delay_task(state, [tid], 0)
+            delay_task(state, [tid])
             steps = counter_delta(state.delay_counts, before).get(
                 "sorted_insert_step", 0)
             assert steps <= length
@@ -336,14 +319,12 @@ class TestSortedOrderProperty:
         periods = [2, 4, 6, 8, 12, 24]
         state = build_state(periods, 2, Strategy.CHRONOS)
         ready = set(range(1, len(periods) + 1))
-        now = 0
         for _ in range(10_000):
             if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
                 tid = rng.choice(sorted(ready))
-                delay_task(state, [tid], now)   # checked mode verifies sortedness
+                delay_task(state, [tid])   # checked mode verifies sortedness
                 ready.discard(tid)
             else:
-                now += 2
                 for tid in tick(state, 1):
                     ready.add(tid)
             queue = state.timers[1].queue
@@ -363,7 +344,7 @@ class TestSortedOrderProperty:
         for _ in range(2_000):
             if ready and (rng.random() < 0.5 or len(ready) == len(periods)):
                 batch = rng.sample(sorted(ready), rng.randint(1, len(ready)))
-                delay_task(state, batch, state.timers[1].tick)
+                delay_task(state, batch)
                 ready.difference_update(batch)
             else:
                 ready.update(tick(state, 1))
@@ -403,7 +384,7 @@ class TestInsertContracts:
             tid = ready.pop(op % len(ready))
             old_queue = list(queue)
             before = dict(state.delay_counts)
-            delay_task(state, [tid], state.timers[1].tick)
+            delay_task(state, [tid])
             due = state.next_release[tid]
             no_later = sum(1 for t in old_queue
                            if state.next_release[t] <= due)
@@ -473,14 +454,15 @@ class TestBatchContract:
                               if ready else st.just([]), label=f"batch at {now}")
             if data.draw(st.booleans(), label=f"task order at {now}"):
                 batch.sort()
-            delay_task(batched, batch, now)
+            delay_task(batched, batch)
             for tid in batch:
-                delay_task(single, [tid], now)
+                delay_task(single, [tid])
             ready = [tid for tid in ready if tid not in batch]
             assert state_snapshot(batched) == state_snapshot(single)
 
     @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    # Each batch follows its count of timer 1's ticks.
     @pytest.mark.parametrize("periods, on_second, batches", [
         # One period on two timers: the timer ends the run at task 3.
         ([2, 2, 2, 2], {3, 4}, [(0, [1, 2, 3, 4])]),
@@ -493,22 +475,24 @@ class TestBatchContract:
                                           on_second, batches):
         batched = self.build(strategy, periods, on_second, check)
         single = self.build(strategy, periods, on_second, check)
-        for now, batch in batches:
-            delay_task(batched, batch, now)
+        for ticks, batch in batches:
+            for _ in range(ticks):
+                assert tick(batched, 1) == tick(single, 1)
+            delay_task(batched, batch)
             for tid in batch:
-                delay_task(single, [tid], now)
+                delay_task(single, [tid])
             assert state_snapshot(batched) == state_snapshot(single)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_task_named_twice_is_invariant_violation(self, strategy):
         state = build_state([6, 12], 6, strategy)
         with pytest.raises(InvariantViolation, match="task 1 is already delayed"):
-            delay_task(state, [1, 2, 1], 0)
+            delay_task(state, [1, 2, 1])
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_empty_batch_changes_and_charges_nothing(self, strategy):
         state = build_state([6, 12], 6, strategy)
-        delay_task(state, [2], 0)
+        delay_task(state, [2])
         before = state_snapshot(state)
-        delay_task(state, [], 7)
+        delay_task(state, [])
         assert state_snapshot(state) == before

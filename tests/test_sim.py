@@ -278,9 +278,8 @@ class TestEndJobsBatches:
     """Ended jobs are delayed once per interrupt instant.  Before the
     instant's timers fire, one ``delay_task`` call takes the tasks whose jobs
     ended since the previous interrupt instant, in end order and without the
-    ones that retired, with that previous instant as ``now``.  No release
-    lies strictly between two interrupt instants, so each job still gets the
-    next release of its own end instant."""
+    ones that retired.  Each gets the first multiple of its period after its
+    timer's tick, which is still the tick of its own end instant."""
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_retiring_task_leaves_a_mixed_batch(self, strategy, monkeypatch):
@@ -293,9 +292,9 @@ class TestEndJobsBatches:
         mapping = Mapping(timers=(TimerConfig(1, 2),), assignment={1: 1, 2: 1})
         batches = []
 
-        def recording_delay_task(state, task_ids, now):
-            batches.append((now, list(task_ids)))
-            dispatch.delay_task(state, task_ids, now)
+        def recording_delay_task(state, task_ids):
+            batches.append((state.timers[1].tick, list(task_ids)))
+            dispatch.delay_task(state, task_ids)
 
         monkeypatch.setattr(sim, "delay_task", recording_delay_task)
         metrics = run(SimConfig(
@@ -308,7 +307,7 @@ class TestEndJobsBatches:
         assert (2, 1) in completed and (2, 2) in completed
         assert (2, "retire", None, 1) in metrics.events
         assert (2, [2]) in batches
-        assert all(1 not in batch for now, batch in batches if now >= 2)
+        assert all(1 not in batch for tick_, batch in batches if tick_ >= 2)
         assert metrics.jobs_completed == 6  # 2 start jobs + 1 + 3 releases
 
 
@@ -342,10 +341,10 @@ class TestLeafTargets:
             counts["tick"] += 1
             return real_tick(state, timer_id)
 
-        def counting_delay_task(state, task_ids, now):
+        def counting_delay_task(state, task_ids):
             counts["delay_task"] += 1
             counts["delayed"] += len(task_ids)
-            real_delay(state, task_ids, now)
+            real_delay(state, task_ids)
 
         def recording_run(config):
             runs.append(real_run(config))
@@ -1101,10 +1100,10 @@ class TestDelayOncePerInterruptInstant:
         delayed = []  # (task, next release) per delayed job, in call order
         calls = 0
 
-        def recording_delay_task(state, task_ids, now):
+        def recording_delay_task(state, task_ids):
             nonlocal calls
             calls += 1
-            dispatch.delay_task(state, task_ids, now)
+            dispatch.delay_task(state, task_ids)
             delayed.extend((tid, state.next_release[tid]) for tid in task_ids)
 
         with pytest.MonkeyPatch.context() as mp:
