@@ -244,6 +244,22 @@ class TestDelayTask:
         delay_task(state, [1])
         assert state.next_release[1] == release
 
+    @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("ticks", [2, 3], ids=["at", "after"])
+    def test_delay_at_or_after_a_release_waits_for_the_next(
+            self, strategy, check, ticks):
+        # Task 1 (period 6) is delayed with its timer at tick 6 or 9: its
+        # release 6 is consumed, so it leaves its container at tick 12 and
+        # not before, with task 2, released at 6 and delayed with it.
+        state = build_state([6, 6], 3, strategy, check=check)
+        delay_task(state, [2])
+        assert [tick(state, 1) for _ in range(ticks)][1] == [2]
+        delay_task(state, [1, 2])
+        assert state.next_release[1] == state.next_release[2] == 12
+        later = {3 * t: sorted(tick(state, 1)) for t in range(ticks + 1, 5)}
+        assert later == {**{3 * t: [] for t in range(ticks + 1, 4)}, 12: [1, 2]}
+
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_double_delay_is_invariant_violation(self, strategy):
         state = build_state([6], 3, strategy)
