@@ -238,6 +238,9 @@ def cmd_simulate(args) -> int:
     factor = args.period_factor
     if factor < 1:
         raise UsageError(f"period_factor must be >= 1, got {factor}")
+    if strategy is Strategy.BASELINE and mapping is not None:
+        # The baseline runs its own timer, but a file it is given must fit.
+        mapping.validate(task_set)
     task_set = task_set.scaled(factor)
     if strategy is Strategy.BASELINE:
         mapping = model.single_timer_mapping(task_set, period=factor)
@@ -358,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one strategy over a task set")
     p.add_argument("task_set", help="task-set JSON file")
     p.add_argument("--mapping", default=None,
-                   help="mapping JSON file (the baseline ignores it)")
+                   help="mapping JSON file, checked against the task set "
+                        "(the baseline runs one timer at the period factor)")
     p.add_argument("--strategy", required=True,
                    choices=[s.value for s in Strategy])
     p.add_argument("--horizon", type=int, default=None,

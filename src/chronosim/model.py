@@ -131,9 +131,15 @@ class TaskSet:
         return tuple(sorted(set(self.periods())))
 
     def scaled(self, factor: int) -> "TaskSet":
-        """Uniformly scale all periods and deadlines by an integer factor."""
+        """Uniformly scale all periods and deadlines by an integer factor.
+
+        Factor 1 returns the task set itself: it is frozen, so nothing is
+        rebuilt or revalidated.
+        """
         if factor < 1:
             raise UsageError(f"period factor must be >= 1, got {factor}")
+        if factor == 1:
+            return self
         return TaskSet(tuple(
             Task(t.id, t.wcet, t.period * factor, t.deadline * factor,
                  t.releases_limit)
@@ -221,8 +227,13 @@ class Mapping:
                     )
 
     def scaled(self, factor: int) -> "Mapping":
+        """Scale every timer period by an integer factor; the assignment is
+        copied.  Factor 1 returns the mapping itself, whose assignment must
+        not be mutated anyway."""
         if factor < 1:
             raise UsageError(f"period factor must be >= 1, got {factor}")
+        if factor == 1:
+            return self
         return Mapping(
             timers=tuple(TimerConfig(tc.id, tc.period * factor) for tc in self.timers),
             assignment=dict(self.assignment),

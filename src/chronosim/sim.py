@@ -86,6 +86,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -316,6 +317,12 @@ def run(config: SimConfig) -> SimMetrics:
     first_key = [p << period_shift for p in period]  # the least key of a period
     past_key = [(p + 1) << period_shift for p in period]
     released_key = [first_key[tid] | 1 << bits | tid for tid in range(n_tasks + 1)]
+    # The order releases are admitted in: a flag above every released key puts
+    # the jobs with work after those with none, in released-key order within
+    # each part.
+    work_flag = 1 << max(released_key).bit_length()
+    admit_key = [key | work_flag if work else key
+                 for key, work in zip(released_key, wcet)]
     queued = [0] * (n_tasks + 1)  # the key of each task's live ready-heap entry
     as_time = config.overhead_as_time
     scale = config.time_scale
@@ -382,23 +389,28 @@ def run(config: SimConfig) -> SimMetrics:
     def admit_releases(now: int, tids: list[int]) -> None:
         """Release a job of each task in ``tids``, all of them at ``now``.
 
-        ``tids`` is sorted in place into (period, task id) order, the
-        ready-heap order of jobs released at one instant, so nothing depends
-        on which timer released which task; zero-length jobs keep that order.
+        ``tids`` is sorted in place by admission key: the jobs with no work
+        first, then those with work, each part in (period, task id) order, the
+        ready-heap order of jobs released at one instant, so nothing depends on
+        which timer released which task.  One bisection finds the split; the
+        no-work prefix joins ``zero_length`` in one step and is taken off
+        ``tids``, and only the jobs with work get a live deadline, remaining
+        work, a ready-heap key and a deadline bucket.  A trace lists the
+        releases in (period, task id) order.
         """
-        tids.sort(key=released_key.__getitem__)
+        tids.sort(key=admit_key.__getitem__)
         if collect and now > 0:
             # The synchronous start at t=0 is not an interrupt-driven release.
-            for tid in tids:
+            for tid in sorted(tids, key=released_key.__getitem__):
                 trace(now, "release", mapping.assignment[tid], tid)
+        split = bisect_right(tids, 0, key=wcet.__getitem__)
+        if split:
+            zero_length.extend(tids[:split])
+            del tids[:split]
         now_key = now << time_shift
         for tid in tids:
-            work = wcet[tid]
-            if work == 0:
-                zero_length.append(tid)
-                continue
             deadline = live[tid] = now + rel_deadline[tid]
-            remaining[tid] = work
+            remaining[tid] = wcet[tid]
             key = queued[tid] = released_key[tid] + now_key
             heapq.heappush(ready, key)
             bucket = buckets.get(deadline)

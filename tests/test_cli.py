@@ -340,6 +340,25 @@ class TestSimulate:
                    "--horizon", "10", "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("timers, message", [
+        ([{"id": 1, "period": 7, "tasks": [1]}], "missing=[2]"),
+        ([{"id": 1, "period": 3, "tasks": [1, 2]}],
+         "timer period 3 does not divide period 2 of task 1"),
+    ])
+    def test_baseline_mapping_mismatch_exit_two(self, tmp_path, capsys,
+                                                timers, message):
+        # The baseline runs one timer at the period factor, but a mapping file
+        # that does not fit the task set is bad input, not ignored.
+        tasks, good = self.write_two_five(tmp_path)
+        bad = tmp_path / "bad.json"
+        dump_json({"timers": timers}, str(bad))
+        run = ["simulate", tasks, "--strategy", "baseline",
+               "--out", str(tmp_path / "m.json")]
+        assert main(run + ["--mapping", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+        assert main(run + ["--mapping", good]) == 0
+
 
 # SHA-256 of each output: the harmonic_single preset sweep, and simulate on
 # the two-task figure set (periods 2 and 5, five releases each) run to

@@ -86,9 +86,19 @@ class TestTask:
         assert hyperperiod(make_task_set([3, 6, 12])) == 12
 
     def test_scaled(self):
-        ts = make_task_set([2, 5]).scaled(3)
+        base = make_task_set([2, 5])
+        ts = base.scaled(3)
         assert ts.periods() == (6, 15)
         assert [t.deadline for t in ts.tasks] == [6, 15]
+        mapping = Mapping(timers=(TimerConfig(1, 2), TimerConfig(2, 5)),
+                          assignment={1: 1, 2: 2})
+        assert [tc.period for tc in mapping.scaled(3).timers] == [6, 15]
+        # Both types are frozen, so factor 1 hands back the object itself.
+        assert base.scaled(1) is base
+        assert mapping.scaled(1) is mapping
+        for obj in (base, mapping):
+            with pytest.raises(UsageError, match="period factor must be >= 1"):
+                obj.scaled(0)
 
 
 VALID_FIELDS = dict(id=1, wcet=1, period=4, deadline=4, releases_limit=5)
@@ -112,6 +122,16 @@ def unchecked_task_set(fields):
     return SimpleNamespace(tasks=(SimpleNamespace(**fields),))
 
 
+def scaled_by_two(fields):
+    """The first task of a stand-in set holding half of ``fields``' period and
+    deadline, scaled by 2 (factor 1 returns the set itself and builds
+    nothing).  A ``Fraction`` half scales back to the value itself, which
+    prints and compares as that integer."""
+    halves = {**fields, "period": Fraction(fields["period"], 2),
+              "deadline": Fraction(fields["deadline"], 2)}
+    return TaskSet.scaled(unchecked_task_set(halves), 2).tasks[0]
+
+
 def from_json(fields):
     entry = {"id": fields["id"], "wcet": fields["wcet"], "period": fields["period"],
              "deadline": fields["deadline"], "releases": fields["releases_limit"]}
@@ -125,7 +145,7 @@ TASK_BUILDERS = {
     "positional": (lambda f: Task(*f.values()), ()),
     "implicit": (lambda f: Task.implicit(f["id"], f["wcet"], f["period"],
                                          f["releases_limit"]), ("deadline",)),
-    "scaled": (lambda f: TaskSet.scaled(unchecked_task_set(f), 1).tasks[0], ()),
+    "scaled": (scaled_by_two, ()),
     "from_json": (from_json, ()),
     "strip_release_limits": (
         lambda f: cli._strip_release_limits(unchecked_task_set(f)).tasks[0],
