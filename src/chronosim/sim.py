@@ -45,7 +45,11 @@ them, the inline completions below aside: the running job once its work is
 done, the late jobs of an instant, and the jobs with no work released at one.
 A job with no work is never live: it gets no remaining work, ready-heap key or
 bucket, and a live deadline only for the helper's comparison, and the ones
-released at an instant end together when it settles.  Such a job is its task's
+released at an instant end together when it settles.  An instant's releases
+are sorted by an admission key that puts every job with no work ahead of every
+job with work, in (period, task id) order within each part, so one bisection
+splits them: the no-work prefix is set aside in one list operation, and only
+the jobs with work are admitted one at a time.  Such a job is its task's
 last iff it is released at the release limit times the period or later, so
 before the least such instant over the tasks with no work, an untraced batch
 joins the list below without the helper.  Either way, each task retires after
