@@ -1447,7 +1447,7 @@ def rate_monotonic_sets(draw, equal_periods=False):
                       for p in periods])
 
 
-def runs_to_hyperperiod(task_set):
+def runs_to_hyperperiod(task_set, collect_trace=False):
     """(strategy, metrics) of the baseline at the periods' GCD and of chronos
     and chronos-const with one timer per task, each run to the hyperperiod."""
     own_timers = Mapping(
@@ -1459,7 +1459,31 @@ def runs_to_hyperperiod(task_set):
             if strategy is Strategy.BASELINE else own_timers)
         yield strategy, run(SimConfig(
             task_set=task_set, strategy=strategy, mapping=mapping,
-            horizon=hyperperiod(task_set), collect_trace=False))
+            horizon=hyperperiod(task_set), collect_trace=collect_trace))
+
+
+def lost_releases(task_set, metrics):
+    """Jobs with work that ended (complete or miss) at one of their task's
+    release instants before the hyperperiod, from a traced run.  From the
+    synchronous start such a job ends at its own next release, and
+    ``delay_task`` gives the task the release after that one, so the job due
+    at that instant is never released (ROADMAP item 1)."""
+    tasks = {task.id: task for task in task_set.tasks}
+    horizon = hyperperiod(task_set)
+    return sum(1 for t, kind, _, tid in metrics.events
+               if kind in ("complete", "miss") and tasks[tid].wcet
+               and t % tasks[tid].period == 0 and t < horizon)
+
+
+# Round-robin draws that lose releases (ROADMAP item 1), with the count each
+# strategy loses over the hyperperiod: in the first, task 3's job ends at 5,
+# its own next release, and 27 of the 32 jobs due in [0, 45) end; in the
+# second, task 2's job ends at 2 and 4 of 5 end.
+LOST_RELEASE_DRAWS = [
+    (tasks_of((1, 5, 1, None), (2, 5, 4, None), (2, 5, 5, None), (1, 9, 9, None)),
+     5),
+    (tasks_of((1, 2, 1, None), (1, 2, 2, None), (1, 4, 4, None)), 1),
+]
 
 
 class TestResponseTimeAnalysis:
@@ -1486,26 +1510,47 @@ class TestResponseTimeAnalysis:
 
     @settings(max_examples=100, deadline=None)
     @given(task_set=rate_monotonic_sets(equal_periods=True))
-    @example(task_set=tasks_of((1, 5, 1, None), (2, 5, 4, None), (2, 5, 5, None),
-                               (1, 9, 9, None))).xfail(
-        raises=AssertionError,
-        reason="task 3's job ends at 5, its own next release, which drops the "
-               "job due then, so no run misses where the lower bound says "
-               "task 4 must")
+    @example(task_set=LOST_RELEASE_DRAWS[0][0])
+    @example(task_set=LOST_RELEASE_DRAWS[1][0])
     def test_round_robin_lies_between_two_recurrences(self, task_set):
         # Tasks of equal period share the CPU in one-unit slices.  Counted
         # as higher priority, a task's peers give an upper bound on its
         # response time: each has one job in a window of at most its period.
-        # Left out, they give a lower bound: if no job missed, every job of
-        # a shorter period would run in full ahead of the task's first job.
+        # Left out, they give a lower bound: if no job missed and every due
+        # job was released, every job of a shorter period would run in full
+        # ahead of the task's first job.  Every due job is released and
+        # ends by the hyperperiod, except one per job with work that ended at
+        # its own next release (``lost_releases``); a zero-length job
+        # released at the hyperperiod also ends there.
         upper = [response_time(task, [h for h in task_set.tasks
                                       if h.period <= task.period and h is not task])
                  > task.deadline for task in task_set.tasks]
         lower = [response_time(task, [h for h in task_set.tasks
                                       if h.period < task.period])
                  > task.deadline for task in task_set.tasks]
-        for strategy, metrics in runs_to_hyperperiod(task_set):
-            if any(lower):
+        horizon = hyperperiod(task_set)
+        due = sum(horizon // task.period + (task.wcet == 0)
+                  for task in task_set.tasks)
+        for strategy, metrics in runs_to_hyperperiod(task_set, collect_trace=True):
+            assert metrics.events_dropped == 0
+            lost = lost_releases(task_set, metrics)
+            assert (metrics.jobs_completed + metrics.deadline_misses + lost
+                    == due), strategy.value
+            if any(lower) and not lost:
                 assert metrics.miss_events, strategy.value
             if not any(upper):
                 assert not metrics.miss_events, strategy.value
+
+    @pytest.mark.parametrize("task_set, lost", LOST_RELEASE_DRAWS)
+    def test_a_job_ending_at_its_own_release_loses_the_next(self, task_set, lost):
+        # The lower recurrence says the last task must miss, yet no run
+        # misses: the jobs that end at their own next release each drop the
+        # job due then, which leaves the last task room.  Once a job that
+        # ends there starts its next job at once, these runs must miss.
+        tasks = sorted(task_set.tasks, key=lambda task: task.period)
+        assert response_time(tasks[-1], [h for h in tasks
+                                          if h.period < tasks[-1].period]) > (
+            tasks[-1].deadline)
+        for strategy, metrics in runs_to_hyperperiod(task_set, collect_trace=True):
+            assert not metrics.miss_events, strategy.value
+            assert lost_releases(task_set, metrics) == lost, strategy.value
