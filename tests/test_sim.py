@@ -1475,17 +1475,6 @@ def lost_releases(task_set, metrics):
                and t % tasks[tid].period == 0 and t < horizon)
 
 
-# Round-robin draws that lose releases (ROADMAP item 1), with the count each
-# strategy loses over the hyperperiod: in the first, task 3's job ends at 5,
-# its own next release, and 27 of the 32 jobs due in [0, 45) end; in the
-# second, task 2's job ends at 2 and 4 of 5 end.
-LOST_RELEASE_DRAWS = [
-    (tasks_of((1, 5, 1, None), (2, 5, 4, None), (2, 5, 5, None), (1, 9, 9, None)),
-     5),
-    (tasks_of((1, 2, 1, None), (1, 2, 2, None), (1, 4, 4, None)), 1),
-]
-
-
 class TestResponseTimeAnalysis:
     """Deadline misses against the closed form ``oracles.response_time``.
     With distinct periods, constrained deadlines and no overhead as time,
@@ -1510,18 +1499,27 @@ class TestResponseTimeAnalysis:
 
     @settings(max_examples=100, deadline=None)
     @given(task_set=rate_monotonic_sets(equal_periods=True))
-    @example(task_set=LOST_RELEASE_DRAWS[0][0])
-    @example(task_set=LOST_RELEASE_DRAWS[1][0])
+    @example(task_set=tasks_of((1, 5, 1, None), (2, 5, 4, None), (2, 5, 5, None),
+                               (1, 9, 9, None))).xfail(
+        raises=AssertionError,
+        reason="task 3's job ends at 5, its own next release, which drops the "
+               "job due then, so no run misses where the lower bound says "
+               "task 4 must")
+    @example(task_set=tasks_of((1, 2, 1, None), (1, 2, 2, None),
+                               (1, 4, 4, None))).xfail(
+        raises=AssertionError,
+        reason="task 2's job ends at 2, its own next release, which drops the "
+               "job due then, so no run misses where the lower bound says "
+               "task 3 must")
     def test_round_robin_lies_between_two_recurrences(self, task_set):
         # Tasks of equal period share the CPU in one-unit slices.  Counted
         # as higher priority, a task's peers give an upper bound on its
         # response time: each has one job in a window of at most its period.
-        # Left out, they give a lower bound: if no job missed and every due
-        # job was released, every job of a shorter period would run in full
-        # ahead of the task's first job.  Every due job is released and
-        # ends by the hyperperiod, except one per job with work that ended at
-        # its own next release (``lost_releases``); a zero-length job
-        # released at the hyperperiod also ends there.
+        # Left out, they give a lower bound: if no job missed, every job of
+        # a shorter period would run in full ahead of the task's first job.
+        # Every due job ends by the hyperperiod, except one per job with
+        # work that ended at its own next release (``lost_releases``); a
+        # zero-length job released at the hyperperiod also ends there.
         upper = [response_time(task, [h for h in task_set.tasks
                                       if h.period <= task.period and h is not task])
                  > task.deadline for task in task_set.tasks]
@@ -1536,21 +1534,7 @@ class TestResponseTimeAnalysis:
             lost = lost_releases(task_set, metrics)
             assert (metrics.jobs_completed + metrics.deadline_misses + lost
                     == due), strategy.value
-            if any(lower) and not lost:
+            if any(lower):
                 assert metrics.miss_events, strategy.value
             if not any(upper):
                 assert not metrics.miss_events, strategy.value
-
-    @pytest.mark.parametrize("task_set, lost", LOST_RELEASE_DRAWS)
-    def test_a_job_ending_at_its_own_release_loses_the_next(self, task_set, lost):
-        # The lower recurrence says the last task must miss, yet no run
-        # misses: the jobs that end at their own next release each drop the
-        # job due then, which leaves the last task room.  Once a job that
-        # ends there starts its next job at once, these runs must miss.
-        tasks = sorted(task_set.tasks, key=lambda task: task.period)
-        assert response_time(tasks[-1], [h for h in tasks
-                                          if h.period < tasks[-1].period]) > (
-            tasks[-1].deadline)
-        for strategy, metrics in runs_to_hyperperiod(task_set, collect_trace=True):
-            assert not metrics.miss_events, strategy.value
-            assert lost_releases(task_set, metrics) == lost, strategy.value
